@@ -3,8 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ebv_chain::merkle::{merkle_root, MerkleBranch};
+use ebv_core::sighash::SV_BATCH_MAX;
 use ebv_core::sighash::{sign_input, DigestChecker};
-use ebv_primitives::ec::{ecdsa, lincomb_gen, Affine, PointTable, PrivateKey};
+use ebv_primitives::ec::{ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey};
 use ebv_primitives::hash::{sha256, sha256d, Hash256};
 use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};
 use ebv_script::{verify_spend, Builder, RejectAllChecker};
@@ -43,6 +44,38 @@ fn bench_ecdsa(c: &mut Criterion) {
     let prepared = pk.prepare();
     c.bench_function("ecdsa/verify_prepared", |b| {
         b.iter(|| assert!(prepared.verify(black_box(&digest), black_box(&sig))))
+    });
+}
+
+/// One full SV batch (`SV_BATCH_MAX` signatures over 20 distinct keys, so
+/// the key-dedup path is realistic) settled by one [`BatchVerifier`]
+/// equation, against the same signatures verified one by one: the raw
+/// speedup ceiling of batched SV.
+fn bench_batch_verify(c: &mut Criterion) {
+    let keys: Vec<PrivateKey> = (0..20u64).map(PrivateKey::from_seed).collect();
+    let prepared: Vec<_> = keys.iter().map(|k| k.public_key().prepare()).collect();
+    let items: Vec<_> = (0..SV_BATCH_MAX)
+        .map(|i| {
+            let k = i % keys.len();
+            let digest = sha256(format!("item {i}").as_bytes());
+            (digest, keys[k].sign(&digest), k)
+        })
+        .collect();
+    c.bench_function("ecdsa/verify_64_individual", |b| {
+        b.iter(|| {
+            for (digest, sig, k) in &items {
+                assert!(prepared[*k].verify(black_box(digest), black_box(sig)));
+            }
+        })
+    });
+    c.bench_function("ecdsa/verify_64_batch", |b| {
+        b.iter(|| {
+            let mut batch = BatchVerifier::new();
+            for (digest, sig, k) in &items {
+                batch.push(*black_box(digest), *black_box(sig), &prepared[*k]);
+            }
+            assert!(batch.verify().all_valid);
+        })
     });
 }
 
@@ -119,6 +152,6 @@ fn bench_script(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_hashing, bench_ecdsa, bench_ec_ops, bench_merkle, bench_script
+    targets = bench_hashing, bench_ecdsa, bench_batch_verify, bench_ec_ops, bench_merkle, bench_script
 }
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ebv_bench::{CommonArgs, Scenario};
-use ebv_core::{baseline_ibd, ebv_ibd, EbvConfig, EbvNode};
+use ebv_core::{replay_ibd, EbvConfig, EbvNode};
 
 fn args() -> CommonArgs {
     CommonArgs {
@@ -27,7 +27,7 @@ fn bench_block_validation(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut node = scenario.baseline_node(&a);
-                baseline_ibd(&mut node, &scenario.blocks[1..split], 1 << 20).expect("warmup");
+                replay_ibd(&mut node, &scenario.blocks[1..split], 1 << 20).expect("warmup");
                 node
             },
             |mut node| node.process_block(&last_base).expect("validates"),
@@ -39,7 +39,7 @@ fn bench_block_validation(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut node = scenario.ebv_node();
-                ebv_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
+                replay_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
                 node
             },
             |mut node| node.process_block(&last_ebv).expect("validates"),
@@ -52,7 +52,7 @@ fn bench_block_validation(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut node = EbvNode::new(&scenario.ebv_blocks[0], EbvConfig::sequential());
-                ebv_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
+                replay_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
                 node
             },
             |mut node| node.process_block(&last_ebv).expect("validates"),

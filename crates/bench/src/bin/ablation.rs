@@ -5,7 +5,7 @@
 
 use ebv_bench::apply::StatusTracker;
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::{baseline_ibd, ebv_ibd, EbvConfig};
+use ebv_core::{replay_ibd, EbvConfig};
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
 use ebv_workload::{ChainGenerator, GeneratorParams};
 
@@ -36,7 +36,7 @@ fn main() {
             ..args.clone()
         };
         let mut node = scenario.baseline_node(&run_args);
-        let periods = baseline_ibd(&mut node, &scenario.blocks[1..], 1 << 20).expect("ibd");
+        let periods = replay_ibd(&mut node, &scenario.blocks[1..], 1 << 20).expect("ibd");
         let total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();
         let b = node.cumulative_breakdown();
         table::row(&[
@@ -67,7 +67,7 @@ fn main() {
             ..args.clone()
         };
         let mut node = scenario.baseline_node(&run_args);
-        let periods = baseline_ibd(&mut node, &scenario.blocks[1..], 1 << 20).expect("ibd");
+        let periods = replay_ibd(&mut node, &scenario.blocks[1..], 1 << 20).expect("ibd");
         let total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();
         let b = node.cumulative_breakdown();
         table::row(&[
@@ -138,7 +138,7 @@ fn main() {
             ..EbvConfig::default()
         };
         let mut node = scenario.ebv_node_with(config);
-        let periods = ebv_ibd(&mut node, &scenario.ebv_blocks[1..], 1 << 20).expect("ibd");
+        let periods = replay_ibd(&mut node, &scenario.ebv_blocks[1..], 1 << 20).expect("ibd");
         let total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();
         let b = node.cumulative_breakdown();
         table::row(&[

@@ -8,7 +8,7 @@
 //! per-block timing of those ten.
 
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::baseline_ibd;
+use ebv_core::replay_ibd;
 
 fn main() {
     let args = CommonArgs::parse(CommonArgs::default());
@@ -26,7 +26,7 @@ fn main() {
 
     let tail = 10usize.min(scenario.blocks.len() - 1);
     let split = scenario.blocks.len() - tail;
-    baseline_ibd(&mut node, &scenario.blocks[1..split], 1 << 20).expect("warmup IBD validates");
+    replay_ibd(&mut node, &scenario.blocks[1..split], 1 << 20).expect("warmup IBD validates");
 
     println!("\n## Fig. 4a/4b rows (one per block)");
     let cols = [

@@ -7,7 +7,7 @@
 //! a consolidation epoch placed in period 11.
 
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::baseline_ibd;
+use ebv_core::replay_ibd;
 
 fn main() {
     let args = CommonArgs::parse(CommonArgs::default());
@@ -25,7 +25,7 @@ fn main() {
     let scenario = Scenario::mainnet_like(&args);
     let mut node = scenario.baseline_node(&args);
     let periods =
-        baseline_ibd(&mut node, &scenario.blocks[1..], period_len).expect("chain validates");
+        replay_ibd(&mut node, &scenario.blocks[1..], period_len).expect("chain validates");
 
     let cols = [
         ("period", 8),

@@ -4,7 +4,7 @@
 //! tracks the input count (no database-state outliers, unlike Fig. 4b).
 
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::ebv_ibd;
+use ebv_core::replay_ibd;
 
 fn main() {
     let args = CommonArgs::parse(CommonArgs::default());
@@ -17,7 +17,7 @@ fn main() {
     let mut node = scenario.ebv_node();
     let tail = 10usize.min(scenario.ebv_blocks.len() - 1);
     let split = scenario.ebv_blocks.len() - tail;
-    ebv_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup IBD");
+    replay_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup IBD");
 
     let cols = [("height", 8), ("inputs", 8), ("validation_ms", 14)];
     table::header(&cols);

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::{baseline_ibd, ebv_ibd, EbvConfig, EbvNode};
+use ebv_core::{replay_ibd, EbvConfig, EbvNode};
 
 fn main() {
     let args = CommonArgs::parse(CommonArgs::default());
@@ -31,13 +31,13 @@ fn main() {
 
     // Baseline node, warmed to the split point.
     let mut baseline = scenario.baseline_node(&args);
-    baseline_ibd(&mut baseline, &scenario.blocks[1..split], 1 << 20).expect("warmup");
+    replay_ibd(&mut baseline, &scenario.blocks[1..split], 1 << 20).expect("warmup");
     // EBV node with the configured pipeline, warmed identically; plus a
     // fully sequential twin for the Fig. 16c comparison.
     let mut ebv = scenario.ebv_node_with(args.ebv_config());
-    ebv_ibd(&mut ebv, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
+    replay_ibd(&mut ebv, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
     let mut ebv_seq = scenario.ebv_node_with(EbvConfig::sequential());
-    ebv_ibd(&mut ebv_seq, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
+    replay_ibd(&mut ebv_seq, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
     // Snapshot the warmed state once; the Fig. 16d configurations below
     // each boot from it instead of replaying the warmup chain again.
     let snapshot = ebv.snapshot();

@@ -6,7 +6,7 @@
 //! EV+UV are a tiny fraction and SV dominates.
 
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::{baseline_ibd, build_checkpoints, ebv_ibd, parallel_ibd, EbvBreakdown};
+use ebv_core::{build_checkpoints, parallel_ibd, replay_ibd, Breakdown};
 use std::time::Duration;
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
     // systems. The chain differs per seed (like separate experiment runs).
     let mut base_cum: Vec<Vec<f64>> = Vec::new();
     let mut ebv_cum: Vec<Vec<f64>> = Vec::new();
-    let mut ebv_break = EbvBreakdown::default();
-    let mut ebv_periods_acc: Vec<EbvBreakdown> = Vec::new();
+    let mut ebv_break = Breakdown::default();
+    let mut ebv_periods_acc: Vec<Breakdown> = Vec::new();
     let mut inputs_total = 0usize;
     // Snapshot-parallel comparison (`--parallel-ibd N`): per-run
     // (sequential, parallel) wall seconds and the chosen interval length.
@@ -44,7 +44,7 @@ fn main() {
         let scenario = Scenario::mainnet_like(&run_args);
 
         let mut baseline = scenario.baseline_node(&run_args);
-        let periods = baseline_ibd(&mut baseline, &scenario.blocks[1..], period_len).expect("ibd");
+        let periods = replay_ibd(&mut baseline, &scenario.blocks[1..], period_len).expect("ibd");
         base_cum.push(cumulative(periods.iter().map(|p| p.wall)));
         if let Some(ts) = &mut timeseries {
             ts.tick(&format!("run{run}.baseline"));
@@ -55,10 +55,10 @@ fn main() {
             .iter()
             .map(|b| b.input_count())
             .sum::<usize>();
-        let periods = ebv_ibd(&mut ebv, &scenario.ebv_blocks[1..], period_len).expect("ibd");
+        let periods = replay_ibd(&mut ebv, &scenario.ebv_blocks[1..], period_len).expect("ibd");
         ebv_cum.push(cumulative(periods.iter().map(|p| p.wall)));
         if ebv_periods_acc.is_empty() {
-            ebv_periods_acc = vec![EbvBreakdown::default(); periods.len()];
+            ebv_periods_acc = vec![Breakdown::default(); periods.len()];
         }
         for (acc, p) in ebv_periods_acc.iter_mut().zip(&periods) {
             *acc += p.breakdown;

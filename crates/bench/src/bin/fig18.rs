@@ -9,7 +9,7 @@
 //! discrete-event gossip simulator.
 
 use ebv_bench::{table, CommonArgs, Scenario};
-use ebv_core::{baseline_ibd, ebv_ibd};
+use ebv_core::replay_ibd;
 use ebv_netsim::{GossipSim, SimParams, SimResult, ValidationModel};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let split = scenario.blocks.len() - tail;
 
     let mut baseline = scenario.baseline_node(&args);
-    baseline_ibd(&mut baseline, &scenario.blocks[1..split], 1 << 20).expect("warmup");
+    replay_ibd(&mut baseline, &scenario.blocks[1..split], 1 << 20).expect("warmup");
     let mut base_us: u64 = 0;
     let mut base_inputs: u64 = 0;
     let mut base_bytes: u64 = 0;
@@ -43,7 +43,7 @@ fn main() {
     }
 
     let mut ebv = scenario.ebv_node();
-    ebv_ibd(&mut ebv, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
+    replay_ibd(&mut ebv, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
     let mut ebv_us: u64 = 0;
     let mut ebv_bytes: u64 = 0;
     for block in &scenario.ebv_blocks[split..] {

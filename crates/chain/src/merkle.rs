@@ -6,17 +6,12 @@
 //! attaches to each input; folding it from a leaf reproduces the root
 //! (Existence Validation).
 //!
-//! Tree construction is data-parallel with rayon above a size threshold;
-//! per the paper's model the miner builds the tree once per block while
-//! every validator folds 10-ish-hash branches, so build cost matters for
-//! the workload generator and intermediary.
+//! Per the paper's model the miner builds the tree once per block while
+//! every validator folds 10-ish-hash branches, so tree construction stays
+//! a plain sequential loop.
 
 use ebv_primitives::encode::{Decodable, DecodeError, Encodable, Reader};
 use ebv_primitives::hash::Hash256;
-use rayon::prelude::*;
-
-/// Below this leaf count a sequential build is faster than forking.
-const PAR_THRESHOLD: usize = 256;
 
 /// Compute the Merkle root of `leaves` (Bitcoin rule: empty list is
 /// disallowed; a single leaf is its own root; odd levels duplicate the last
@@ -34,17 +29,10 @@ pub fn merkle_root(leaves: &[Hash256]) -> Hash256 {
 }
 
 fn next_level(level: &[Hash256]) -> Vec<Hash256> {
-    let pair = |i: usize| {
-        let left = &level[2 * i];
-        let right = level.get(2 * i + 1).unwrap_or(left);
-        Hash256::merkle_parent(left, right)
-    };
-    let n = level.len().div_ceil(2);
-    if level.len() >= PAR_THRESHOLD {
-        (0..n).into_par_iter().map(pair).collect()
-    } else {
-        (0..n).map(pair).collect()
-    }
+    level
+        .chunks(2)
+        .map(|pair| Hash256::merkle_parent(&pair[0], pair.get(1).unwrap_or(&pair[0])))
+        .collect()
 }
 
 /// An authentication path from a leaf to the root.
@@ -220,7 +208,8 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_sequential() {
-        // Cross the PAR_THRESHOLD and compare against a from-scratch fold.
+        // A 1000-leaf tree (odd-length levels on the way up) against a
+        // from-scratch fold.
         let l = leaves(1000);
         let root = merkle_root(&l);
         let mut level = l.clone();

@@ -1,8 +1,9 @@
 //! Baseline (Bitcoin-format) transactions.
 //!
 //! A transaction spends previous outputs by `(txid, vout)` outpoint and
-//! creates new outputs, each locked by a script. The legacy SIGHASH_ALL
-//! digest algorithm binds signatures to the transaction.
+//! creates new outputs, each locked by a script. Signatures bind to the
+//! transaction through [`spend_sighash`], the digest both transaction
+//! formats share.
 
 use ebv_primitives::encode::{write_varint, Decodable, DecodeError, Encodable, Reader};
 use ebv_primitives::hash::{sha256, sha256d, Hash256, Sha256};
@@ -166,30 +167,6 @@ impl Transaction {
             .iter()
             .fold(0u64, |acc, o| acc.saturating_add(o.value))
     }
-
-    /// Legacy SIGHASH_ALL digest for signing `input_index`, which spends an
-    /// output locked by `lock_script`: every input's script is cleared
-    /// except the signed input, which carries the locking script; the
-    /// 4-byte sighash type is appended.
-    pub fn sighash(&self, input_index: usize, lock_script: &Script) -> Hash256 {
-        assert!(input_index < self.inputs.len(), "input index in range");
-        let mut buf = Vec::with_capacity(self.encoded_len() + lock_script.len() + 8);
-        self.version.encode(&mut buf);
-        write_varint(&mut buf, self.inputs.len() as u64);
-        for (i, input) in self.inputs.iter().enumerate() {
-            input.prevout.encode(&mut buf);
-            if i == input_index {
-                lock_script.encode(&mut buf);
-            } else {
-                Script::new().encode(&mut buf);
-            }
-            input.sequence.encode(&mut buf);
-        }
-        self.outputs.encode(&mut buf);
-        self.lock_time.encode(&mut buf);
-        (SIGHASH_ALL as u32).encode(&mut buf);
-        sha256d(&buf)
-    }
 }
 
 /// The signing digest shared by the baseline and EBV transaction formats.
@@ -343,36 +320,6 @@ mod tests {
         let b = OutPoint::new(sha256d(b"t"), 1).to_key();
         assert_ne!(a, b);
         assert_eq!(a[..32], b[..32]);
-    }
-
-    #[test]
-    fn sighash_independent_of_other_input_scripts() {
-        let lock = Builder::new().push_data(b"lock").into_script();
-        let mut tx = sample_tx();
-        tx.inputs.push(TxIn::new(
-            OutPoint::new(sha256d(b"other"), 0),
-            Builder::new().push_data(b"sig-a").into_script(),
-        ));
-        let h1 = tx.sighash(0, &lock);
-        // Mutate the *other* input's unlocking script: digest unchanged.
-        tx.inputs[1].unlocking_script = Builder::new().push_data(b"sig-b").into_script();
-        assert_eq!(tx.sighash(0, &lock), h1);
-        // Mutating an output changes it.
-        tx.outputs[0].value += 1;
-        assert_ne!(tx.sighash(0, &lock), h1);
-    }
-
-    #[test]
-    fn sighash_depends_on_index_and_lock() {
-        let lock_a = Builder::new().push_data(b"a").into_script();
-        let lock_b = Builder::new().push_data(b"b").into_script();
-        let mut tx = sample_tx();
-        tx.inputs.push(TxIn::new(
-            OutPoint::new(sha256d(b"other"), 0),
-            Script::new(),
-        ));
-        assert_ne!(tx.sighash(0, &lock_a), tx.sighash(1, &lock_a));
-        assert_ne!(tx.sighash(0, &lock_a), tx.sighash(0, &lock_b));
     }
 
     #[test]

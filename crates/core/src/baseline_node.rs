@@ -1,20 +1,19 @@
-//! The Bitcoin-baseline validator node (paper §II-B, Fig. 3).
+//! The Bitcoin-baseline validator node (paper §II-B, Fig. 3): the UTXO
+//! set as the input state of the shared validation pipeline
+//! ([`crate::validate`]).
 //!
 //! Input checking fetches each input's outpoint from the UTXO set (EV+UV
-//! in one database probe), runs SV with the fetched locking script, then
-//! deletes spent entries and inserts the new outputs — the Fetch / Delete
-//! / Insert DBO cycle whose cost dominates Figs. 4 and 5 once the set
-//! outgrows the cache budget.
+//! in one database probe), the pipeline runs SV with the fetched locking
+//! script, then the commit deletes spent entries and inserts the new
+//! outputs — the Fetch / Delete / Insert DBO cycle whose cost dominates
+//! Figs. 4 and 5 once the set outgrows the cache budget.
 
-use crate::metrics::BaselineBreakdown;
-use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
-use ebv_chain::transaction::SpendSighashMidstate;
-use ebv_chain::{Block, BlockHeader, BlockStructureError, OutPoint, BLOCK_SUBSIDY};
-use ebv_primitives::hash::Hash256;
-use ebv_script::{verify_spend, Script, ScriptError};
+use crate::metrics::Breakdown;
+use crate::validate::{InputState, Knobs, Node, Probes, Rejection, Spend, TxFields};
+use ebv_chain::{Block, BlockHeader, BlockStructureError, OutPoint, TxIn};
+use ebv_script::ScriptError;
 use ebv_store::{UtxoEntry, UtxoError, UtxoSet};
 use ebv_telemetry::{counter, histogram, span, trace_event};
-use rayon::prelude::*;
 
 /// Why a baseline block was rejected.
 #[derive(Debug)]
@@ -52,6 +51,17 @@ impl From<UtxoError> for BaselineError {
     }
 }
 
+impl From<Rejection> for BaselineError {
+    fn from(rejection: Rejection) -> BaselineError {
+        match rejection {
+            Rejection::NotOnTip => BaselineError::NotOnTip,
+            Rejection::ValueImbalance { tx } => BaselineError::ValueImbalance { tx },
+            Rejection::ExcessiveCoinbase => BaselineError::ExcessiveCoinbase,
+            Rejection::SvFailed { tx, input, err } => BaselineError::SvFailed { tx, input, err },
+        }
+    }
+}
+
 impl std::fmt::Display for BaselineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{self:?}")
@@ -63,7 +73,8 @@ impl std::error::Error for BaselineError {}
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct BaselineConfig {
-    /// Verify scripts in parallel (DBO stays serial, as in Btcd).
+    /// Verify scripts, and build the per-transaction sighash midstates and
+    /// value sums feeding them, in parallel (DBO stays serial, as in Btcd).
     pub parallel_sv: bool,
     /// Check header PoW.
     pub check_pow: bool,
@@ -95,312 +106,204 @@ pub struct BaselineUndo {
 }
 
 /// The baseline node: headers in memory, UTXO set in the status database.
-pub struct BaselineNode {
-    headers: Vec<BlockHeader>,
-    utxos: UtxoSet,
-    config: BaselineConfig,
-    undo_stack: Vec<BaselineUndo>,
-    cumulative: BaselineBreakdown,
-}
+pub type BaselineNode = Node<UtxoSet>;
 
 impl BaselineNode {
     /// Boot from a genesis block, inserting its outputs into the UTXO set.
     pub fn new(
         genesis: &Block,
-        utxos: UtxoSet,
+        mut utxos: UtxoSet,
         config: BaselineConfig,
     ) -> Result<BaselineNode, BaselineError> {
-        let mut node = BaselineNode {
-            headers: vec![genesis.header],
-            utxos,
-            config,
-            undo_stack: Vec::new(),
-            cumulative: BaselineBreakdown::default(),
-        };
-        node.insert_outputs(genesis, 0)?;
-        Ok(node)
-    }
-
-    fn insert_outputs(
-        &mut self,
-        block: &Block,
-        height: u32,
-    ) -> Result<Vec<(OutPoint, UtxoEntry)>, BaselineError> {
-        let mut created = Vec::with_capacity(block.output_count());
-        let mut position = 0u32;
-        for tx in &block.transactions {
-            let txid = tx.txid();
-            let coinbase = tx.is_coinbase();
-            for (vout, output) in tx.outputs.iter().enumerate() {
-                let entry = UtxoEntry {
-                    value: output.value,
-                    locking_script: output.locking_script.clone(),
-                    height,
-                    position,
-                    coinbase,
-                };
-                let outpoint = OutPoint::new(txid, vout as u32);
-                self.utxos.insert(&outpoint, &entry)?;
-                created.push((outpoint, entry));
-                position += 1;
-            }
-        }
-        Ok(created)
-    }
-
-    /// Height of the best block.
-    pub fn tip_height(&self) -> u32 {
-        (self.headers.len() - 1) as u32
-    }
-
-    /// Hash of the best header.
-    pub fn tip_hash(&self) -> Hash256 {
-        self.headers.last().expect("genesis present").hash()
+        insert_outputs(&mut utxos, genesis, 0)?;
+        Ok(Node::boot(vec![genesis.header], utxos, config, 0, false))
     }
 
     /// The UTXO set (size and DBO statistics).
     pub fn utxos(&self) -> &UtxoSet {
-        &self.utxos
+        self.state()
+    }
+}
+
+/// Insert every output of `block` (created at `height`), returning what
+/// was inserted.
+fn insert_outputs(
+    utxos: &mut UtxoSet,
+    block: &Block,
+    height: u32,
+) -> Result<Vec<(OutPoint, UtxoEntry)>, UtxoError> {
+    let mut created = Vec::with_capacity(block.output_count());
+    let mut position = 0u32;
+    for tx in &block.transactions {
+        let txid = tx.txid();
+        let coinbase = tx.is_coinbase();
+        for (vout, output) in tx.outputs.iter().enumerate() {
+            let entry = UtxoEntry {
+                value: output.value,
+                locking_script: output.locking_script.clone(),
+                height,
+                position,
+                coinbase,
+            };
+            let outpoint = OutPoint::new(txid, vout as u32);
+            utxos.insert(&outpoint, &entry)?;
+            created.push((outpoint, entry));
+            position += 1;
+        }
+    }
+    Ok(created)
+}
+
+/// Every non-coinbase input of `block` with its coordinates, in
+/// `(tx, input)` order.
+fn spending_inputs(block: &Block) -> impl Iterator<Item = (usize, usize, &TxIn)> {
+    block
+        .transactions
+        .iter()
+        .enumerate()
+        .skip(1)
+        .flat_map(|(tx, t)| t.inputs.iter().enumerate().map(move |(j, i)| (tx, j, i)))
+}
+
+impl InputState for UtxoSet {
+    type Block = Block;
+    type Error = BaselineError;
+    type Config = BaselineConfig;
+    /// The entries the fetch found, in input order; the commit deletes
+    /// them and keeps them as undo data.
+    type Resolved = Vec<UtxoEntry>;
+    type Undo = BaselineUndo;
+
+    fn probes() -> Probes {
+        Probes {
+            block: "baseline.block",
+            structure: histogram!("baseline.structure"),
+            value: histogram!("baseline.value"),
+            sv: histogram!("baseline.sv"),
+            sv_input: histogram!("baseline.sv_input"),
+            block_total: histogram!("baseline.block_total"),
+            blocks_connected: counter!("baseline.blocks_connected"),
+        }
     }
 
-    /// Total validation time spent, by phase, since boot.
-    pub fn cumulative_breakdown(&self) -> BaselineBreakdown {
-        self.cumulative
+    fn header(block: &Block) -> &BlockHeader {
+        &block.header
     }
 
-    /// Validate `block` and, if valid, apply it. Returns per-phase timing.
-    ///
-    /// Failure before the commit phase leaves the UTXO set untouched; a
-    /// store-level I/O error mid-commit is fatal (as in real nodes).
-    pub fn process_block(&mut self, block: &Block) -> Result<BaselineBreakdown, BaselineError> {
-        let mut breakdown = BaselineBreakdown::default();
-        let new_height = self.headers.len() as u32;
-        // Per-block trace span, keyed by height: inert (one thread-local
-        // peek) unless a caller entered a trace context.
-        let _block_span = ebv_telemetry::child_span!("baseline.block", new_height);
-
-        // ---- others: structure ----------------------------------------
-        let span_structure = span!("baseline.structure", &mut breakdown.others);
-        if block.header.prev_block_hash != self.tip_hash() {
-            return Err(BaselineError::NotOnTip);
-        }
-        match block.check_structure() {
-            Err(BlockStructureError::InsufficientWork) if !self.config.check_pow => {}
-            Err(e) => return Err(BaselineError::Structure(e)),
-            Ok(()) => {}
-        }
-        drop(span_structure);
-
-        // ---- DBO: fetch every input's UTXO entry (EV+UV) ----------------
-        let span_fetch = span!("baseline.dbo_fetch", &mut breakdown.dbo);
-        let mut fetched: Vec<Vec<UtxoEntry>> = Vec::with_capacity(block.transactions.len());
-        {
-            let mut seen = std::collections::HashSet::with_capacity(block.input_count());
-            for (i, tx) in block.transactions.iter().enumerate().skip(1) {
-                let mut entries = Vec::with_capacity(tx.inputs.len());
-                for (j, input) in tx.inputs.iter().enumerate() {
-                    if !seen.insert(input.prevout) {
-                        return Err(BaselineError::DuplicateSpend(input.prevout));
-                    }
-                    match self.utxos.fetch(&input.prevout)? {
-                        Some(entry) => entries.push(entry),
-                        None => {
-                            return Err(BaselineError::MissingUtxo {
-                                tx: i,
-                                input: j,
-                                outpoint: input.prevout,
-                            })
-                        }
-                    }
-                }
-                fetched.push(entries);
-            }
-        }
-        drop(span_fetch);
-
-        // ---- value conservation (others) --------------------------------
-        let span_val = span!("baseline.value", &mut breakdown.others);
-        let mut total_fees = 0u64;
-        for (idx, (tx, entries)) in block.transactions.iter().skip(1).zip(&fetched).enumerate() {
-            let in_value: u64 = entries
-                .iter()
-                .map(|e| e.value)
-                .fold(0u64, u64::saturating_add);
-            let out_value = tx.total_output_value();
-            if in_value < out_value {
-                return Err(BaselineError::ValueImbalance { tx: idx + 1 });
-            }
-            total_fees = total_fees.saturating_add(in_value - out_value);
-        }
-        let coinbase_out = block.transactions[0].total_output_value();
-        if coinbase_out > BLOCK_SUBSIDY.saturating_add(total_fees) {
-            return Err(BaselineError::ExcessiveCoinbase);
-        }
-        drop(span_val);
-
-        // ---- SV ----------------------------------------------------------
-        let span_sv = span!("baseline.sv", &mut breakdown.sv);
-        let jobs: Vec<(usize, usize, &Script, &Script, Hash256, u32)> = block
+    fn tx_fields(block: &Block) -> Vec<TxFields<'_>> {
+        block
             .transactions
             .iter()
-            .enumerate()
-            .skip(1)
-            .zip(&fetched)
-            .flat_map(|((i, tx), entries)| {
-                let coords: Vec<(u32, u32)> =
-                    entries.iter().map(|e| (e.height, e.position)).collect();
-                // Serialize the per-transaction sighash prefix once; each
-                // input only appends its index.
-                let midstate =
-                    SpendSighashMidstate::new(tx.version, &coords, &tx.outputs, tx.lock_time);
-                tx.inputs.iter().enumerate().map(move |(j, input)| {
-                    let digest = midstate.input_digest(j as u32);
-                    (
-                        i,
-                        j,
-                        &input.unlocking_script,
-                        &entries[j].locking_script,
-                        digest,
-                        tx.lock_time,
-                    )
-                })
+            .map(|tx| TxFields {
+                version: tx.version,
+                outputs: &tx.outputs,
+                lock_time: tx.lock_time,
             })
-            .collect();
-        // One pubkey cache per block: inputs signed by the same key share a
-        // single parse + odd-multiples table across all SV workers.
-        let pubkey_cache = PubkeyCache::new();
-        let run_one =
-            |&(i, j, us, lock, digest, lt): &(usize, usize, &Script, &Script, Hash256, u32)| {
-                let _input_span = span!("baseline.sv_input");
-                verify_spend(
-                    us,
-                    lock,
-                    &DigestChecker::with_context(digest, lt, &pubkey_cache),
-                )
-                .map_err(|err| BaselineError::SvFailed {
-                    tx: i,
-                    input: j,
-                    err,
-                })
-            };
-        // Batched path: same chunking and minimum-`(tx, input)` failure
-        // selection as the EBV node (jobs are already in that order).
-        type Job<'b> = (usize, usize, &'b Script, &'b Script, Hash256, u32);
-        let chunk_failure = |chunk: &[Job<'_>]| -> Option<BaselineError> {
-            let sv_jobs: Vec<SvJob<'_>> = chunk
-                .iter()
-                .map(|&(_, _, us, lock, digest, lt)| SvJob {
-                    digest,
-                    lock_time: lt,
-                    unlocking: us,
-                    locking: lock,
-                })
-                .collect();
-            sv_chunk_batched(&sv_jobs, &pubkey_cache)
-                .into_iter()
-                .zip(chunk)
-                .find_map(|(result, &(i, j, ..))| {
-                    result.err().map(|err| BaselineError::SvFailed {
-                        tx: i,
-                        input: j,
-                        err,
-                    })
-                })
-        };
-        let sv_coords = |e: &BaselineError| -> (usize, usize) {
-            match e {
-                BaselineError::SvFailed { tx, input, .. } => (*tx, *input),
-                _ => unreachable!("chunk_failure only yields SvFailed"),
-            }
-        };
-        let sv_result: Result<(), BaselineError> =
-            match (self.config.batch_verify, self.config.parallel_sv) {
-                (true, true) => jobs
-                    .as_slice()
-                    .par_chunks(SV_BATCH_MAX)
-                    .filter_map(chunk_failure)
-                    .min_by_key(sv_coords)
-                    .map_or(Ok(()), Err),
-                (true, false) => jobs
-                    .chunks(SV_BATCH_MAX)
-                    .find_map(chunk_failure)
-                    .map_or(Ok(()), Err),
-                (false, true) => jobs.par_iter().map(run_one).collect(),
-                (false, false) => jobs.iter().try_for_each(run_one),
-            };
-        sv_result?;
-        drop(span_sv);
+            .collect()
+    }
 
-        // ---- DBO: delete spent entries, insert new outputs --------------
-        let span_commit = span!("baseline.dbo_commit", &mut breakdown.dbo);
-        let mut undo = BaselineUndo::default();
-        for (tx, entries) in block.transactions.iter().skip(1).zip(&fetched) {
-            for (input, entry) in tx.inputs.iter().zip(entries) {
-                self.utxos.delete(&input.prevout, entry)?;
-                undo.spent.push((input.prevout, entry.clone()));
+    fn knobs(config: &BaselineConfig) -> Knobs {
+        Knobs {
+            parallel_sv: config.parallel_sv,
+            workers: None,
+            batch_verify: config.batch_verify,
+        }
+    }
+
+    fn is_not_on_tip(err: &BaselineError) -> bool {
+        matches!(err, BaselineError::NotOnTip)
+    }
+
+    fn check_structure(block: &Block, config: &BaselineConfig) -> Result<(), BaselineError> {
+        match block.check_structure() {
+            Err(BlockStructureError::InsufficientWork) if !config.check_pow => Ok(()),
+            Err(e) => Err(BaselineError::Structure(e)),
+            Ok(()) => Ok(()),
+        }
+    }
+
+    fn resolve<'b>(
+        &mut self,
+        _headers: &[BlockHeader],
+        block: &'b Block,
+        fetched: &'b mut Vec<UtxoEntry>,
+        _config: &BaselineConfig,
+        breakdown: &mut Breakdown,
+    ) -> Result<Vec<Spend<'b>>, BaselineError> {
+        // ---- DBO: fetch every input's UTXO entry (EV+UV) ----------------
+        let _span_fetch = span!("baseline.dbo_fetch", &mut breakdown.dbo);
+        let mut seen = std::collections::HashSet::with_capacity(block.input_count());
+        for (tx, input, txin) in spending_inputs(block) {
+            if !seen.insert(txin.prevout) {
+                return Err(BaselineError::DuplicateSpend(txin.prevout));
+            }
+            match self.fetch(&txin.prevout)? {
+                Some(entry) => fetched.push(entry),
+                None => {
+                    return Err(BaselineError::MissingUtxo {
+                        tx,
+                        input,
+                        outpoint: txin.prevout,
+                    })
+                }
             }
         }
-        undo.created = self.insert_outputs(block, new_height)?;
-        self.undo_stack.push(undo);
-        self.headers.push(block.header);
-        drop(span_commit);
+        let fetched: &'b [UtxoEntry] = fetched;
+        Ok(spending_inputs(block)
+            .zip(fetched)
+            .map(|((tx, input, txin), entry)| Spend {
+                tx,
+                input,
+                unlocking: &txin.unlocking_script,
+                value: entry.value,
+                locking: &entry.locking_script,
+                coord: (entry.height, entry.position),
+            })
+            .collect())
+    }
 
-        counter!("baseline.blocks_connected").inc();
-        histogram!("baseline.block_total").record(breakdown.total().as_nanos() as u64);
+    fn commit(
+        &mut self,
+        block: &Block,
+        height: u32,
+        fetched: Vec<UtxoEntry>,
+        breakdown: &mut Breakdown,
+    ) -> Result<BaselineUndo, BaselineError> {
+        // ---- DBO: delete spent entries, insert new outputs --------------
+        let _span_commit = span!("baseline.dbo_commit", &mut breakdown.dbo);
+        let mut spent = Vec::with_capacity(fetched.len());
+        for ((_, _, txin), entry) in spending_inputs(block).zip(fetched) {
+            self.delete(&txin.prevout, &entry)?;
+            spent.push((txin.prevout, entry));
+        }
+        let created = insert_outputs(self, block, height)?;
+        Ok(BaselineUndo { spent, created })
+    }
+
+    fn connected(&self, height: u32, block: &Block) {
         trace_event!(
             "baseline.block_connected",
-            height = new_height,
+            height = height,
             txs = block.transactions.len(),
         );
-
-        self.cumulative += breakdown;
-        Ok(breakdown)
     }
 
-    /// Disconnect the tip block, restoring the previous UTXO set (the
-    /// reorg primitive, driven by `sync::reorg`). Returns the new tip
-    /// height, `Ok(None)` if only genesis remains, or the store error if
-    /// the undo data no longer matches the database (formerly a panic).
-    pub fn disconnect_tip(&mut self) -> Result<Option<u32>, BaselineError> {
-        let Some(undo) = self.undo_stack.pop() else {
-            return Ok(None);
-        };
-        self.headers.pop();
+    fn disconnect(&mut self, height: u32, undo: BaselineUndo) -> Result<(), BaselineError> {
         for (outpoint, entry) in &undo.created {
-            self.utxos.delete(outpoint, entry)?;
+            self.delete(outpoint, entry)?;
         }
         for (outpoint, entry) in undo.spent.iter().rev() {
-            self.utxos.insert(outpoint, entry)?;
+            self.insert(outpoint, entry)?;
         }
         counter!("baseline.blocks_disconnected").inc();
-        trace_event!(
-            "baseline.block_disconnected",
-            height = self.tip_height() + 1
-        );
-        Ok(Some(self.tip_height()))
+        trace_event!("baseline.block_disconnected", height = height);
+        Ok(())
     }
 
-    /// The stored header at `height`, if within the chain.
-    pub fn header_at(&self, height: u32) -> Option<&BlockHeader> {
-        self.headers.get(height as usize)
-    }
-
-    /// Cheap internal-consistency check, asserted by the reorg engine
-    /// after every unwind step: one undo record per non-genesis block,
-    /// and a non-empty UTXO set (genesis outputs can never be spent out
-    /// from under us — nothing below genesis exists to spend them).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.headers.is_empty() {
-            return Err("header chain is empty (genesis missing)".to_string());
-        }
-        let tip = self.tip_height();
-        if self.undo_stack.len() as u32 != tip {
-            return Err(format!(
-                "undo stack holds {} records but the tip height is {tip}",
-                self.undo_stack.len()
-            ));
-        }
-        if self.utxos.size().count == 0 {
+    fn check_invariants(&self, _tip: u32) -> Result<(), String> {
+        // Genesis outputs can never be spent out from under us — nothing
+        // below genesis exists to spend them.
+        if self.size().count == 0 {
             return Err("UTXO set is empty below a live tip".to_string());
         }
         Ok(())
@@ -411,9 +314,11 @@ impl BaselineNode {
 mod tests {
     use super::*;
     use ebv_chain::transaction::{spend_sighash, Transaction, TxIn, TxOut};
-    use ebv_chain::{build_block, coinbase_tx, genesis_block};
+    use ebv_chain::{build_block, coinbase_tx, genesis_block, BLOCK_SUBSIDY};
     use ebv_primitives::ec::PrivateKey;
+    use ebv_primitives::hash::Hash256;
     use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};
+    use ebv_script::Script;
     use ebv_store::{KvStore, StoreConfig};
 
     fn fresh_utxos() -> UtxoSet {

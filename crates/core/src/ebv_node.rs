@@ -1,36 +1,30 @@
-//! The EBV validator node (paper §IV).
+//! The EBV node (paper §IV): the bit-vector set as the input state of the
+//! shared validation pipeline ([`crate::validate`]).
 //!
 //! State kept in memory: the header chain (80 bytes/block) and the
-//! bit-vector set. Block validation never touches a database. After the
-//! structural checks, every non-coinbase input is flattened into one job
-//! list that the per-input phases share:
+//! bit-vector set. Block validation never touches a database. The
+//! bit-vector set resolves a block's inputs in two phases:
 //!
 //! * **EV** — fold each input's Merkle branch from its `ELs` leaf and
 //!   compare against the stored header of the claimed height; parallel
 //!   across inputs (`parallel_ev`);
 //! * **UV** — probe the bit at `(height, stake + relative)`; sequential,
-//!   because intra-block duplicate detection is order-dependent;
-//! * value + midstates — per transaction, sum values and build the shared
-//!   sighash midstate; parallel across transactions (`parallel_sv`);
-//! * **SV** — run `Us` against the locking script found in `ELs`, with the
-//!   digest finished from the transaction's midstate; parallel across
-//!   inputs (`parallel_sv`);
-//! * stake positions of the incoming block are recomputed and compared,
-//!   defeating fake-position attacks at packaging time.
+//!   because intra-block duplicate detection is order-dependent.
 //!
-//! Every parallel phase reports the minimum-`(tx, input)` failure, so a
-//! parallel run returns byte-identical results to a sequential one.
+//! Its structure checks recompute the stake positions of the incoming
+//! block and compare, defeating fake-position attacks at packaging time.
+//! Value, midstates and SV are the pipeline's, shared with the baseline.
 
 use crate::bitvec::{BitVectorSet, BitVectorSetSize, UvError};
-use crate::metrics::EbvBreakdown;
-use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
-use crate::tidy::{EbvBlock, EbvTransaction, InputProof, TxIntegrityError};
-use ebv_chain::transaction::SpendSighashMidstate;
-use ebv_chain::{BlockHeader, BLOCK_SUBSIDY};
+use crate::metrics::Breakdown;
+use crate::par::{try_par_map, worker_count};
+use crate::tidy::{EbvBlock, EbvTransaction, InputBody, InputProof, TxIntegrityError};
+use crate::validate::{InputState, Knobs, Node, Probes, Rejection, Spend, TxFields};
+use ebv_chain::transaction::TxOut;
+use ebv_chain::BlockHeader;
 use ebv_primitives::hash::Hash256;
-use ebv_script::{verify_spend, Script, ScriptError};
+use ebv_script::ScriptError;
 use ebv_telemetry::{counter, gauge, histogram, span, trace_event};
-use rayon::prelude::*;
 
 /// Why an EBV block was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,8 +89,9 @@ impl std::error::Error for EbvError {}
 pub struct EbvConfig {
     /// Fold Merkle branches (EV) across inputs in parallel.
     pub parallel_ev: bool,
-    /// Verify scripts (SV) — and build the per-transaction sighash
-    /// midstates and value sums feeding it — across inputs in parallel.
+    /// Verify scripts (SV) across inputs — and build the per-transaction
+    /// sighash midstates and value sums feeding it across transactions —
+    /// in parallel.
     pub parallel_sv: bool,
     /// Worker-thread override for the parallel phases; `None` uses every
     /// available core.
@@ -144,27 +139,15 @@ impl EbvConfig {
     }
 }
 
-/// Run `op` with `workers` governing rayon's fan-out (`None` = default).
-fn with_workers<R>(workers: Option<usize>, op: impl FnOnce() -> R) -> R {
-    match workers {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("thread pool construction is infallible")
-            .install(op),
-        None => op(),
+impl From<Rejection> for EbvError {
+    fn from(rejection: Rejection) -> EbvError {
+        match rejection {
+            Rejection::NotOnTip => EbvError::NotOnTip,
+            Rejection::ValueImbalance { tx } => EbvError::ValueImbalance { tx },
+            Rejection::ExcessiveCoinbase => EbvError::ExcessiveCoinbase,
+            Rejection::SvFailed { tx, input, err } => EbvError::SvFailed { tx, input, err },
+        }
     }
-}
-
-/// One non-coinbase input flattened out of the block: the unit of work for
-/// the per-input validation phases. `tx`/`input` are the coordinates error
-/// reports use; jobs are built in `(tx, input)` lexicographic order, so
-/// "lowest job index" and "minimum `(tx, input)`" coincide.
-struct InputJob<'b> {
-    tx: usize,
-    input: usize,
-    us: &'b Script,
-    proof: &'b InputProof,
 }
 
 /// Undo data for one connected block: everything needed to disconnect it
@@ -178,6 +161,36 @@ pub struct BlockUndo {
     deleted_vectors: Vec<(u32, u32)>,
     /// Output count of the block itself (its own vector's width).
     outputs: u32,
+}
+
+/// EV for input `(tx, input)`: its proof's branch must fold from the
+/// `ELs` leaf to the Merkle root of the header at the claimed height, and
+/// the claimed position must lie inside `ELs`. Returns the spent output.
+/// Blocks and the mempool run this same check.
+///
+/// `headers` holds exactly the blocks below the one being validated, so a
+/// same-block or future reference fails with `BadHeight`.
+pub(crate) fn existence<'p>(
+    headers: &[BlockHeader],
+    proof: &'p InputProof,
+    tx: usize,
+    input: usize,
+) -> Result<&'p TxOut, EbvError> {
+    let Some(header) = headers.get(proof.height as usize) else {
+        let height = proof.height;
+        return Err(EbvError::BadHeight { tx, input, height });
+    };
+    // The leaf hash is computed once here and folded straight into the
+    // branch; no other phase rehashes `ELs`.
+    if !proof
+        .mbr
+        .verify(&proof.els.leaf_hash(), &header.merkle_root)
+    {
+        return Err(EbvError::EvFailed { tx, input });
+    }
+    proof
+        .spent_output()
+        .ok_or(EbvError::PositionOutOfEls { tx, input })
 }
 
 /// Why [`EbvNode::from_snapshot`] refused to boot.
@@ -225,37 +238,20 @@ fn reject_snapshot(snapshot_height: u32, err: SnapshotError) -> SnapshotError {
 }
 
 /// The EBV node: headers + bit-vector set, nothing else.
-pub struct EbvNode {
-    headers: Vec<BlockHeader>,
-    bitvecs: BitVectorSet,
-    config: EbvConfig,
-    /// Undo records, one per connected block above `base_height`.
-    undo_stack: Vec<BlockUndo>,
-    /// Height this node booted at: 0 for a genesis boot, the checkpoint
-    /// height for a snapshot boot. Blocks at or below it carry no undo
-    /// records and cannot be disconnected.
-    base_height: u32,
-    /// Node-lifetime pubkey cache (`persistent_pubkey_cache`); `None`
-    /// means SV builds a fresh per-block cache.
-    pubkey_cache: Option<PubkeyCache>,
-    /// Cumulative validation-time breakdown across all processed blocks.
-    cumulative: EbvBreakdown,
-}
+pub type EbvNode = Node<BitVectorSet>;
 
 impl EbvNode {
     /// Boot from a genesis block (validated structurally only).
     pub fn new(genesis: &EbvBlock, config: EbvConfig) -> EbvNode {
-        let mut node = EbvNode {
-            headers: vec![genesis.header],
-            bitvecs: BitVectorSet::new(),
+        let mut bitvecs = BitVectorSet::new();
+        bitvecs.insert_block(0, genesis.output_count());
+        Node::boot(
+            vec![genesis.header],
+            bitvecs,
             config,
-            undo_stack: Vec::new(),
-            base_height: 0,
-            pubkey_cache: config.persistent_pubkey_cache.then(PubkeyCache::new),
-            cumulative: EbvBreakdown::default(),
-        };
-        node.bitvecs.insert_block(0, genesis.output_count());
-        node
+            0,
+            config.persistent_pubkey_cache,
+        )
     }
 
     /// Boot from a state checkpoint instead of replaying from genesis.
@@ -307,20 +303,18 @@ impl EbvNode {
                 SnapshotError::TipHashMismatch,
             ));
         }
-        Ok(EbvNode {
+        Ok(Node::boot(
             headers,
-            bitvecs: snapshot.restore(),
+            snapshot.restore(),
             config,
-            undo_stack: Vec::new(),
-            base_height: snapshot.height(),
-            pubkey_cache: config.persistent_pubkey_cache.then(PubkeyCache::new),
-            cumulative: EbvBreakdown::default(),
-        })
+            snapshot.height(),
+            config.persistent_pubkey_cache,
+        ))
     }
 
     /// Serialize the node's full validation state at the current tip.
     pub fn snapshot(&self) -> crate::bitvec::BitVectorSnapshot {
-        self.bitvecs.snapshot(self.tip_height(), self.tip_hash())
+        self.bitvecs().snapshot(self.tip_height(), self.tip_hash())
     }
 
     /// Digest of the canonical snapshot encoding: two nodes at the same
@@ -329,69 +323,71 @@ impl EbvNode {
         self.snapshot().digest()
     }
 
-    /// Height this node booted at (0 unless booted from a snapshot).
-    pub fn base_height(&self) -> u32 {
-        self.base_height
-    }
-
-    /// Height of the best block.
-    pub fn tip_height(&self) -> u32 {
-        (self.headers.len() - 1) as u32
-    }
-
-    /// Hash of the best block's header.
-    pub fn tip_hash(&self) -> Hash256 {
-        self.headers.last().expect("genesis present").hash()
-    }
-
-    /// The stored header at `height`, if within the chain.
-    pub fn header_at(&self, height: u32) -> Option<&BlockHeader> {
-        self.headers.get(height as usize)
-    }
-
     /// Memory requirement of the status data (bit-vector set).
     pub fn status_memory(&self) -> BitVectorSetSize {
-        self.bitvecs.memory()
+        self.bitvecs().memory()
     }
 
     /// Outputs still unspent across all blocks.
     pub fn total_unspent(&self) -> u64 {
-        self.bitvecs.total_unspent()
+        self.bitvecs().total_unspent()
     }
 
     /// Direct bit-vector access (tests, figures).
     pub fn bitvecs(&self) -> &BitVectorSet {
-        &self.bitvecs
+        self.state()
     }
+}
 
-    /// Total validation time spent, by phase, since boot.
-    pub fn cumulative_breakdown(&self) -> EbvBreakdown {
-        self.cumulative
-    }
+impl InputState for BitVectorSet {
+    type Block = EbvBlock;
+    type Error = EbvError;
+    type Config = EbvConfig;
+    /// The coordinates UV probed unspent, which the commit spends.
+    type Resolved = Vec<(u32, u32)>;
+    type Undo = BlockUndo;
 
-    /// Validate `block` and, if valid, append it (storing the header and
-    /// updating the bit-vector set). Returns the per-phase timing.
-    ///
-    /// Per-input work is flattened into one job list and driven through the
-    /// phases in order: EV (parallel), UV (sequential — the duplicate-spend
-    /// scan is order-dependent), per-transaction value + sighash-midstate
-    /// construction (parallel), SV (parallel). Each parallel phase reports
-    /// the failure with the minimum `(tx, input)` coordinate — exactly the
-    /// error a sequential scan in job order would hit first — so parallel
-    /// and sequential configurations are observationally identical.
-    pub fn process_block(&mut self, block: &EbvBlock) -> Result<EbvBreakdown, EbvError> {
-        let mut breakdown = EbvBreakdown::default();
-        let new_height = self.headers.len() as u32;
-        let config = self.config;
-        // Per-block trace span, keyed by height: inert (one thread-local
-        // peek) unless a caller entered a trace context.
-        let _block_span = ebv_telemetry::child_span!("ebv.block", new_height);
-
-        // ---- "others": structural checks ------------------------------
-        let span_structure = span!("ebv.structure", &mut breakdown.others);
-        if block.header.prev_block_hash != self.tip_hash() {
-            return Err(EbvError::NotOnTip);
+    fn probes() -> Probes {
+        Probes {
+            block: "ebv.block",
+            structure: histogram!("ebv.structure"),
+            value: histogram!("ebv.value_midstate"),
+            sv: histogram!("ebv.sv"),
+            sv_input: histogram!("ebv.sv_input"),
+            block_total: histogram!("ebv.block_total"),
+            blocks_connected: counter!("ebv.blocks_connected"),
         }
+    }
+
+    fn header(block: &EbvBlock) -> &BlockHeader {
+        &block.header
+    }
+
+    fn tx_fields(block: &EbvBlock) -> Vec<TxFields<'_>> {
+        block
+            .transactions
+            .iter()
+            .map(|tx| TxFields {
+                version: tx.tidy.version,
+                outputs: &tx.tidy.outputs,
+                lock_time: tx.tidy.lock_time,
+            })
+            .collect()
+    }
+
+    fn knobs(config: &EbvConfig) -> Knobs {
+        Knobs {
+            parallel_sv: config.parallel_sv,
+            workers: config.workers,
+            batch_verify: config.batch_verify,
+        }
+    }
+
+    fn is_not_on_tip(err: &EbvError) -> bool {
+        matches!(err, EbvError::NotOnTip)
+    }
+
+    fn check_structure(block: &EbvBlock, config: &EbvConfig) -> Result<(), EbvError> {
         if config.check_pow && !block.header.meets_target() {
             return Err(EbvError::InsufficientWork);
         }
@@ -419,342 +415,147 @@ impl EbvNode {
         if block.compute_merkle_root() != block.header.merkle_root {
             return Err(EbvError::MerkleMismatch);
         }
-        // Flatten every non-coinbase input into the job list the per-input
-        // phases share. Order is (tx, input) lexicographic.
-        let jobs: Vec<InputJob<'_>> = block
+        Ok(())
+    }
+
+    fn resolve<'b>(
+        &mut self,
+        headers: &[BlockHeader],
+        block: &'b EbvBlock,
+        spent: &'b mut Vec<(u32, u32)>,
+        config: &EbvConfig,
+        breakdown: &mut Breakdown,
+    ) -> Result<Vec<Spend<'b>>, EbvError> {
+        // ---- EV: Merkle branches against stored headers ----------------
+        let span_ev = span!("ebv.ev", &mut breakdown.ev);
+        let inputs: Vec<(usize, usize, &InputBody)> = block
             .transactions
             .iter()
             .enumerate()
             .skip(1)
-            .flat_map(|(i, tx)| {
-                tx.bodies.iter().enumerate().map(move |(j, body)| InputJob {
-                    tx: i,
-                    input: j,
-                    us: &body.us,
-                    proof: body
-                        .proof
-                        .as_ref()
-                        .expect("non-coinbase checked in integrity"),
-                })
-            })
+            .flat_map(|(tx, t)| t.bodies.iter().enumerate().map(move |(j, b)| (tx, j, b)))
             .collect();
-        drop(span_structure);
-
-        // ---- EV: Merkle branches against stored headers ----------------
-        // `header_at` already rejects any height >= new_height (the header
-        // chain holds exactly the blocks below the new one), so a
-        // same-block or future reference fails here with `BadHeight`.
-        let span_ev = span!("ebv.ev", &mut breakdown.ev);
-        let headers = &self.headers;
-        let ev_one = |job: &InputJob<'_>| -> Result<(), EbvError> {
-            let proof = job.proof;
-            let Some(header) = headers.get(proof.height as usize) else {
-                return Err(EbvError::BadHeight {
-                    tx: job.tx,
-                    input: job.input,
-                    height: proof.height,
-                });
-            };
-            // The leaf hash is computed once here and folded straight into
-            // the branch; no other phase rehashes `ELs`.
-            if !proof
-                .mbr
-                .verify(&proof.els.leaf_hash(), &header.merkle_root)
-            {
-                return Err(EbvError::EvFailed {
-                    tx: job.tx,
-                    input: job.input,
-                });
-            }
-            if proof.spent_output().is_none() {
-                return Err(EbvError::PositionOutOfEls {
-                    tx: job.tx,
-                    input: job.input,
-                });
-            }
-            Ok(())
-        };
-        let ev_result: Result<(), EbvError> = if config.parallel_ev {
-            with_workers(config.workers, || jobs.par_iter().map(ev_one).collect())
+        let workers = if config.parallel_ev {
+            worker_count(config.workers)
         } else {
-            jobs.iter().try_for_each(ev_one)
+            1
         };
-        ev_result?;
+        let spends = try_par_map(&inputs, workers, |&(tx, input, body)| {
+            let proof = body.proof.as_ref().expect("non-coinbase checked");
+            existence(headers, proof, tx, input).map(|output| Spend {
+                tx,
+                input,
+                unlocking: &body.us,
+                value: output.value,
+                locking: &output.locking_script,
+                coord: (proof.height, proof.absolute_position()),
+            })
+        })?;
         drop(span_ev);
 
         // ---- UV: bit probes + intra-block duplicate detection ----------
-        // Sequential by design: duplicate detection must see spends in job
-        // order for the first-duplicate error to be deterministic, and a
-        // bit probe is orders of magnitude cheaper than a branch fold.
-        let span_uv = span!("ebv.uv", &mut breakdown.uv);
-        let mut spends: Vec<(u32, u32)> = Vec::with_capacity(jobs.len());
-        {
-            let mut seen = std::collections::HashSet::with_capacity(jobs.len());
-            for job in &jobs {
-                let coord = (job.proof.height, job.proof.absolute_position());
-                self.bitvecs
-                    .check_unspent(coord.0, coord.1)
-                    .map_err(|err| EbvError::UvFailed {
-                        tx: job.tx,
-                        input: job.input,
-                        err,
-                    })?;
-                if !seen.insert(coord) {
-                    return Err(EbvError::DuplicateSpend {
-                        height: coord.0,
-                        position: coord.1,
-                    });
-                }
-                spends.push(coord);
+        // Sequential by design: duplicate detection must see spends in
+        // `(tx, input)` order for the first-duplicate error to be
+        // deterministic, and a bit probe is orders of magnitude cheaper
+        // than a branch fold.
+        let _span_uv = span!("ebv.uv", &mut breakdown.uv);
+        let mut seen = std::collections::HashSet::with_capacity(spends.len());
+        for s in &spends {
+            let (height, position) = s.coord;
+            self.check_unspent(height, position)
+                .map_err(|err| EbvError::UvFailed {
+                    tx: s.tx,
+                    input: s.input,
+                    err,
+                })?;
+            if !seen.insert(s.coord) {
+                return Err(EbvError::DuplicateSpend { height, position });
             }
+            spent.push(s.coord);
         }
-        drop(span_uv);
+        Ok(spends)
+    }
 
-        // ---- value conservation + sighash midstates (part of "others") --
-        // One pass per transaction: sum input/output values and serialize
-        // the sighash prefix every input of that transaction shares. The
-        // midstate is what lets SV below avoid re-serializing the outputs
-        // (O(outputs) work) once per input.
-        let span_val = span!("ebv.value_midstate", &mut breakdown.others);
-        let spending_txs: Vec<(usize, &EbvTransaction)> =
-            block.transactions.iter().enumerate().skip(1).collect();
-        let tx_one =
-            |&(i, tx): &(usize, &EbvTransaction)| -> Result<(SpendSighashMidstate, u64), EbvError> {
-                let in_value: u64 = tx
-                    .bodies
-                    .iter()
-                    .map(|b| {
-                        b.proof
-                            .as_ref()
-                            .expect("checked")
-                            .spent_output()
-                            .expect("checked")
-                            .value
-                    })
-                    .fold(0u64, u64::saturating_add);
-                let out_value = tx.tidy.total_output_value();
-                if in_value < out_value {
-                    return Err(EbvError::ValueImbalance { tx: i });
-                }
-                let coords = tx.spent_coords().expect("non-coinbase");
-                let midstate = SpendSighashMidstate::new(
-                    tx.tidy.version,
-                    &coords,
-                    &tx.tidy.outputs,
-                    tx.tidy.lock_time,
-                );
-                Ok((midstate, in_value - out_value))
-            };
-        let per_tx: Result<Vec<(SpendSighashMidstate, u64)>, EbvError> = if config.parallel_sv {
-            with_workers(config.workers, || {
-                spending_txs.par_iter().map(tx_one).collect()
-            })
-        } else {
-            spending_txs.iter().map(tx_one).collect()
-        };
-        let per_tx = per_tx?;
-        let total_fees = per_tx
-            .iter()
-            .fold(0u64, |acc, (_, fee)| acc.saturating_add(*fee));
-        let coinbase_out = block.transactions[0].tidy.total_output_value();
-        if coinbase_out > BLOCK_SUBSIDY.saturating_add(total_fees) {
-            return Err(EbvError::ExcessiveCoinbase);
-        }
-        drop(span_val);
-
-        // ---- SV: scripts, parallel across inputs ------------------------
-        let span_sv = span!("ebv.sv", &mut breakdown.sv);
-        // One pubkey cache per block (or per node, under
-        // `persistent_pubkey_cache`): inputs signed by the same key share a
-        // single parse + odd-multiples table across all SV workers.
-        let block_cache;
-        let pubkey_cache = match &self.pubkey_cache {
-            Some(cache) => cache,
-            None => {
-                block_cache = PubkeyCache::new();
-                &block_cache
-            }
-        };
-        let sv_one = |job: &InputJob<'_>| -> Result<(), EbvError> {
-            let _input_span = span!("ebv.sv_input");
-            // Spending transactions start at index 1; midstates are stored
-            // densely from 0.
-            let digest = per_tx[job.tx - 1].0.input_digest(job.input as u32);
-            let lock = &job.proof.spent_output().expect("checked").locking_script;
-            let lock_time = block.transactions[job.tx].tidy.lock_time;
-            verify_spend(
-                job.us,
-                lock,
-                &DigestChecker::with_context(digest, lock_time, pubkey_cache),
-            )
-            .map_err(|err| EbvError::SvFailed {
-                tx: job.tx,
-                input: job.input,
-                err,
-            })
-        };
-        // Batched path: chunk the job list, settle each chunk's ECDSA
-        // through one batch equation, and report the chunk's first failure.
-        // Jobs are in `(tx, input)` order, so the minimum failure across
-        // chunks is the same error the sequential strict path reports.
-        let chunk_failure = |chunk: &[InputJob<'_>]| -> Option<EbvError> {
-            let sv_jobs: Vec<SvJob<'_>> = chunk
-                .iter()
-                .map(|job| SvJob {
-                    digest: per_tx[job.tx - 1].0.input_digest(job.input as u32),
-                    lock_time: block.transactions[job.tx].tidy.lock_time,
-                    unlocking: job.us,
-                    locking: &job.proof.spent_output().expect("checked").locking_script,
-                })
-                .collect();
-            sv_chunk_batched(&sv_jobs, pubkey_cache)
-                .into_iter()
-                .zip(chunk)
-                .find_map(|(result, job)| {
-                    result.err().map(|err| EbvError::SvFailed {
-                        tx: job.tx,
-                        input: job.input,
-                        err,
-                    })
-                })
-        };
-        let sv_coords = |e: &EbvError| -> (usize, usize) {
-            match e {
-                EbvError::SvFailed { tx, input, .. } => (*tx, *input),
-                _ => unreachable!("chunk_failure only yields SvFailed"),
-            }
-        };
-        let sv_result: Result<(), EbvError> = match (config.batch_verify, config.parallel_sv) {
-            (true, true) => with_workers(config.workers, || {
-                jobs.as_slice()
-                    .par_chunks(SV_BATCH_MAX)
-                    .filter_map(chunk_failure)
-                    .min_by_key(sv_coords)
-                    .map_or(Ok(()), Err)
-            }),
-            // Sequentially, the first failing chunk holds the global
-            // minimum because chunks partition the ordered job list.
-            (true, false) => jobs
-                .chunks(SV_BATCH_MAX)
-                .find_map(chunk_failure)
-                .map_or(Ok(()), Err),
-            (false, true) => with_workers(config.workers, || jobs.par_iter().map(sv_one).collect()),
-            (false, false) => jobs.iter().try_for_each(sv_one),
-        };
-        sv_result?;
-        drop(span_sv);
-
-        // ---- commit: store header, new vector, apply spends -------------
-        let span_commit = span!("ebv.commit", &mut breakdown.commit);
-        self.headers.push(block.header);
+    fn commit(
+        &mut self,
+        block: &EbvBlock,
+        height: u32,
+        spent: Vec<(u32, u32)>,
+        breakdown: &mut Breakdown,
+    ) -> Result<BlockUndo, EbvError> {
+        let _span_commit = span!("ebv.commit", &mut breakdown.commit);
         let outputs = block.output_count();
-        self.bitvecs.insert_block(new_height, outputs);
-        let mut undo = BlockUndo {
-            spends: Vec::with_capacity(spends.len()),
-            deleted_vectors: Vec::new(),
-            outputs,
-        };
-        for (height, position) in spends {
+        self.insert_block(height, outputs);
+        let mut deleted_vectors = Vec::new();
+        for &(height, position) in &spent {
             // UV probed each coordinate unspent and rejected duplicates, so
             // a failure here means the bit-vector set itself is corrupt.
-            let deleted = self.bitvecs.spend(height, position).map_err(|_| {
+            let deleted = self.spend(height, position).map_err(|_| {
                 EbvError::Internal("commit: spend failed for a coordinate UV probed unspent")
             })?;
-            undo.spends.push((height, position));
             if let Some(len) = deleted {
-                undo.deleted_vectors.push((height, len));
+                deleted_vectors.push((height, len));
             }
         }
-        self.undo_stack.push(undo);
-        drop(span_commit);
+        Ok(BlockUndo {
+            spends: spent,
+            deleted_vectors,
+            outputs,
+        })
+    }
 
-        counter!("ebv.blocks_connected").inc();
-        histogram!("ebv.block_total").record(breakdown.total().as_nanos() as u64);
+    fn connected(&self, height: u32, block: &EbvBlock) {
         if ebv_telemetry::enabled() {
             // `memory()` walks every vector; only refresh the gauges when
             // someone is collecting them.
-            let size = self.bitvecs.memory();
+            let size = self.memory();
             gauge!("ebv.bitvec.resident_bytes").set(size.optimized);
             gauge!("ebv.bitvec.vectors").set(size.vectors);
             gauge!("ebv.bitvec.sparse_vectors").set(size.sparse_vectors);
             gauge!("ebv.bitvec.dense_vectors").set(size.dense_vectors);
             trace_event!(
                 "ebv.block_connected",
-                height = new_height,
+                height = height,
                 txs = block.transactions.len(),
-                unspent = self.bitvecs.total_unspent(),
+                unspent = self.total_unspent(),
             );
         }
-
-        self.cumulative += breakdown;
-        Ok(breakdown)
     }
 
-    /// Disconnect the tip block, restoring the previous state (the reorg
-    /// primitive, driven by `sync::reorg`). Returns the new tip height,
-    /// `Ok(None)` if the tip is already the boot height (genesis, or the
-    /// checkpoint for a snapshot-booted node), or a typed error if
-    /// the undo data does not mirror the applied spends (corrupt state —
-    /// formerly a panic).
-    pub fn disconnect_tip(&mut self) -> Result<Option<u32>, EbvError> {
-        let Some(undo) = self.undo_stack.pop() else {
-            return Ok(None);
-        };
-        let tip_height = self.tip_height();
-        self.headers.pop();
+    fn disconnect(&mut self, height: u32, undo: BlockUndo) -> Result<(), EbvError> {
         // The tip's own vector always exists: no later block can have
         // spent from it, and it has at least the coinbase output.
         debug_assert_eq!(
-            self.bitvecs.vector(tip_height).map(|v| v.len()),
+            self.vector(height).map(|v| v.len()),
             Some(undo.outputs),
             "tip vector must be intact at disconnect"
         );
-        self.bitvecs.remove_block(tip_height);
+        self.remove_block(height);
         // Restore fully-spent vectors this block deleted, then re-set all
         // of its spends (reverse order for symmetry; operations commute).
         for &(height, len) in &undo.deleted_vectors {
-            self.bitvecs.insert_all_spent(height, len);
+            self.insert_all_spent(height, len);
         }
         for &(height, position) in undo.spends.iter().rev() {
-            self.bitvecs.unspend(height, position).map_err(|_| {
+            self.unspend(height, position).map_err(|_| {
                 EbvError::Internal("disconnect: undo data does not mirror applied spends")
             })?;
         }
         counter!("ebv.blocks_disconnected").inc();
-        trace_event!("ebv.block_disconnected", height = tip_height);
-        Ok(Some(self.tip_height()))
+        trace_event!("ebv.block_disconnected", height = height);
+        Ok(())
     }
 
-    /// Cheap internal-consistency check, asserted by the reorg engine
-    /// after every unwind step: the undo stack must pair one record per
-    /// non-genesis block, and every bit vector must sit at a height the
-    /// header chain covers.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        if self.headers.is_empty() {
-            return Err("header chain is empty (genesis missing)".to_string());
-        }
-        let tip = self.tip_height();
-        if tip < self.base_height {
-            return Err(format!(
-                "tip {tip} fell below the boot height {}",
-                self.base_height
-            ));
-        }
-        if self.undo_stack.len() as u32 != tip - self.base_height {
-            return Err(format!(
-                "undo stack holds {} records but {} blocks sit above the boot height",
-                self.undo_stack.len(),
-                tip - self.base_height
-            ));
-        }
-        if let Some(bad) = self.bitvecs.heights().find(|&h| h > tip) {
+    fn check_invariants(&self, tip: u32) -> Result<(), String> {
+        // Every bit vector must sit at a height the header chain covers.
+        if let Some(bad) = self.heights().find(|&h| h > tip) {
             return Err(format!(
                 "bit vector exists at height {bad} above the tip {tip}"
             ));
         }
         // The tip's own vector must exist: nothing above it could have
         // spent it empty.
-        if self.bitvecs.vector(tip).is_none() {
+        if self.vector(tip).is_none() {
             return Err(format!("tip vector missing at height {tip}"));
         }
         Ok(())
@@ -766,10 +567,11 @@ mod tests {
     use super::*;
     use crate::pack::{ebv_coinbase, pack_ebv_block};
     use crate::proofs::ProofArchive;
-    use crate::tidy::InputBody;
-    use ebv_chain::transaction::{spend_sighash, TxOut};
+    use ebv_chain::transaction::spend_sighash;
+    use ebv_chain::BLOCK_SUBSIDY;
     use ebv_primitives::ec::PrivateKey;
     use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};
+    use ebv_script::Script;
 
     /// Build a 2-block chain: genesis pays the miner, block 1 spends the
     /// genesis coinbase output. Returns (node pre-block-1, block 1).

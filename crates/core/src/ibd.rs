@@ -8,13 +8,12 @@
 //! assembled chain only where each interval's final state is byte-identical
 //! to its successor's starting snapshot ([`parallel_ibd`]).
 
-use crate::baseline_node::{BaselineError, BaselineNode};
 use crate::bitvec::{BitVectorSet, BitVectorSnapshot, UvError};
 use crate::ebv_node::{EbvConfig, EbvError, EbvNode, SnapshotError};
-use crate::metrics::{BaselineBreakdown, EbvBreakdown};
+use crate::metrics::Breakdown;
 use crate::sync::{sync_multi, PeerHandle, SyncConfig, SyncError, SyncReport, ValidatingNode};
 use crate::tidy::EbvBlock;
-use ebv_chain::Block;
+use crate::validate::{InputState, Node};
 use ebv_primitives::encode::Encodable;
 use ebv_telemetry::{counter, histogram, trace_event, Stopwatch};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,115 +58,52 @@ where
     }
 }
 
-/// Stats for one IBD period of the baseline node.
+/// Stats for one IBD period.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BaselinePeriod {
+pub struct Period {
     /// First block height in the period (inclusive).
     pub start_height: u32,
     /// Last block height in the period (inclusive).
     pub end_height: u32,
     /// Summed validation breakdown over the period.
-    pub breakdown: BaselineBreakdown,
+    pub breakdown: Breakdown,
     /// Wall-clock time for the period (includes block decode/apply glue).
     pub wall: Duration,
 }
 
-/// Stats for one IBD period of the EBV node.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EbvPeriod {
-    pub start_height: u32,
-    pub end_height: u32,
-    pub breakdown: EbvBreakdown,
-    pub wall: Duration,
-}
-
-/// Replay `blocks` (heights `1..`) into a freshly booted baseline node,
-/// reporting one entry per `period_len` blocks. On a validation failure
-/// the periods measured so far are returned inside the error.
-pub fn baseline_ibd(
-    node: &mut BaselineNode,
-    blocks: &[Block],
+/// Replay `blocks` (heights `1..`) into a freshly booted node of either
+/// type, reporting one entry per `period_len` blocks. On a validation
+/// failure the periods measured so far are returned inside the error.
+pub fn replay_ibd<S: InputState>(
+    node: &mut Node<S>,
+    blocks: &[S::Block],
     period_len: usize,
-) -> Result<Vec<BaselinePeriod>, IbdFailure<BaselinePeriod, BaselineError>> {
+) -> Result<Vec<Period>, IbdFailure<Period, S::Error>> {
     assert!(period_len > 0);
     let mut periods = Vec::new();
     for chunk in blocks.chunks(period_len) {
         let start_height = node.tip_height() + 1;
         let wall_start = Stopwatch::start();
-        let mut breakdown = BaselineBreakdown::default();
-        for block in chunk {
-            match node.process_block(block) {
-                Ok(b) => breakdown += b,
-                Err(error) => {
-                    let failed_at = node.tip_height() + 1;
-                    if node.tip_height() + 1 > start_height {
-                        periods.push(BaselinePeriod {
-                            start_height,
-                            end_height: node.tip_height(),
-                            breakdown,
-                            wall: wall_start.elapsed(),
-                        });
-                    }
-                    return Err(IbdFailure {
-                        completed: periods,
-                        failed_at,
-                        error,
-                    });
-                }
-            }
+        let mut breakdown = Breakdown::default();
+        let failure = chunk
+            .iter()
+            .try_for_each(|block| node.process_block(block).map(|b| breakdown += b))
+            .err();
+        if node.tip_height() >= start_height {
+            periods.push(Period {
+                start_height,
+                end_height: node.tip_height(),
+                breakdown,
+                wall: wall_start.elapsed(),
+            });
         }
-        periods.push(BaselinePeriod {
-            start_height,
-            end_height: node.tip_height(),
-            breakdown,
-            wall: wall_start.elapsed(),
-        });
-        ebv_telemetry::health::heartbeat("ibd.period.progress");
-    }
-    Ok(periods)
-}
-
-/// Replay `blocks` (heights `1..`) into a freshly booted EBV node. On a
-/// validation failure the periods measured so far are returned inside the
-/// error.
-pub fn ebv_ibd(
-    node: &mut EbvNode,
-    blocks: &[EbvBlock],
-    period_len: usize,
-) -> Result<Vec<EbvPeriod>, IbdFailure<EbvPeriod, EbvError>> {
-    assert!(period_len > 0);
-    let mut periods = Vec::new();
-    for chunk in blocks.chunks(period_len) {
-        let start_height = node.tip_height() + 1;
-        let wall_start = Stopwatch::start();
-        let mut breakdown = EbvBreakdown::default();
-        for block in chunk {
-            match node.process_block(block) {
-                Ok(b) => breakdown += b,
-                Err(error) => {
-                    let failed_at = node.tip_height() + 1;
-                    if node.tip_height() + 1 > start_height {
-                        periods.push(EbvPeriod {
-                            start_height,
-                            end_height: node.tip_height(),
-                            breakdown,
-                            wall: wall_start.elapsed(),
-                        });
-                    }
-                    return Err(IbdFailure {
-                        completed: periods,
-                        failed_at,
-                        error,
-                    });
-                }
-            }
+        if let Some(error) = failure {
+            return Err(IbdFailure {
+                completed: periods,
+                failed_at: node.tip_height() + 1,
+                error,
+            });
         }
-        periods.push(EbvPeriod {
-            start_height,
-            end_height: node.tip_height(),
-            breakdown,
-            wall: wall_start.elapsed(),
-        });
         ebv_telemetry::health::heartbeat("ibd.period.progress");
     }
     Ok(periods)
@@ -535,10 +471,10 @@ pub fn parallel_ibd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline_node::BaselineConfig;
+    use crate::baseline_node::{BaselineConfig, BaselineNode};
     use crate::ebv_node::EbvConfig;
     use crate::intermediary::Intermediary;
-    use ebv_chain::{build_block, coinbase_tx};
+    use ebv_chain::{build_block, coinbase_tx, Block};
     use ebv_primitives::hash::Hash256;
     use ebv_script::Script;
     use ebv_store::{KvStore, StoreConfig, UtxoSet};
@@ -570,7 +506,7 @@ mod tests {
         let chain = empty_chain(10);
         let utxos = UtxoSet::new(KvStore::open(StoreConfig::with_budget(1 << 20)).unwrap());
         let mut node = BaselineNode::new(&chain[0], utxos, BaselineConfig::default()).unwrap();
-        let periods = baseline_ibd(&mut node, &chain[1..], 4).unwrap();
+        let periods = replay_ibd(&mut node, &chain[1..], 4).unwrap();
         assert_eq!(periods.len(), 3); // 4 + 4 + 2
         assert_eq!(periods[0].start_height, 1);
         assert_eq!(periods[0].end_height, 4);
@@ -599,7 +535,7 @@ mod tests {
         let mut inter = Intermediary::new(0);
         let ebv_chain = inter.convert_chain(&chain).unwrap();
         let mut node = EbvNode::new(&ebv_chain[0], EbvConfig::default());
-        let periods = ebv_ibd(&mut node, &ebv_chain[1..], 3).unwrap();
+        let periods = replay_ibd(&mut node, &ebv_chain[1..], 3).unwrap();
         assert_eq!(periods.len(), 2);
         assert_eq!(node.tip_height(), 6);
         let total: Duration = periods.iter().map(|p| p.wall).sum();

@@ -14,14 +14,17 @@
 //!   Merkle leaves ("tidy transactions");
 //! * defeats **fake positions** with miner-stamped stake positions.
 //!
-//! Modules: [`ebv_node`] is the EBV validator; [`baseline_node`] the
-//! Bitcoin-style comparator; [`intermediary`] converts baseline chains to
-//! EBV format (the paper's §VI-A testbed component); [`proofs`] builds
-//! input proofs (the transaction-proposer side); [`pack`] packages and
-//! mines EBV blocks; [`ibd`] replays chains for the IBD experiments;
-//! [`metrics`] carries the per-phase timing breakdowns; [`sync`] is the
-//! fault-tolerant multi-peer block-sync subsystem (peer scoring, capped
-//! backoff, bans, reorg handling, deterministic fault injection).
+//! Modules: [`validate`] is the validation pipeline both node types share,
+//! over an input state: [`ebv_node`] for EBV (headers + bit vectors),
+//! [`baseline_node`] for the Bitcoin-style comparator (the UTXO set);
+//! [`par`] fans its parallel phases out over scoped threads;
+//! [`intermediary`] converts baseline chains to EBV format (the paper's
+//! §VI-A testbed component); [`proofs`] builds input proofs (the
+//! transaction-proposer side); [`pack`] packages and mines EBV blocks;
+//! [`ibd`] replays chains for the IBD experiments; [`metrics`] carries the
+//! per-phase timing breakdown; [`sync`] is the fault-tolerant multi-peer
+//! block-sync subsystem (peer scoring, capped backoff, bans, reorg
+//! handling, deterministic fault injection).
 
 pub mod baseline_node;
 pub mod bitvec;
@@ -31,27 +34,29 @@ pub mod intermediary;
 pub mod mempool;
 pub mod metrics;
 pub mod pack;
+pub mod par;
 pub mod proofs;
 pub mod sighash;
 pub mod sync;
 pub mod tidy;
+pub mod validate;
 
 pub use baseline_node::{BaselineConfig, BaselineError, BaselineNode};
 pub use bitvec::{BitVectorSet, BitVectorSetSize, BitVectorSnapshot, BlockBitVector, UvError};
 pub use ebv_node::{EbvConfig, EbvError, EbvNode, SnapshotError};
 pub use ibd::{
-    baseline_ibd, build_checkpoints, ebv_ibd, parallel_ibd, synced_ibd, BaselinePeriod,
-    CheckpointError, EbvPeriod, IbdFailure, IntervalStat, ParallelIbd, ParallelIbdError, SyncedIbd,
+    build_checkpoints, parallel_ibd, replay_ibd, synced_ibd, CheckpointError, IbdFailure,
+    IntervalStat, ParallelIbd, ParallelIbdError, Period, SyncedIbd,
 };
 pub use intermediary::{ConvertError, Intermediary};
 pub use mempool::{Mempool, MempoolError};
-pub use metrics::{BaselineBreakdown, EbvBreakdown};
+pub use metrics::Breakdown;
 pub use pack::{ebv_coinbase, pack_ebv_block};
 pub use proofs::ProofArchive;
 pub use sighash::{sign_input, sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
 pub use sync::{
-    reorg_to, serve_adversary, serve_blocks, spawn_source, sync_baseline, sync_ebv, sync_managed,
-    sync_multi, AdversarialServer, BlockSource, DefensePolicy, Fault, FaultSchedule, FaultyPeer,
+    reorg_to, serve_adversary, serve_blocks, spawn_source, sync_managed, sync_multi, sync_single,
+    AdversarialServer, BlockSource, DefensePolicy, Fault, FaultSchedule, FaultyPeer,
     InboundDecision, ManagedConfig, ManagedReport, PeerAddr, PeerFactory, PeerHandle, PeerManager,
     PeerManagerConfig, PeerStats, ReorgError, SyncConfig, SyncError, SyncReport, TcpPeer,
     TcpServer, Transport, ValidatingNode, WireAdversary, WireConfig, WireError,

@@ -3,14 +3,15 @@
 //! The paper's §IV-D describes validating a *transaction* on receipt:
 //! EV against stored headers, UV against the bit-vector set, SV against
 //! the scripts in `ELs`. This module applies exactly those checks to
-//! unconfirmed transactions, tracks which coordinates pending
-//! transactions consume (so conflicting spends are rejected at admission),
-//! and hands miners a ready-to-package batch.
+//! unconfirmed transactions, through the block pipeline's own EV check and
+//! per-transaction value + midstate phase; tracks which coordinates
+//! pending transactions consume (so conflicting spends are rejected at
+//! admission); and hands miners a ready-to-package batch.
 
-use crate::ebv_node::EbvNode;
+use crate::ebv_node::{existence, EbvError, EbvNode};
 use crate::sighash::DigestChecker;
 use crate::tidy::{EbvBlock, EbvTransaction, TxIntegrityError};
-use ebv_chain::transaction::spend_sighash;
+use crate::validate::{tx_digest, Spend, TxFields};
 use ebv_primitives::hash::Hash256;
 use ebv_script::{verify_spend, ScriptError};
 use std::collections::HashMap;
@@ -93,26 +94,15 @@ impl Mempool {
             return Err(MempoolError::Duplicate);
         }
 
-        let mut coords = Vec::with_capacity(tx.bodies.len());
-        let mut in_value = 0u64;
+        let mut spends = Vec::with_capacity(tx.bodies.len());
         for (j, body) in tx.bodies.iter().enumerate() {
             let proof = body.proof.as_ref().expect("non-coinbase integrity checked");
-            // EV.
-            let Some(header) = node.header_at(proof.height) else {
-                return Err(MempoolError::BadHeight {
-                    input: j,
-                    height: proof.height,
-                });
-            };
-            if !proof
-                .mbr
-                .verify(&proof.els.leaf_hash(), &header.merkle_root)
-            {
-                return Err(MempoolError::EvFailed { input: j });
-            }
-            let Some(output) = proof.spent_output() else {
-                return Err(MempoolError::PositionOutOfEls { input: j });
-            };
+            // EV, exactly as a block's inputs get it.
+            let output = existence(node.headers(), proof, 0, j).map_err(|e| match e {
+                EbvError::BadHeight { height, .. } => MempoolError::BadHeight { input: j, height },
+                EbvError::EvFailed { .. } => MempoolError::EvFailed { input: j },
+                _ => MempoolError::PositionOutOfEls { input: j },
+            })?;
             // UV against chain state…
             let coord = (proof.height, proof.absolute_position());
             if node.bitvecs().check_unspent(coord.0, coord.1).is_err() {
@@ -125,34 +115,39 @@ impl Mempool {
                     other: *other,
                 });
             }
-            in_value = in_value.saturating_add(output.value);
-            coords.push(coord);
+            // A lone transaction: no block position to report.
+            spends.push(Spend {
+                tx: 0,
+                input: j,
+                unlocking: &body.us,
+                value: output.value,
+                locking: &output.locking_script,
+                coord,
+            });
         }
-        if in_value < tx.tidy.total_output_value() {
-            return Err(MempoolError::ValueImbalance);
-        }
+        let fields = TxFields {
+            version: tx.tidy.version,
+            outputs: &tx.tidy.outputs,
+            lock_time: tx.tidy.lock_time,
+        };
+        let (midstate, _fee) = tx_digest(&fields, &spends).ok_or(MempoolError::ValueImbalance)?;
 
-        // SV.
-        for (j, body) in tx.bodies.iter().enumerate() {
-            let proof = body.proof.as_ref().expect("checked");
-            let digest = spend_sighash(
-                tx.tidy.version,
-                &coords,
-                &tx.tidy.outputs,
-                tx.tidy.lock_time,
-                j as u32,
-            );
-            let lock = &proof.spent_output().expect("checked").locking_script;
+        // SV, every input's digest finished from the one midstate.
+        for s in &spends {
+            let digest = midstate.input_digest(s.input as u32);
             verify_spend(
-                &body.us,
-                lock,
-                &DigestChecker::with_lock_time(digest, tx.tidy.lock_time),
+                s.unlocking,
+                s.locking,
+                &DigestChecker::with_lock_time(digest, fields.lock_time),
             )
-            .map_err(|err| MempoolError::SvFailed { input: j, err })?;
+            .map_err(|err| MempoolError::SvFailed {
+                input: s.input,
+                err,
+            })?;
         }
 
-        for coord in coords {
-            self.spent.insert(coord, id);
+        for s in &spends {
+            self.spent.insert(s.coord, id);
         }
         self.order.push(id);
         self.txs.insert(id, tx);
@@ -209,7 +204,7 @@ mod tests {
     use crate::proofs::ProofArchive;
     use crate::sighash::sign_input;
     use crate::tidy::InputBody;
-    use ebv_chain::transaction::TxOut;
+    use ebv_chain::transaction::{spend_sighash, TxOut};
     use ebv_chain::BLOCK_SUBSIDY;
     use ebv_primitives::ec::PrivateKey;
     use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};

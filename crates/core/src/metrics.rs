@@ -2,26 +2,42 @@
 //!
 //! The paper reports block-validation and IBD time split by phase: DBO /
 //! SV / others for Bitcoin (Figs. 4, 5) and EV / UV / SV / others for EBV
-//! (Figs. 16b, 17b). Validators fill these structs; figure binaries print
-//! them.
+//! (Figs. 16b, 17b). Both node types fill the one [`Breakdown`]; each
+//! leaves the buckets of the other's phases at zero. Figure binaries print
+//! it.
 
 use std::ops::AddAssign;
 use std::time::Duration;
 
-/// Phase breakdown for the Bitcoin-baseline validator.
+/// Validation time by phase.
+///
+/// `commit` was historically folded into `uv`, which skewed the Fig. 16b /
+/// 17b phase split: UV is supposed to measure *probes only* (the paper's
+/// point is that UV is nearly free), while committing a block mutates the
+/// bit-vector set and the header chain. They are separate buckets. The
+/// baseline's Delete/Insert is a database operation and stays under `dbo`,
+/// as the paper's Figs. 4–5 count it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BaselineBreakdown {
-    /// Database-related operations: Fetch + Delete + Insert.
+pub struct Breakdown {
+    /// Existence Validation: Merkle-branch folding against headers (EBV).
+    pub ev: Duration,
+    /// Unspent Validation: bit-vector probes and duplicate detection (EBV).
+    pub uv: Duration,
+    /// Database-related operations: Fetch + Delete + Insert (baseline).
     pub dbo: Duration,
     /// Script Validation.
     pub sv: Duration,
-    /// Everything else (structure checks, Merkle recompute, bookkeeping).
+    /// Post-validation state commit: header append, bit-vector insert,
+    /// spend application, undo recording (EBV).
+    pub commit: Duration,
+    /// Everything else (structure checks, Merkle recompute, value checks
+    /// and sighash midstates).
     pub others: Duration,
 }
 
-impl BaselineBreakdown {
+impl Breakdown {
     pub fn total(&self) -> Duration {
-        self.dbo + self.sv + self.others
+        self.ev + self.uv + self.dbo + self.sv + self.commit + self.others
     }
 
     /// Fraction of total time spent in DBO (the ratio line of Fig. 5).
@@ -35,45 +51,11 @@ impl BaselineBreakdown {
     }
 }
 
-impl AddAssign for BaselineBreakdown {
-    fn add_assign(&mut self, rhs: Self) {
-        self.dbo += rhs.dbo;
-        self.sv += rhs.sv;
-        self.others += rhs.others;
-    }
-}
-
-/// Phase breakdown for the EBV validator.
-///
-/// `commit` was historically folded into `uv`, which skewed the Fig. 16b /
-/// 17b phase split: UV is supposed to measure *probes only* (the paper's
-/// point is that UV is nearly free), while committing a block mutates the
-/// bit-vector set and the header chain. They are now separate buckets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EbvBreakdown {
-    /// Existence Validation: Merkle-branch folding against headers.
-    pub ev: Duration,
-    /// Unspent Validation: bit-vector probes and duplicate detection.
-    pub uv: Duration,
-    /// Script Validation.
-    pub sv: Duration,
-    /// Post-validation state commit: header append, bit-vector insert,
-    /// spend application, undo recording.
-    pub commit: Duration,
-    /// Everything else (structure checks, Merkle recompute, value checks).
-    pub others: Duration,
-}
-
-impl EbvBreakdown {
-    pub fn total(&self) -> Duration {
-        self.ev + self.uv + self.sv + self.commit + self.others
-    }
-}
-
-impl AddAssign for EbvBreakdown {
+impl AddAssign for Breakdown {
     fn add_assign(&mut self, rhs: Self) {
         self.ev += rhs.ev;
         self.uv += rhs.uv;
+        self.dbo += rhs.dbo;
         self.sv += rhs.sv;
         self.commit += rhs.commit;
         self.others += rhs.others;
@@ -86,25 +68,27 @@ mod tests {
 
     #[test]
     fn baseline_totals_and_ratio() {
-        let b = BaselineBreakdown {
+        let b = Breakdown {
             dbo: Duration::from_millis(80),
             sv: Duration::from_millis(15),
             others: Duration::from_millis(5),
+            ..Breakdown::default()
         };
         assert_eq!(b.total(), Duration::from_millis(100));
         assert!((b.dbo_ratio() - 0.8).abs() < 1e-9);
-        assert_eq!(BaselineBreakdown::default().dbo_ratio(), 0.0);
+        assert_eq!(Breakdown::default().dbo_ratio(), 0.0);
     }
 
     #[test]
     fn accumulation() {
-        let mut acc = EbvBreakdown::default();
-        let one = EbvBreakdown {
+        let mut acc = Breakdown::default();
+        let one = Breakdown {
             ev: Duration::from_millis(1),
             uv: Duration::from_millis(2),
             sv: Duration::from_millis(3),
             commit: Duration::from_millis(5),
             others: Duration::from_millis(4),
+            ..Breakdown::default()
         };
         acc += one;
         acc += one;

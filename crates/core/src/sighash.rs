@@ -46,9 +46,9 @@ const PUBKEY_CACHE_SHARDS: usize = 16;
 /// repeat sightings.
 ///
 /// The map is sharded [`PUBKEY_CACHE_SHARDS`] ways by an FNV-1a hash of the
-/// key bytes, each shard behind its own `RwLock`, so rayon verification
-/// workers hitting distinct keys never serialize on one lock. Lock
-/// acquisition first tries the non-blocking path and counts a
+/// key bytes, each shard behind its own `RwLock`, so parallel SV workers
+/// hitting distinct keys never serialize on one lock. Lock acquisition
+/// first tries the non-blocking path and counts a
 /// `cache.pubkey.shard_contention` event before falling back to the
 /// blocking one, making contention observable instead of silent. First
 /// insert wins on a write race, which is harmless because both racers

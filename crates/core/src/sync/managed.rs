@@ -189,7 +189,7 @@ where
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::super::peer::{BlockSource, PeerHandle};
-    use super::super::peer_manager::{DefensePolicy, PeerManagerConfig};
+    use super::super::peer_manager::PeerManagerConfig;
     use super::*;
     use crate::ebv_node::{EbvConfig, EbvNode};
     use crate::intermediary::Intermediary;

@@ -30,8 +30,8 @@
 //! backoff, and fork machinery runs over in-process channels
 //! ([`PeerHandle`]) and real TCP ([`TcpPeer`]) unchanged.
 //!
-//! The single-peer [`sync_ebv`] / [`sync_baseline`] entry points used by
-//! the experiments are thin wrappers over the same driver.
+//! The single-peer [`sync_single`] entry point is a thin wrapper over the
+//! same driver.
 #![deny(clippy::unwrap_used)]
 
 pub mod driver;
@@ -60,8 +60,7 @@ pub use reorg::{reorg_to, ReorgError};
 pub use tcp_peer::{serve_blocks, TcpPeer, TcpServer, WireConfig};
 pub use wire::{WireError, WireMessage, DEFAULT_MAX_FRAME, MAX_BLOCKS_PER_FRAME};
 
-use crate::baseline_node::{BaselineError, BaselineNode};
-use crate::ebv_node::{EbvError, EbvNode};
+use crate::validate::{InputState, Node};
 use ebv_primitives::encode::DecodeError;
 
 /// Why a sync run gave up. `E` is the destination node's validation error
@@ -208,18 +207,12 @@ impl<E: std::fmt::Debug> std::fmt::Display for SyncError<E> {
 
 impl<E: std::fmt::Debug> std::error::Error for SyncError<E> {}
 
-/// Sync an [`EbvNode`] from a single peer with default settings. Returns
-/// the number of blocks connected.
-pub fn sync_ebv(node: &mut EbvNode, peer: PeerHandle) -> Result<u32, SyncError<EbvError>> {
-    sync_multi(node, vec![peer], &SyncConfig::default()).map(|r| r.blocks_connected)
-}
-
-/// Sync a [`BaselineNode`] from a single peer with default settings.
+/// Sync a node of either type from a single peer with default settings.
 /// Returns the number of blocks connected.
-pub fn sync_baseline(
-    node: &mut BaselineNode,
+pub fn sync_single<S: InputState>(
+    node: &mut Node<S>,
     peer: PeerHandle,
-) -> Result<u32, SyncError<BaselineError>> {
+) -> Result<u32, SyncError<S::Error>> {
     sync_multi(node, vec![peer], &SyncConfig::default()).map(|r| r.blocks_connected)
 }
 
@@ -227,8 +220,8 @@ pub fn sync_baseline(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::baseline_node::BaselineConfig;
-    use crate::ebv_node::EbvConfig;
+    use crate::baseline_node::{BaselineConfig, BaselineNode};
+    use crate::ebv_node::{EbvConfig, EbvError, EbvNode};
     use crate::intermediary::Intermediary;
     use crate::tidy::EbvBlock;
     use ebv_chain::Block;
@@ -256,7 +249,7 @@ mod tests {
         let tip = ebv_blocks.len() as u32 - 1;
         let peer = spawn_source(ebv_blocks);
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        let synced = sync_ebv(&mut node, peer).expect("sync completes");
+        let synced = sync_single(&mut node, peer).expect("sync completes");
         assert_eq!(synced, tip);
         assert_eq!(node.tip_height(), tip);
     }
@@ -268,7 +261,7 @@ mod tests {
         let tip = blocks.len() as u32 - 1;
         let peer = spawn_source(blocks);
         let mut node = new_baseline(&genesis);
-        let synced = sync_baseline(&mut node, peer).expect("sync completes");
+        let synced = sync_single(&mut node, peer).expect("sync completes");
         assert_eq!(synced, tip);
         assert_eq!(node.tip_height(), tip);
     }
@@ -287,7 +280,7 @@ mod tests {
         let genesis = ebv_blocks[0].clone();
         let peer = spawn_source(Garbage);
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        match sync_ebv(&mut node, peer) {
+        match sync_single(&mut node, peer) {
             Err(SyncError::AllPeersFailed {
                 banned: 1, last, ..
             }) => {
@@ -308,7 +301,7 @@ mod tests {
         ebv_blocks[3].header.merkle_root = ebv_primitives::hash::sha256d(b"evil");
         let peer = spawn_source(ebv_blocks);
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        match sync_ebv(&mut node, peer) {
+        match sync_single(&mut node, peer) {
             Err(SyncError::AllPeersFailed { last, .. }) => {
                 assert!(
                     matches!(
@@ -343,7 +336,7 @@ mod tests {
         let tip = ebv_blocks.len() as u32 - 1;
         let peer = spawn_source(ebv_blocks);
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        assert_eq!(sync_ebv(&mut node, peer).expect("sync"), tip);
+        assert_eq!(sync_single(&mut node, peer).expect("sync"), tip);
     }
 
     #[test]

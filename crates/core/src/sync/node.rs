@@ -5,12 +5,10 @@
 //! — differing only in block format and error type. The trait captures
 //! exactly that surface, so the multi-peer driver and the reorg engine
 //! have a single implementation instead of the copy-paste twins the old
-//! flat `sync.rs` carried.
+//! flat `sync.rs` carried. Both node types are one [`Node`], so one impl
+//! covers them.
 
-use crate::baseline_node::{BaselineError, BaselineNode};
-use crate::ebv_node::{EbvError, EbvNode};
-use crate::tidy::EbvBlock;
-use ebv_chain::Block;
+use crate::validate::{InputState, Node};
 use ebv_primitives::encode::{Decodable, DecodeError};
 use ebv_primitives::hash::Hash256;
 
@@ -51,92 +49,47 @@ pub trait ValidatingNode {
     fn check_invariants(&self) -> Result<(), String>;
 }
 
-impl ValidatingNode for EbvNode {
-    type Block = EbvBlock;
-    type Error = EbvError;
+impl<S: InputState> ValidatingNode for Node<S> {
+    type Block = S::Block;
+    type Error = S::Error;
 
-    fn decode_block(bytes: &[u8]) -> Result<EbvBlock, DecodeError> {
-        EbvBlock::from_bytes(bytes)
+    fn decode_block(bytes: &[u8]) -> Result<S::Block, DecodeError> {
+        S::Block::from_bytes(bytes)
     }
 
-    fn block_hash(block: &EbvBlock) -> Hash256 {
-        block.header.hash()
+    fn block_hash(block: &S::Block) -> Hash256 {
+        S::header(block).hash()
     }
 
-    fn block_prev_hash(block: &EbvBlock) -> Hash256 {
-        block.header.prev_block_hash
+    fn block_prev_hash(block: &S::Block) -> Hash256 {
+        S::header(block).prev_block_hash
     }
 
     fn tip_height(&self) -> u32 {
-        EbvNode::tip_height(self)
+        Node::tip_height(self)
     }
 
     fn tip_hash(&self) -> Hash256 {
-        EbvNode::tip_hash(self)
+        Node::tip_hash(self)
     }
 
     fn header_hash_at(&self, height: u32) -> Option<Hash256> {
         self.header_at(height).map(|h| h.hash())
     }
 
-    fn connect_block(&mut self, block: &EbvBlock) -> Result<(), EbvError> {
+    fn connect_block(&mut self, block: &S::Block) -> Result<(), S::Error> {
         self.process_block(block).map(|_| ())
     }
 
-    fn disconnect_tip_block(&mut self) -> Result<Option<u32>, EbvError> {
+    fn disconnect_tip_block(&mut self) -> Result<Option<u32>, S::Error> {
         self.disconnect_tip()
     }
 
-    fn is_not_on_tip(err: &EbvError) -> bool {
-        matches!(err, EbvError::NotOnTip)
+    fn is_not_on_tip(err: &S::Error) -> bool {
+        S::is_not_on_tip(err)
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        EbvNode::check_invariants(self)
-    }
-}
-
-impl ValidatingNode for BaselineNode {
-    type Block = Block;
-    type Error = BaselineError;
-
-    fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
-        Block::from_bytes(bytes)
-    }
-
-    fn block_hash(block: &Block) -> Hash256 {
-        block.header.hash()
-    }
-
-    fn block_prev_hash(block: &Block) -> Hash256 {
-        block.header.prev_block_hash
-    }
-
-    fn tip_height(&self) -> u32 {
-        BaselineNode::tip_height(self)
-    }
-
-    fn tip_hash(&self) -> Hash256 {
-        BaselineNode::tip_hash(self)
-    }
-
-    fn header_hash_at(&self, height: u32) -> Option<Hash256> {
-        self.header_at(height).map(|h| h.hash())
-    }
-
-    fn connect_block(&mut self, block: &Block) -> Result<(), BaselineError> {
-        self.process_block(block).map(|_| ())
-    }
-
-    fn disconnect_tip_block(&mut self) -> Result<Option<u32>, BaselineError> {
-        self.disconnect_tip()
-    }
-
-    fn is_not_on_tip(err: &BaselineError) -> bool {
-        matches!(err, BaselineError::NotOnTip)
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        BaselineNode::check_invariants(self)
+        Node::check_invariants(self)
     }
 }

@@ -13,9 +13,9 @@
 //! newer request.
 
 use super::wire::WireError;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ebv_chain::Block;
 use ebv_primitives::encode::Encodable;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -123,8 +123,8 @@ impl PeerHandle {
     /// handle. The thread exits on [`Request::Done`] or when the request
     /// channel closes (the handle is dropped).
     pub fn spawn<S: BlockSource + 'static>(id: usize, mut source: S) -> PeerHandle {
-        let (req_tx, req_rx) = unbounded::<Request>();
-        let (resp_tx, resp_rx) = unbounded::<Response>();
+        let (req_tx, req_rx) = channel::<Request>();
+        let (resp_tx, resp_rx) = channel::<Response>();
         thread::spawn(move || {
             while let Ok(req) = req_rx.recv() {
                 match req {
@@ -217,7 +217,7 @@ impl Transport for PeerHandle {
 }
 
 /// Spawn a serving thread for `source` with peer id 0 — the single-peer
-/// convenience used by the `sync_ebv`/`sync_baseline` wrappers.
+/// convenience used with [`sync_single`](super::sync_single).
 pub fn spawn_source<S: BlockSource + 'static>(source: S) -> PeerHandle {
     PeerHandle::spawn(0, source)
 }

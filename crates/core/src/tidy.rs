@@ -44,13 +44,6 @@ impl TidyTransaction {
     pub fn absolute_position(&self, relative: u16) -> u32 {
         self.stake_position + relative as u32
     }
-
-    /// Total output value, saturating (callers compare, never trust).
-    pub fn total_output_value(&self) -> u64 {
-        self.outputs
-            .iter()
-            .fold(0u64, |acc, o| acc.saturating_add(o.value))
-    }
 }
 
 impl Encodable for TidyTransaction {

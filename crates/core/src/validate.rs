@@ -1,0 +1,432 @@
+//! One block-validation pipeline over two input states.
+//!
+//! Bitcoin (paper §II-B) and EBV (§IV) differ only in where an input's
+//! value, locking script and coordinates come from: a Fetch / Delete /
+//! Insert cycle on the UTXO set, or EV + UV against the input proof and the
+//! bit vectors. [`Node`] runs every other phase once, whatever its
+//! [`InputState`]: the tip and structure checks, the state's `resolve` of
+//! each input into a [`Spend`], value + sighash midstates per transaction,
+//! the coinbase bound, SV (strict or batched, inline or parallel), and the
+//! state's commit. Every parallel phase reports the failure with the
+//! minimum `(tx, input)` — the error a sequential scan hits first — so
+//! every configuration returns identical results.
+//!
+//! The shared phases record into the handles of the state's [`Probes`],
+//! resolved in the state's own non-generic code: a `span!` call site here
+//! would cache one handle in a `static` shared by every node type.
+
+use crate::metrics::Breakdown;
+use crate::par::{try_par_map, worker_count};
+use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
+use ebv_chain::transaction::{SpendSighashMidstate, TxOut};
+use ebv_chain::{BlockHeader, BLOCK_SUBSIDY};
+use ebv_primitives::encode::Decodable;
+use ebv_primitives::hash::Hash256;
+use ebv_script::{verify_spend, Script, ScriptError};
+use ebv_telemetry::context::SpanGuard;
+use ebv_telemetry::{Counter, Histogram, Span};
+
+/// A block rejection raised by a shared phase. Both node types' error
+/// types carry each of these as a variant of the same name.
+#[derive(Debug)]
+pub enum Rejection {
+    /// `prev_block_hash` does not extend the tip.
+    NotOnTip,
+    /// Inputs are worth less than outputs.
+    ValueImbalance { tx: usize },
+    /// Coinbase claims more than subsidy + fees.
+    ExcessiveCoinbase,
+    /// Script Validation failed.
+    SvFailed {
+        tx: usize,
+        input: usize,
+        err: ScriptError,
+    },
+}
+
+/// One non-coinbase input with what it spends resolved: the unit of work
+/// of the value and SV phases. Resolvers emit spends in `(tx, input)`
+/// lexicographic order, so "lowest index" and "minimum `(tx, input)`"
+/// coincide.
+pub struct Spend<'b> {
+    pub tx: usize,
+    pub input: usize,
+    /// The input's unlocking script.
+    pub unlocking: &'b Script,
+    /// Value of the spent output.
+    pub value: u64,
+    /// Locking script of the spent output.
+    pub locking: &'b Script,
+    /// `(creation height, absolute position)` of the spent output: what the
+    /// spend digest commits to.
+    pub coord: (u32, u32),
+}
+
+/// What the spend digest commits to in a transaction besides the spent
+/// coordinates.
+#[derive(Clone, Copy)]
+pub struct TxFields<'b> {
+    pub version: u32,
+    pub outputs: &'b [TxOut],
+    pub lock_time: u32,
+}
+
+/// The knobs of a state's config that the shared phases read.
+#[derive(Clone, Copy, Debug)]
+pub struct Knobs {
+    /// Run value + midstates across transactions, and SV across inputs, in
+    /// parallel.
+    pub parallel_sv: bool,
+    /// Worker-thread override for the parallel phases; `None` uses every
+    /// available core.
+    pub workers: Option<usize>,
+    /// Settle SV's ECDSA checks through batch verification
+    /// ([`crate::sighash::sv_chunk_batched`]).
+    pub batch_verify: bool,
+}
+
+/// Telemetry handles of one node type's shared phases.
+#[derive(Clone, Copy)]
+pub struct Probes {
+    /// Name of the per-block trace span (keyed by height).
+    pub block: &'static str,
+    /// Tip + structure checks, value + midstates, SV, one strict SV input,
+    /// and the whole block.
+    pub structure: &'static Histogram,
+    pub value: &'static Histogram,
+    pub sv: &'static Histogram,
+    pub sv_input: &'static Histogram,
+    pub block_total: &'static Histogram,
+    pub blocks_connected: &'static Counter,
+}
+
+/// Where a node's inputs come from, and how a connected block changes it.
+///
+/// Implemented by the bit-vector set (EBV) and the UTXO set (baseline).
+/// A state owns its structure checks, input resolution, commit/undo and
+/// disconnect; [`Node`] owns every other phase.
+pub trait InputState: Sized {
+    /// The block format this state validates.
+    type Block: Decodable + Sync;
+    /// Rejection reasons; the shared phases' [`Rejection`]s convert in.
+    type Error: From<Rejection> + std::fmt::Debug + Send;
+    /// Tuning knobs.
+    type Config: Copy;
+    /// What `resolve` found that `commit` applies.
+    type Resolved: Default;
+    /// Everything needed to disconnect a connected block again.
+    type Undo;
+
+    /// The shared phases' telemetry handles, resolved here in the state's
+    /// own (non-generic) code.
+    fn probes() -> Probes;
+    fn header(block: &Self::Block) -> &BlockHeader;
+    /// Every transaction's digest fields, coinbase first.
+    fn tx_fields(block: &Self::Block) -> Vec<TxFields<'_>>;
+    fn knobs(config: &Self::Config) -> Knobs;
+    /// Whether `err` is the shared tip check's rejection.
+    fn is_not_on_tip(err: &Self::Error) -> bool;
+
+    /// Context-free checks, after the tip check.
+    fn check_structure(block: &Self::Block, config: &Self::Config) -> Result<(), Self::Error>;
+    /// Resolve every non-coinbase input of `block` (at the height after
+    /// `headers`) into a [`Spend`], in `(tx, input)` order, recording
+    /// what the commit will need in `resolved`. Times itself into
+    /// `breakdown`.
+    fn resolve<'b>(
+        &mut self,
+        headers: &[BlockHeader],
+        block: &'b Self::Block,
+        resolved: &'b mut Self::Resolved,
+        config: &Self::Config,
+        breakdown: &mut Breakdown,
+    ) -> Result<Vec<Spend<'b>>, Self::Error>;
+    /// Apply a fully validated `block` at `height`. Times itself into
+    /// `breakdown`.
+    fn commit(
+        &mut self,
+        block: &Self::Block,
+        height: u32,
+        resolved: Self::Resolved,
+        breakdown: &mut Breakdown,
+    ) -> Result<Self::Undo, Self::Error>;
+    /// Telemetry after `block` connected at `height`.
+    fn connected(&self, height: u32, block: &Self::Block);
+    /// Undo the block at `height`, the tip being disconnected.
+    fn disconnect(&mut self, height: u32, undo: Self::Undo) -> Result<(), Self::Error>;
+    /// The state's own consistency checks at `tip`.
+    fn check_invariants(&self, tip: u32) -> Result<(), String>;
+}
+
+/// A validating node: the header chain, the undo stack and one input
+/// state, driven through the shared pipeline.
+pub struct Node<S: InputState> {
+    headers: Vec<BlockHeader>,
+    state: S,
+    config: S::Config,
+    /// Undo records, one per connected block above `base_height`.
+    undo_stack: Vec<S::Undo>,
+    /// Height this node booted at: 0 for a genesis boot, the checkpoint
+    /// height for a snapshot boot. Blocks at or below it carry no undo
+    /// records and cannot be disconnected.
+    base_height: u32,
+    /// Node-lifetime pubkey cache; `None` means SV builds a fresh
+    /// per-block cache.
+    pubkey_cache: Option<PubkeyCache>,
+    /// Cumulative validation-time breakdown across all processed blocks.
+    cumulative: Breakdown,
+    probes: Probes,
+}
+
+impl<S: InputState> Node<S> {
+    /// A node whose chain is `headers`, tip state `state`.
+    pub(crate) fn boot(
+        headers: Vec<BlockHeader>,
+        state: S,
+        config: S::Config,
+        base_height: u32,
+        persistent_pubkey_cache: bool,
+    ) -> Node<S> {
+        Node {
+            headers,
+            state,
+            config,
+            undo_stack: Vec::new(),
+            base_height,
+            pubkey_cache: persistent_pubkey_cache.then(PubkeyCache::new),
+            cumulative: Breakdown::default(),
+            probes: S::probes(),
+        }
+    }
+
+    pub(crate) fn state(&self) -> &S {
+        &self.state
+    }
+
+    pub(crate) fn headers(&self) -> &[BlockHeader] {
+        &self.headers
+    }
+
+    /// Height this node booted at (0 unless booted from a snapshot).
+    pub fn base_height(&self) -> u32 {
+        self.base_height
+    }
+
+    /// Height of the best block.
+    pub fn tip_height(&self) -> u32 {
+        (self.headers.len() - 1) as u32
+    }
+
+    /// Hash of the best block's header.
+    pub fn tip_hash(&self) -> Hash256 {
+        self.headers.last().expect("genesis present").hash()
+    }
+
+    /// The stored header at `height`, if within the chain.
+    pub fn header_at(&self, height: u32) -> Option<&BlockHeader> {
+        self.headers.get(height as usize)
+    }
+
+    /// Total validation time spent, by phase, since boot.
+    pub fn cumulative_breakdown(&self) -> Breakdown {
+        self.cumulative
+    }
+
+    /// Validate `block` and, if valid, append it (storing the header and
+    /// committing it to the state). Returns the per-phase timing. A
+    /// rejected block leaves the node untouched; a store-level I/O error
+    /// mid-commit is fatal (as in real nodes).
+    pub fn process_block(&mut self, block: &S::Block) -> Result<Breakdown, S::Error> {
+        let mut breakdown = Breakdown::default();
+        let height = self.headers.len() as u32;
+        let knobs = S::knobs(&self.config);
+        let probes = self.probes;
+        // Per-block trace span, keyed by height: inert (one thread-local
+        // peek) unless a caller entered a trace context.
+        let _block_span = SpanGuard::enter(probes.block, u64::from(height));
+
+        // ---- "others": tip and structure checks -------------------------
+        let structure = Span::new(probes.structure, Some(&mut breakdown.others));
+        if S::header(block).prev_block_hash != self.tip_hash() {
+            return Err(Rejection::NotOnTip.into());
+        }
+        S::check_structure(block, &self.config)?;
+        drop(structure);
+
+        // ---- resolve: EV + UV, or the DBO fetch -------------------------
+        let mut resolved = S::Resolved::default();
+        let spends = self.state.resolve(
+            &self.headers,
+            block,
+            &mut resolved,
+            &self.config,
+            &mut breakdown,
+        )?;
+
+        // ---- "others": value conservation + sighash midstates -----------
+        // One pass per transaction: sum input/output values and hash the
+        // sighash prefix every input of that transaction shares, so SV
+        // below never re-serializes the outputs once per input.
+        let value = Span::new(probes.value, Some(&mut breakdown.others));
+        let txs = S::tx_fields(block);
+        let workers = if knobs.parallel_sv {
+            worker_count(knobs.workers)
+        } else {
+            1
+        };
+        let runs = tx_runs(&spends, txs.len());
+        let digests = try_par_map(&runs, workers, |&(tx, run)| {
+            tx_digest(&txs[tx], run).ok_or(Rejection::ValueImbalance { tx })
+        })?;
+        let fees = digests
+            .iter()
+            .fold(0u64, |acc, (_, fee)| acc.saturating_add(*fee));
+        if total_value(txs[0].outputs) > BLOCK_SUBSIDY.saturating_add(fees) {
+            return Err(Rejection::ExcessiveCoinbase.into());
+        }
+        drop(value);
+
+        // ---- SV -----------------------------------------------------------
+        let sv = Span::new(probes.sv, Some(&mut breakdown.sv));
+        // One pubkey cache per block (or per node): inputs signed by the
+        // same key share a single parse + odd-multiples table across all
+        // SV workers.
+        let block_cache = PubkeyCache::new();
+        let cache = self.pubkey_cache.as_ref().unwrap_or(&block_cache);
+        let failed = |s: &Spend<'_>, err: ScriptError| Rejection::SvFailed {
+            tx: s.tx,
+            input: s.input,
+            err,
+        };
+        if knobs.batch_verify {
+            // Settle each chunk's ECDSA through one batch equation and
+            // report the chunk's first failure. Chunks partition the
+            // ordered spends, so the lowest failing chunk holds the
+            // minimum `(tx, input)` — the strict path's error.
+            let chunks: Vec<&[Spend<'_>]> = spends.chunks(SV_BATCH_MAX).collect();
+            try_par_map(&chunks, workers, |chunk| {
+                let jobs: Vec<SvJob<'_>> =
+                    chunk.iter().map(|s| sv_job(s, &digests, &txs)).collect();
+                sv_chunk_batched(&jobs, cache)
+                    .into_iter()
+                    .zip(*chunk)
+                    .try_for_each(|(result, s)| result.map_err(|err| failed(s, err)))
+            })?;
+        } else {
+            try_par_map(&spends, workers, |s| {
+                let _input_span = Span::new(probes.sv_input, None);
+                let job = sv_job(s, &digests, &txs);
+                let checker = DigestChecker::with_context(job.digest, job.lock_time, cache);
+                verify_spend(job.unlocking, job.locking, &checker).map_err(|err| failed(s, err))
+            })?;
+        }
+        drop(sv);
+
+        // ---- commit: the state, then the header and the undo record -------
+        let undo = self.state.commit(block, height, resolved, &mut breakdown)?;
+        self.headers.push(*S::header(block));
+        self.undo_stack.push(undo);
+
+        probes.blocks_connected.inc();
+        probes
+            .block_total
+            .record(breakdown.total().as_nanos() as u64);
+        self.state.connected(height, block);
+
+        self.cumulative += breakdown;
+        Ok(breakdown)
+    }
+
+    /// Disconnect the tip block, restoring the previous state (the reorg
+    /// primitive, driven by `sync::reorg`). Returns the new tip height,
+    /// `Ok(None)` if the tip is already the boot height (genesis, or the
+    /// checkpoint for a snapshot-booted node), or a typed error if the undo
+    /// data does not mirror the state (corrupt state, store I/O).
+    pub fn disconnect_tip(&mut self) -> Result<Option<u32>, S::Error> {
+        let Some(undo) = self.undo_stack.pop() else {
+            return Ok(None);
+        };
+        let height = self.tip_height();
+        self.headers.pop();
+        self.state.disconnect(height, undo)?;
+        Ok(Some(self.tip_height()))
+    }
+
+    /// Cheap internal-consistency check, asserted by the reorg engine after
+    /// every unwind step: the undo stack must pair one record per block
+    /// above the boot height, and the state must pass its own checks.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if self.headers.is_empty() {
+            return Err("header chain is empty (genesis missing)".to_string());
+        }
+        let tip = self.tip_height();
+        if tip < self.base_height {
+            return Err(format!(
+                "tip {tip} fell below the boot height {}",
+                self.base_height
+            ));
+        }
+        if self.undo_stack.len() as u32 != tip - self.base_height {
+            return Err(format!(
+                "undo stack holds {} records but {} blocks sit above the boot height",
+                self.undo_stack.len(),
+                tip - self.base_height
+            ));
+        }
+        self.state.check_invariants(tip)
+    }
+}
+
+/// Each spending transaction with its spends. Spends are in `(tx, input)`
+/// order, so each transaction's spends are one contiguous run — empty for a
+/// transaction without inputs, which must still face the value check.
+fn tx_runs<'s, 'b>(spends: &'s [Spend<'b>], tx_count: usize) -> Vec<(usize, &'s [Spend<'b>])> {
+    let mut rest = spends;
+    (1..tx_count)
+        .map(|tx| {
+            let (run, tail) = rest.split_at(rest.iter().take_while(|s| s.tx == tx).count());
+            rest = tail;
+            (tx, run)
+        })
+        .collect()
+}
+
+/// The SV job of `spend`, its digest finished from its transaction's
+/// midstate. Spending transactions start at index 1; `digests` are dense
+/// from 0.
+fn sv_job<'b>(
+    spend: &Spend<'b>,
+    digests: &[(SpendSighashMidstate, u64)],
+    txs: &[TxFields<'_>],
+) -> SvJob<'b> {
+    SvJob {
+        digest: digests[spend.tx - 1].0.input_digest(spend.input as u32),
+        lock_time: txs[spend.tx].lock_time,
+        unlocking: spend.unlocking,
+        locking: spend.locking,
+    }
+}
+
+/// Total value of `outputs`, saturating so an (invalid) overflowing total
+/// fails the value checks safely.
+fn total_value(outputs: &[TxOut]) -> u64 {
+    outputs
+        .iter()
+        .fold(0u64, |acc, o| acc.saturating_add(o.value))
+}
+
+/// The per-transaction phase: value conservation and the sighash midstate.
+/// `None` if `spends` are worth less than the outputs; otherwise the
+/// midstate every input's digest finishes from, and the fee.
+pub(crate) fn tx_digest(
+    tx: &TxFields<'_>,
+    spends: &[Spend<'_>],
+) -> Option<(SpendSighashMidstate, u64)> {
+    let in_value = spends
+        .iter()
+        .fold(0u64, |acc, s| acc.saturating_add(s.value));
+    let fee = in_value.checked_sub(total_value(tx.outputs))?;
+    let coords: Vec<(u32, u32)> = spends.iter().map(|s| s.coord).collect();
+    let midstate = SpendSighashMidstate::new(tx.version, &coords, tx.outputs, tx.lock_time);
+    Some((midstate, fee))
+}

@@ -9,9 +9,8 @@
 //!   single atomic RMWs, cheap enough for the per-input SV loop;
 //! * a [`span!`] macro producing a RAII [`Span`] guard that times a scope,
 //!   feeds an optional `&mut Duration` accumulator (the existing
-//!   `EbvBreakdown`/`BaselineBreakdown`/`DboStats` fields, so the figure
-//!   binaries' output is unchanged) and records the elapsed nanoseconds
-//!   into a histogram;
+//!   `Breakdown`/`DboStats` fields, so the figure binaries' output is
+//!   unchanged) and records the elapsed nanoseconds into a histogram;
 //! * a structured event trace ([`trace_event!`]): a bounded ring buffer of
 //!   timestamped JSONL lines that can tee to a file ([`trace_tee_to_file`]);
 //! * causal identity ([`context`]): seeded, deterministic 64-bit

@@ -3,8 +3,8 @@
 //! A [`Span`] measures the wall-clock time from construction to drop and
 //! records it twice: as nanoseconds into a named [`Histogram`], and —
 //! optionally — into a `&mut Duration` accumulator. The accumulator is how
-//! the existing `EbvBreakdown`/`BaselineBreakdown`/`DboStats` structs keep
-//! working unchanged: the span replaces the hand-rolled
+//! the existing `Breakdown`/`DboStats` structs keep working unchanged: the
+//! span replaces the hand-rolled
 //! `let t = Instant::now(); ...; breakdown.ev += t.elapsed()` pairs.
 //!
 //! When telemetry is disabled and no accumulator is attached, a span takes
@@ -60,7 +60,10 @@ impl Drop for Span<'_> {
 ///
 /// The histogram handle is resolved once per call site and cached in a
 /// `OnceLock`; afterwards constructing a span is a flag check plus at most
-/// one clock read.
+/// one clock read. Every instance of a generic function shares that call
+/// site, so a name that varies with a type parameter must not go through
+/// this macro: resolve its handle outside the generic code and use
+/// [`Span::new`].
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {{

@@ -6,7 +6,7 @@
 //! cargo run --release --example ibd_comparison
 //! ```
 
-use ebv::core::{baseline_ibd, ebv_ibd, BaselineConfig, BaselineNode, Intermediary};
+use ebv::core::{replay_ibd, BaselineConfig, BaselineNode, Intermediary};
 use ebv::store::{KvStore, LatencyModel, StoreConfig, UtxoSet};
 use ebv::workload::{ChainGenerator, GeneratorParams};
 use ebv_core::{EbvConfig, EbvNode};
@@ -31,7 +31,7 @@ fn main() {
     let mut baseline =
         BaselineNode::new(&blocks[0], UtxoSet::new(store), BaselineConfig::default())
             .expect("genesis");
-    let periods = baseline_ibd(&mut baseline, &blocks[1..], 50).expect("ibd");
+    let periods = replay_ibd(&mut baseline, &blocks[1..], 50).expect("ibd");
     let base_total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();
     let bb = baseline.cumulative_breakdown();
     println!(
@@ -45,7 +45,7 @@ fn main() {
 
     // EBV IBD.
     let mut ebv = EbvNode::new(&ebv_blocks[0], EbvConfig::default());
-    let periods = ebv_ibd(&mut ebv, &ebv_blocks[1..], 50).expect("ibd");
+    let periods = replay_ibd(&mut ebv, &ebv_blocks[1..], 50).expect("ibd");
     let ebv_total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();
     let eb = ebv.cumulative_breakdown();
     println!(

@@ -20,11 +20,16 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+# The whole workspace: the smoke steps below run bench binaries (fig16,
+# fig17, syncbench, netsimbench) that live outside the root package.
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+# Every test in the workspace: the root package's integration suites plus
+# each crate's unit tests (the validation pipeline, the parallel helper,
+# the shims).
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # The fault matrix is part of 'cargo test' above, but run it by name too so
 # a failure is attributed unambiguously. Seeds are fixed inside the tests —

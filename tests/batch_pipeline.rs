@@ -2,10 +2,15 @@
 //! `batch_verify` on and off, both validators must return the identical
 //! accept/reject decision and the identical error — including the
 //! minimum-`(tx, input)` selection — on every block of a tampered chain.
+//! Both node types run one pipeline, so across all four SV modes
+//! (sequential/parallel × strict/batch) they must also reject a tampered
+//! signature or an inflated output with the same coordinates and error.
 
 use ebv_core::tidy::{EbvBlock, InputBody};
-use ebv_core::{BaselineConfig, BaselineNode, EbvConfig, EbvNode, Intermediary};
-use ebv_script::Script;
+use ebv_core::{
+    BaselineConfig, BaselineError, BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary,
+};
+use ebv_script::{Script, ScriptError};
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
 use ebv_workload::{ChainGenerator, GeneratorParams};
 
@@ -121,21 +126,11 @@ fn ebv_batch_and_strict_report_identical_errors() {
 #[test]
 fn baseline_batch_and_strict_agree() {
     let (blocks, _) = build_chains(GeneratorParams::tiny(120, 0x5eed));
-    let fresh = || {
-        UtxoSet::new(
-            KvStore::open(StoreConfig {
-                cache_budget: 1 << 20,
-                latency: Default::default(),
-                path: None,
-            })
-            .expect("temp store opens"),
-        )
-    };
     let mut strict =
-        BaselineNode::new(&blocks[0], fresh(), BaselineConfig::default()).expect("genesis");
+        BaselineNode::new(&blocks[0], fresh_utxos(), BaselineConfig::default()).expect("genesis");
     let mut batch = BaselineNode::new(
         &blocks[0],
-        fresh(),
+        fresh_utxos(),
         BaselineConfig {
             batch_verify: true,
             ..BaselineConfig::default()
@@ -167,4 +162,156 @@ fn baseline_batch_and_strict_agree() {
     }
     assert_eq!(strict.tip_height(), batch.tip_height());
     assert_eq!(strict.tip_hash(), batch.tip_hash());
+}
+
+fn fresh_utxos() -> UtxoSet {
+    UtxoSet::new(KvStore::open(StoreConfig::with_budget(1 << 20)).expect("temp store opens"))
+}
+
+/// Raise output 0 of transaction `tx` far above any input value: the
+/// value phase must reject it before SV sees the (now stale) signatures.
+fn inflate_output(block: &EbvBlock, tx: usize) -> EbvBlock {
+    let mut b = block.clone();
+    b.transactions[tx].tidy.outputs[0].value = u64::MAX / 2;
+    b.header.merkle_root = b.compute_merkle_root();
+    b
+}
+
+fn inflate_baseline_output(block: &ebv_chain::Block, tx: usize) -> ebv_chain::Block {
+    let mut b = block.clone();
+    b.transactions[tx].outputs[0].value = u64::MAX / 2;
+    b.header.merkle_root = b.compute_merkle_root();
+    b
+}
+
+/// A rejection as both node types report it: `(tx, Some((input, err)))`
+/// for SV, `(tx, None)` for a value imbalance.
+type Verdict = (usize, Option<(usize, ScriptError)>);
+
+fn ebv_verdict(e: &EbvError) -> Verdict {
+    match *e {
+        EbvError::SvFailed { tx, input, err } => (tx, Some((input, err))),
+        EbvError::ValueImbalance { tx } => (tx, None),
+        ref other => panic!("unexpected EBV rejection {other:?}"),
+    }
+}
+
+fn baseline_verdict(e: &BaselineError) -> Verdict {
+    match *e {
+        BaselineError::SvFailed { tx, input, err } => (tx, Some((input, err))),
+        BaselineError::ValueImbalance { tx } => (tx, None),
+        ref other => panic!("unexpected baseline rejection {other:?}"),
+    }
+}
+
+#[test]
+fn both_node_types_agree_in_every_sv_mode() {
+    let (blocks, chain) = build_chains(GeneratorParams::tiny(90, 0xc0de));
+    // `(parallel, batch)`. Parallel EBV modes use 3 workers, so even these
+    // small blocks split their inputs across threads.
+    let modes = [(false, false), (false, true), (true, false), (true, true)];
+    let mut ebv: Vec<EbvNode> = modes
+        .iter()
+        .map(|&(parallel, batch)| {
+            let config = EbvConfig {
+                parallel_ev: parallel,
+                parallel_sv: parallel,
+                workers: parallel.then_some(3),
+                batch_verify: batch,
+                ..EbvConfig::default()
+            };
+            EbvNode::new(&chain[0], config)
+        })
+        .collect();
+    let mut baseline: Vec<BaselineNode> = modes
+        .iter()
+        .map(|&(parallel, batch)| {
+            let config = BaselineConfig {
+                parallel_sv: parallel,
+                batch_verify: batch,
+                ..BaselineConfig::default()
+            };
+            BaselineNode::new(&blocks[0], fresh_utxos(), config).expect("genesis")
+        })
+        .collect();
+
+    // Blocks rejected for one bad signature, for two, for an inflated output.
+    let mut rejected = [0; 3];
+    for (h, (block, ebv_block)) in blocks.iter().zip(&chain).enumerate().skip(1) {
+        let last = block.transactions.len() - 1;
+        // Every third block: tamper the first spending transaction's last
+        // input, and on every sixth also the last transaction's first input,
+        // so the minimum `(tx, input)` is selected across chunks. The block
+        // after: inflate an output of the last transaction.
+        let tampered = match h % 3 {
+            _ if last == 0 => None,
+            0 => {
+                let input = block.transactions[1].inputs.len() - 1;
+                let mut bad = (
+                    tamper_signature(ebv_block, 1, input),
+                    tamper_baseline_signature(block, 1, input),
+                );
+                if h % 6 == 0 && last > 1 {
+                    bad = (
+                        tamper_signature(&bad.0, last, 0),
+                        tamper_baseline_signature(&bad.1, last, 0),
+                    );
+                    rejected[1] += 1;
+                } else {
+                    rejected[0] += 1;
+                }
+                Some((bad, (1, Some(input))))
+            }
+            1 => {
+                rejected[2] += 1;
+                let bad = (
+                    inflate_output(ebv_block, last),
+                    inflate_baseline_output(block, last),
+                );
+                Some((bad, (last, None)))
+            }
+            _ => None,
+        };
+        if let Some(((ebv_bad, baseline_bad), expected)) = tampered {
+            let ebv_errors: Vec<EbvError> = ebv
+                .iter_mut()
+                .map(|n| n.process_block(&ebv_bad).expect_err("tampered block"))
+                .collect();
+            let baseline_errors: Vec<BaselineError> = baseline
+                .iter_mut()
+                .map(|n| n.process_block(&baseline_bad).expect_err("tampered block"))
+                .collect();
+            // BaselineError wraps io::Error and so cannot derive PartialEq;
+            // the Debug rendering carries every field.
+            let debug: Vec<String> = baseline_errors.iter().map(|e| format!("{e:?}")).collect();
+            assert!(
+                ebv_errors.iter().all(|e| e == &ebv_errors[0]),
+                "height {h}: {ebv_errors:?}"
+            );
+            assert!(
+                debug.iter().all(|e| e == &debug[0]),
+                "height {h}: {debug:?}"
+            );
+            let verdict = ebv_verdict(&ebv_errors[0]);
+            assert_eq!(verdict, baseline_verdict(&baseline_errors[0]), "height {h}");
+            assert_eq!((verdict.0, verdict.1.map(|(input, _)| input)), expected);
+        }
+        for node in &mut ebv {
+            node.process_block(ebv_block)
+                .expect("generated block validates");
+        }
+        for node in &mut baseline {
+            node.process_block(block)
+                .expect("generated block validates");
+        }
+    }
+    assert!(
+        rejected.iter().all(|&n| n >= 3),
+        "too few tampered blocks: {rejected:?}"
+    );
+    for (e, b) in ebv.iter().zip(&baseline) {
+        assert_eq!(e.state_digest(), ebv[0].state_digest());
+        assert_eq!(b.tip_hash(), baseline[0].tip_hash());
+        assert_eq!(e.total_unspent(), b.utxos().size().count);
+    }
 }

@@ -2,7 +2,7 @@
 //! the intermediary → EBV node. Both must accept the chain and agree on
 //! the resulting state.
 
-use ebv::core::{baseline_ibd, ebv_ibd, BaselineConfig, BaselineNode, Intermediary};
+use ebv::core::{replay_ibd, BaselineConfig, BaselineNode, Intermediary};
 use ebv::store::{KvStore, LatencyModel, StoreConfig, UtxoSet};
 use ebv::workload::{ChainGenerator, GeneratorParams};
 use ebv_core::{EbvConfig, EbvNode};
@@ -81,12 +81,12 @@ fn ibd_drivers_cover_whole_chain() {
 
     let mut baseline =
         BaselineNode::new(&blocks[0], utxo_set(8 << 20), BaselineConfig::default()).expect("boot");
-    let periods = baseline_ibd(&mut baseline, &blocks[1..], 7).expect("ibd");
+    let periods = replay_ibd(&mut baseline, &blocks[1..], 7).expect("ibd");
     assert_eq!(periods.len(), 3); // 7 + 7 + 6
     assert_eq!(periods.last().expect("periods").end_height, 20);
 
     let mut ebv = EbvNode::new(&ebv_blocks[0], EbvConfig::default());
-    let periods = ebv_ibd(&mut ebv, &ebv_blocks[1..], 7).expect("ibd");
+    let periods = replay_ibd(&mut ebv, &ebv_blocks[1..], 7).expect("ibd");
     assert_eq!(periods.len(), 3);
     // EV+UV must be a small share of EBV time (the paper's Fig. 17b shape)
     // — at this scale just assert they are not the dominant term.

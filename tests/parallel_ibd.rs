@@ -1,18 +1,18 @@
 //! Snapshot-parallel IBD: differential and adversarial coverage.
 //!
 //! * `parallel_ibd` must reach a final state **identical** to sequential
-//!   `ebv_ibd` — tip hash, total-unspent, every bit vector — across worker
+//!   `replay_ibd` — tip hash, total-unspent, every bit vector — across worker
 //!   counts {1, 2, 4} and checkpoint intervals including a non-divisor K;
 //! * a corrupted checkpoint must be detected at the stitch, attributed to
 //!   the offending interval, and degraded to a sequential fallback that
 //!   still produces the correct final state;
-//! * `ebv_ibd`/`baseline_ibd` must return the periods completed before a
-//!   mid-chunk validation failure instead of discarding them.
+//! * `replay_ibd` must return the periods completed before a mid-chunk
+//!   validation failure, on either node type, instead of discarding them.
 
 use ebv_core::baseline_node::BaselineConfig;
 use ebv_core::{
-    baseline_ibd, build_checkpoints, ebv_ibd, parallel_ibd, BaselineNode, EbvConfig, EbvNode,
-    Intermediary, ParallelIbdError,
+    build_checkpoints, parallel_ibd, replay_ibd, BaselineNode, EbvConfig, EbvNode, Intermediary,
+    ParallelIbdError,
 };
 use ebv_primitives::encode::Encodable;
 use ebv_primitives::hash::sha256d;
@@ -29,7 +29,7 @@ fn ebv_chain(n: u32, seed: u64) -> Vec<ebv_core::EbvBlock> {
 /// Replay the whole chain sequentially — the ground truth.
 fn sequential_node(chain: &[ebv_core::EbvBlock]) -> EbvNode {
     let mut node = EbvNode::new(&chain[0], EbvConfig::default());
-    ebv_ibd(&mut node, &chain[1..], 64).expect("generated chain validates");
+    replay_ibd(&mut node, &chain[1..], 64).expect("generated chain validates");
     node
 }
 
@@ -177,7 +177,7 @@ fn ebv_ibd_returns_completed_periods_on_failure() {
     chain[13].header.merkle_root = sha256d(b"bogus root");
 
     let mut node = EbvNode::new(&chain[0], EbvConfig::default());
-    let failure = ebv_ibd(&mut node, &chain[1..], 5).expect_err("tampered block rejected");
+    let failure = replay_ibd(&mut node, &chain[1..], 5).expect_err("tampered block rejected");
     assert_eq!(failure.failed_at, 13);
     // Periods 1-5 and 6-10 completed, plus the partial 11-12.
     assert_eq!(failure.completed.len(), 3);
@@ -195,7 +195,7 @@ fn baseline_ibd_returns_completed_periods_on_failure() {
 
     let utxos = UtxoSet::new(KvStore::open(StoreConfig::with_budget(1 << 20)).unwrap());
     let mut node = BaselineNode::new(&blocks[0], utxos, BaselineConfig::default()).unwrap();
-    let failure = baseline_ibd(&mut node, &blocks[1..], 5).expect_err("tampered block rejected");
+    let failure = replay_ibd(&mut node, &blocks[1..], 5).expect_err("tampered block rejected");
     assert_eq!(failure.failed_at, 13);
     assert_eq!(failure.completed.len(), 3);
     assert_eq!(failure.completed[2].end_height, 12);

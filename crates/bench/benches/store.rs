@@ -50,7 +50,7 @@ fn bench_bitvec(c: &mut Criterion) {
     c.bench_function("bitvec/uv_probe", |b| {
         b.iter(|| {
             h = (h + 1) % 1000;
-            black_box(set.check_unspent(h, 13).expect("unspent"))
+            black_box(set.check_unspent(h, 13)).expect("unspent")
         })
     });
 

@@ -159,14 +159,6 @@ impl Transaction {
     pub fn is_coinbase(&self) -> bool {
         self.inputs.len() == 1 && self.inputs[0].prevout.is_null()
     }
-
-    /// Total output value. Saturates on (invalid) overflowing totals so the
-    /// caller's `sum(in) >= sum(out)` check fails safely.
-    pub fn total_output_value(&self) -> u64 {
-        self.outputs
-            .iter()
-            .fold(0u64, |acc, o| acc.saturating_add(o.value))
-    }
 }
 
 /// The signing digest shared by the baseline and EBV transaction formats.
@@ -353,14 +345,6 @@ mod tests {
                 "input {input_index}"
             );
         }
-    }
-
-    #[test]
-    fn total_output_value_saturates() {
-        let mut tx = sample_tx();
-        tx.outputs[0].value = u64::MAX;
-        tx.outputs[1].value = 5;
-        assert_eq!(tx.total_output_value(), u64::MAX);
     }
 
     #[test]

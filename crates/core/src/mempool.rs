@@ -6,12 +6,14 @@
 //! unconfirmed transactions, through the block pipeline's own EV check and
 //! per-transaction value + midstate phase; tracks which coordinates
 //! pending transactions consume (so conflicting spends are rejected at
-//! admission); and hands miners a ready-to-package batch.
+//! admission); and hands miners a ready-to-package batch. Each admitted
+//! input's scripts go into the node's script-execution cache, so the block
+//! that confirms the transaction does not run them again.
 
 use crate::ebv_node::{existence, EbvError, EbvNode};
-use crate::sighash::DigestChecker;
+use crate::sighash::{DigestChecker, SvJob};
 use crate::tidy::{EbvBlock, EbvTransaction, TxIntegrityError};
-use crate::validate::{tx_digest, Spend, TxFields};
+use crate::validate::{script_key, tx_digest, Spend, TxFields};
 use ebv_primitives::hash::Hash256;
 use ebv_script::{verify_spend, ScriptError};
 use std::collections::HashMap;
@@ -133,18 +135,23 @@ impl Mempool {
         let (midstate, _fee) = tx_digest(&fields, &spends).ok_or(MempoolError::ValueImbalance)?;
 
         // SV, every input's digest finished from the one midstate.
-        for s in &spends {
-            let digest = midstate.input_digest(s.input as u32);
-            verify_spend(
-                s.unlocking,
-                s.locking,
-                &DigestChecker::with_lock_time(digest, fields.lock_time),
-            )
-            .map_err(|err| MempoolError::SvFailed {
-                input: s.input,
-                err,
-            })?;
+        let jobs: Vec<SvJob<'_>> = spends
+            .iter()
+            .map(|s| SvJob {
+                digest: midstate.input_digest(s.input as u32),
+                lock_time: fields.lock_time,
+                unlocking: s.unlocking,
+                locking: s.locking,
+            })
+            .collect();
+        for (input, job) in jobs.iter().enumerate() {
+            let checker = DigestChecker::with_lock_time(job.digest, job.lock_time);
+            verify_spend(job.unlocking, job.locking, &checker)
+                .map_err(|err| MempoolError::SvFailed { input, err })?;
         }
+        // Every input passed: the block confirming this transaction skips
+        // their scripts.
+        node.remember_passed_scripts(jobs.iter().map(script_key));
 
         for s in &spends {
             self.spent.insert(s.coord, id);
@@ -156,14 +163,8 @@ impl Mempool {
 
     /// Pop up to `max` transactions in admission order for packaging.
     pub fn take_for_block(&mut self, max: usize) -> Vec<EbvTransaction> {
-        let ids: Vec<Hash256> = self.order.iter().take(max).copied().collect();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(tx) = self.remove(&id) {
-                out.push(tx);
-            }
-        }
-        out
+        let ids: Vec<Hash256> = self.order.drain(..max.min(self.order.len())).collect();
+        ids.iter().filter_map(|id| self.remove(id)).collect()
     }
 
     /// Drop pooled transactions that conflict with (or are included in) a
@@ -186,12 +187,16 @@ impl Mempool {
         for id in victims {
             self.remove(&id);
         }
+        self.order.retain(|id| self.txs.contains_key(id));
     }
 
+    /// Drop `id` and the coordinates it consumes; callers rebuild `order`
+    /// once per batch of removals.
     fn remove(&mut self, id: &Hash256) -> Option<EbvTransaction> {
         let tx = self.txs.remove(id)?;
-        self.spent.retain(|_, v| v != id);
-        self.order.retain(|o| o != id);
+        for coord in tx.spent_coords().into_iter().flatten() {
+            self.spent.remove(&coord);
+        }
         Some(tx)
     }
 }
@@ -227,12 +232,22 @@ mod tests {
     }
 
     fn spend(archive: &ProofArchive, signer: &PrivateKey, value: u64) -> EbvTransaction {
-        let proof = archive.make_proof(0, 0).expect("coin");
+        spend_coinbase(archive, signer, 0, value)
+    }
+
+    /// A spend of the coinbase output of block `height`.
+    fn spend_coinbase(
+        archive: &ProofArchive,
+        signer: &PrivateKey,
+        height: u32,
+        value: u64,
+    ) -> EbvTransaction {
+        let proof = archive.make_proof(height, 0).expect("coin");
         let outputs = vec![TxOut::new(
             value,
             p2pkh_lock(&signer.public_key().address_hash()),
         )];
-        let digest = spend_sighash(1, &[(0, 0)], &outputs, 0, 0);
+        let digest = spend_sighash(1, &[(height, 0)], &outputs, 0, 0);
         let us = p2pkh_unlock(
             &sign_input(signer, &digest),
             &signer.public_key().to_compressed(),
@@ -362,5 +377,33 @@ mod tests {
         pool.remove_confirmed(&b1);
         assert!(!pool.contains(&id));
         assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn removal_keeps_other_transactions_coordinates() {
+        let (mut node, mut archive, alice) = world();
+        let lock = p2pkh_lock(&alice.public_key().address_hash());
+        let b1 = pack_ebv_block(node.tip_hash(), vec![ebv_coinbase(1, lock)], 1, 0);
+        node.process_block(&b1).expect("valid");
+        archive.add_block(1, &b1);
+
+        let mut pool = Mempool::new();
+        pool.accept(&node, spend(&archive, &alice, 1000))
+            .expect("valid");
+        let kept = pool
+            .accept(&node, spend_coinbase(&archive, &alice, 1, 1000))
+            .expect("valid");
+        assert_eq!(pool.take_for_block(1).len(), 1);
+        assert!(pool.contains(&kept));
+        // The taken transaction's coin is free again; the kept one's is not.
+        assert_eq!(
+            pool.accept(&node, spend_coinbase(&archive, &alice, 1, 2000)),
+            Err(MempoolError::ConflictsWithPool {
+                input: 0,
+                other: kept
+            })
+        );
+        pool.accept(&node, spend(&archive, &alice, 2000))
+            .expect("the taken transaction's coin is free");
     }
 }

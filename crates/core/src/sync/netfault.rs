@@ -182,7 +182,7 @@ fn adversarial_conn<S: BlockSource>(
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        let (id, start_height, count) = match fs.recv(Instant::now() + cfg.idle_step) {
+        let (id, start_height, count) = match fs.recv_request(Instant::now() + cfg.idle_step) {
             Ok(Recv::Idle) => continue,
             Ok(Recv::Msg(WireMessage::GetBlocks {
                 id,

@@ -45,10 +45,11 @@ pub struct WireConfig {
     pub max_frame: u32,
     /// Deadline for the whole dial + `Hello` exchange.
     pub handshake_timeout: Duration,
-    /// Per-write socket budget.
+    /// Per-write socket budget, and the serving side's budget for the rest
+    /// of a request frame once its first byte has arrived.
     pub io_timeout: Duration,
     /// How often the serving side wakes from an idle read to check for
-    /// shutdown (and the deadline granularity of its request reads).
+    /// shutdown.
     pub idle_step: Duration,
     /// Consecutive failed dials before the peer reports itself closed.
     pub max_dial_attempts: u32,
@@ -137,6 +138,24 @@ impl FramedStream {
     /// * EOF/reset while bytes are owed → [`WireError::TruncatedFrame`];
     /// * every header/checksum/payload violation → its [`WireError`].
     pub(crate) fn recv(&mut self, deadline: Instant) -> Result<Recv, WireError> {
+        self.recv_frame(deadline, None)
+    }
+
+    /// The serving side's receive: wait until `idle_deadline` for a
+    /// request's first byte, then give the rest of its frame `io_timeout`
+    /// from that byte. A request that starts late in an idle window is no
+    /// slow read; one that trickles past `io_timeout` still is.
+    pub(crate) fn recv_request(&mut self, idle_deadline: Instant) -> Result<Recv, WireError> {
+        self.recv_frame(idle_deadline, Some(self.cfg.io_timeout))
+    }
+
+    /// Receive one frame; with a `frame_budget`, the deadline moves to
+    /// that long after the frame's first byte.
+    fn recv_frame(
+        &mut self,
+        mut deadline: Instant,
+        frame_budget: Option<Duration>,
+    ) -> Result<Recv, WireError> {
         let mut hdr = [0u8; FRAME_HEADER_LEN];
         let mut filled = 0usize;
         let mut clock: Option<Stopwatch> = None;
@@ -145,6 +164,9 @@ impl FramedStream {
                 ReadStep::Bytes(n) => {
                     if clock.is_none() {
                         clock = Some(Stopwatch::start());
+                        if let Some(budget) = frame_budget {
+                            deadline = Instant::now() + budget;
+                        }
                     }
                     filled += n;
                 }
@@ -545,7 +567,7 @@ fn serve_conn<S: BlockSource>(
             fs.bye();
             return;
         }
-        match fs.recv(Instant::now() + cfg.idle_step) {
+        match fs.recv_request(Instant::now() + cfg.idle_step) {
             Ok(Recv::Idle) => continue,
             Ok(Recv::Msg(WireMessage::GetBlocks {
                 id,

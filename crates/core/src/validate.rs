@@ -14,6 +14,10 @@
 //! The shared phases record into the handles of the state's [`Probes`],
 //! resolved in the state's own non-generic code: a `span!` call site here
 //! would cache one handle in a `static` shared by every node type.
+//!
+//! SV runs once per script: the mempool records each input it admitted in
+//! the node's script-execution cache ([`script_key`]), and the block that
+//! confirms the transaction skips SV for exactly those inputs.
 
 use crate::metrics::Breakdown;
 use crate::par::{try_par_map, worker_count};
@@ -21,10 +25,12 @@ use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BAT
 use ebv_chain::transaction::{SpendSighashMidstate, TxOut};
 use ebv_chain::{BlockHeader, BLOCK_SUBSIDY};
 use ebv_primitives::encode::Decodable;
-use ebv_primitives::hash::Hash256;
+use ebv_primitives::hash::{Hash256, Sha256};
 use ebv_script::{verify_spend, Script, ScriptError};
 use ebv_telemetry::context::SpanGuard;
-use ebv_telemetry::{Counter, Histogram, Span};
+use ebv_telemetry::{counter, Counter, Histogram, Span};
+use std::collections::HashSet;
+use std::sync::Mutex;
 
 /// A block rejection raised by a shared phase. Both node types' error
 /// types carry each of these as a variant of the same name.
@@ -173,6 +179,9 @@ pub struct Node<S: InputState> {
     /// Node-lifetime pubkey cache; `None` means SV builds a fresh
     /// per-block cache.
     pubkey_cache: Option<PubkeyCache>,
+    /// Inputs whose scripts passed SV at admission. Behind a lock because
+    /// the mempool fills it through a shared `&Node`.
+    script_cache: Mutex<ScriptCache>,
     /// Cumulative validation-time breakdown across all processed blocks.
     cumulative: Breakdown,
     probes: Probes,
@@ -194,6 +203,7 @@ impl<S: InputState> Node<S> {
             undo_stack: Vec::new(),
             base_height,
             pubkey_cache: persistent_pubkey_cache.then(PubkeyCache::new),
+            script_cache: Mutex::default(),
             cumulative: Breakdown::default(),
             probes: S::probes(),
         }
@@ -230,6 +240,15 @@ impl<S: InputState> Node<S> {
     /// Total validation time spent, by phase, since boot.
     pub fn cumulative_breakdown(&self) -> Breakdown {
         self.cumulative
+    }
+
+    /// Record that the inputs behind `keys` ([`script_key`]) passed SV, so
+    /// the block that spends them skips their scripts.
+    pub(crate) fn remember_passed_scripts(&self, keys: impl IntoIterator<Item = Hash256>) {
+        let mut cache = self.script_cache.lock().expect("script cache lock");
+        for key in keys {
+            cache.insert(key);
+        }
     }
 
     /// Validate `block` and, if valid, append it (storing the header and
@@ -288,6 +307,12 @@ impl<S: InputState> Node<S> {
 
         // ---- SV -----------------------------------------------------------
         let sv = Span::new(probes.sv, Some(&mut breakdown.sv));
+        // Inputs whose exact digest and scripts passed SV at admission
+        // skip it; the rest run in order, so the first failure is still
+        // the minimum `(tx, input)`. Their entries go once the block
+        // connects.
+        let script_cache = self.script_cache.get_mut().expect("script cache lock");
+        let (pending, passed) = unverified(script_cache, &spends, &digests, &txs);
         // One pubkey cache per block (or per node): inputs signed by the
         // same key share a single parse + odd-multiples table across all
         // SV workers.
@@ -303,7 +328,7 @@ impl<S: InputState> Node<S> {
             // report the chunk's first failure. Chunks partition the
             // ordered spends, so the lowest failing chunk holds the
             // minimum `(tx, input)` — the strict path's error.
-            let chunks: Vec<&[Spend<'_>]> = spends.chunks(SV_BATCH_MAX).collect();
+            let chunks: Vec<&[&Spend<'_>]> = pending.chunks(SV_BATCH_MAX).collect();
             try_par_map(&chunks, workers, |chunk| {
                 let jobs: Vec<SvJob<'_>> =
                     chunk.iter().map(|s| sv_job(s, &digests, &txs)).collect();
@@ -313,7 +338,7 @@ impl<S: InputState> Node<S> {
                     .try_for_each(|(result, s)| result.map_err(|err| failed(s, err)))
             })?;
         } else {
-            try_par_map(&spends, workers, |s| {
+            try_par_map(&pending, workers, |s| {
                 let _input_span = Span::new(probes.sv_input, None);
                 let job = sv_job(s, &digests, &txs);
                 let checker = DigestChecker::with_context(job.digest, job.lock_time, cache);
@@ -326,6 +351,10 @@ impl<S: InputState> Node<S> {
         let undo = self.state.commit(block, height, resolved, &mut breakdown)?;
         self.headers.push(*S::header(block));
         self.undo_stack.push(undo);
+        let script_cache = self.script_cache.get_mut().expect("script cache lock");
+        for key in &passed {
+            script_cache.remove(key);
+        }
 
         probes.blocks_connected.inc();
         probes
@@ -407,6 +436,89 @@ fn sv_job<'b>(
     }
 }
 
+/// Upper bound on the script-execution cache's entries (2 MiB of keys): a
+/// block's inputs many times over, for admitted transactions that wait a
+/// few blocks to be mined or are never mined at all.
+const SCRIPT_CACHE_CAPACITY: usize = 1 << 16;
+
+/// The inputs that passed SV outside a block, by [`script_key`].
+///
+/// Bounded in two generations: inserts go to `young`; once it holds half
+/// the capacity it becomes `old` and the previous `old` is dropped, so the
+/// oldest entries go first, at O(1) per operation.
+#[derive(Default)]
+struct ScriptCache {
+    young: HashSet<Hash256>,
+    old: HashSet<Hash256>,
+}
+
+impl ScriptCache {
+    fn is_empty(&self) -> bool {
+        self.young.is_empty() && self.old.is_empty()
+    }
+
+    fn contains(&self, key: &Hash256) -> bool {
+        self.young.contains(key) || self.old.contains(key)
+    }
+
+    fn insert(&mut self, key: Hash256) {
+        if self.young.len() == SCRIPT_CACHE_CAPACITY / 2 {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key);
+    }
+
+    fn remove(&mut self, key: &Hash256) {
+        self.young.remove(key);
+        self.old.remove(key);
+    }
+}
+
+/// The script-execution cache key of an SV job: SHA-256 over exactly what
+/// `verify_spend` reads — the spend digest, the lock time (for
+/// `OP_CHECKLOCKTIMEVERIFY`) and the length-prefixed unlocking and locking
+/// scripts. SV's verdict is a pure function of these bytes, so a job whose
+/// key passed once passes again. The digest commits to the spent
+/// coordinates, the outputs and the input index but not to the stake
+/// position, so a miner's re-stamp keeps the key.
+pub(crate) fn script_key(job: &SvJob<'_>) -> Hash256 {
+    let mut h = Sha256::new();
+    h.update(job.digest.as_bytes())
+        .update(&job.lock_time.to_le_bytes());
+    for script in [job.unlocking, job.locking] {
+        h.update(&(script.len() as u64).to_le_bytes())
+            .update(script.as_bytes());
+    }
+    Hash256(h.finalize())
+}
+
+/// Split `spends` into those SV must run, in order, and the keys of those
+/// that `cache` says already passed. Looks nothing up in an empty cache,
+/// which is every node without a mempool.
+fn unverified<'s, 'b>(
+    cache: &ScriptCache,
+    spends: &'s [Spend<'b>],
+    digests: &[(SpendSighashMidstate, u64)],
+    txs: &[TxFields<'_>],
+) -> (Vec<&'s Spend<'b>>, Vec<Hash256>) {
+    if cache.is_empty() {
+        return (spends.iter().collect(), Vec::new());
+    }
+    let mut pending = Vec::new();
+    let mut passed = Vec::new();
+    for s in spends {
+        let key = script_key(&sv_job(s, digests, txs));
+        if cache.contains(&key) {
+            passed.push(key);
+        } else {
+            pending.push(s);
+        }
+    }
+    counter!("sv.script_cache.hits").add(passed.len() as u64);
+    counter!("sv.script_cache.misses").add(pending.len() as u64);
+    (pending, passed)
+}
+
 /// Total value of `outputs`, saturating so an (invalid) overflowing total
 /// fails the value checks safely.
 fn total_value(outputs: &[TxOut]) -> u64 {
@@ -429,4 +541,140 @@ pub(crate) fn tx_digest(
     let coords: Vec<(u32, u32)> = spends.iter().map(|s| s.coord).collect();
     let midstate = SpendSighashMidstate::new(tx.version, &coords, tx.outputs, tx.lock_time);
     Some((midstate, fee))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ebv_node::{EbvConfig, EbvNode};
+    use crate::intermediary::Intermediary;
+    use crate::mempool::Mempool;
+    use crate::pack::{ebv_coinbase, pack_ebv_block};
+    use crate::tidy::EbvBlock;
+    use ebv_workload::{ChainGenerator, GeneratorParams};
+
+    fn chain(n: u32, seed: u64) -> Vec<EbvBlock> {
+        let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
+        Intermediary::new(0)
+            .convert_chain(&blocks)
+            .expect("generated chains convert")
+    }
+
+    fn cached(node: &EbvNode) -> usize {
+        let cache = node.script_cache.lock().expect("script cache lock");
+        cache.young.len() + cache.old.len()
+    }
+
+    #[test]
+    fn script_key_covers_every_field_it_reads() {
+        let unlocking = Script::from_bytes(vec![1, 2, 3]);
+        let locking = Script::from_bytes(vec![4, 5]);
+        let job = |digest: u8, lock_time, unlocking, locking| SvJob {
+            digest: Hash256([digest; 32]),
+            lock_time,
+            unlocking,
+            locking,
+        };
+        // The last variant moves a byte across the scripts' boundary: only
+        // the length prefixes tell it apart.
+        let shifted = (
+            Script::from_bytes(vec![1, 2]),
+            Script::from_bytes(vec![3, 4, 5]),
+        );
+        let other = Script::from_bytes(vec![9]);
+        let keys = [
+            script_key(&job(7, 0, &unlocking, &locking)),
+            script_key(&job(8, 0, &unlocking, &locking)),
+            script_key(&job(7, 1, &unlocking, &locking)),
+            script_key(&job(7, 0, &other, &locking)),
+            script_key(&job(7, 0, &unlocking, &other)),
+            script_key(&job(7, 0, &shifted.0, &shifted.1)),
+        ];
+        let distinct: HashSet<Hash256> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
+        assert_eq!(keys[0], script_key(&job(7, 0, &unlocking, &locking)));
+    }
+
+    #[test]
+    fn script_cache_stays_within_capacity() {
+        let key = |i: u64| Hash256(Sha256::digest(&i.to_le_bytes()));
+        let mut cache = ScriptCache::default();
+        let inserts = 2 * SCRIPT_CACHE_CAPACITY as u64 + 7;
+        for i in 0..inserts {
+            cache.insert(key(i));
+            assert!(cache.young.len() + cache.old.len() <= SCRIPT_CACHE_CAPACITY);
+        }
+        // The newest half always survives; the oldest entries went first.
+        let newest = inserts - SCRIPT_CACHE_CAPACITY as u64 / 2;
+        assert!((newest..inserts).all(|i| cache.contains(&key(i))));
+        assert!(!cache.contains(&key(0)));
+        cache.remove(&key(inserts - 1));
+        assert!(!cache.contains(&key(inserts - 1)));
+    }
+
+    #[test]
+    fn connecting_admitted_transactions_empties_the_cache() {
+        let chain = chain(40, 0x5c);
+        let mut node = EbvNode::new(&chain[0], EbvConfig::default());
+        let mut pool = Mempool::new();
+        let mut admitted_inputs = 0;
+        for block in &chain[1..] {
+            for tx in &block.transactions[1..] {
+                pool.accept(&node, tx.clone()).expect("generated tx admits");
+            }
+            let inputs: usize = block.transactions[1..]
+                .iter()
+                .map(|tx| tx.bodies.len())
+                .sum();
+            assert_eq!(cached(&node), inputs);
+            admitted_inputs += inputs;
+            node.process_block(block).expect("generated block connects");
+            assert_eq!(cached(&node), 0, "every admitted input hit");
+            pool.remove_confirmed(block);
+            assert!(pool.is_empty());
+        }
+        assert!(admitted_inputs > 40, "too few inputs: {admitted_inputs}");
+    }
+
+    #[test]
+    fn restamped_transaction_still_hits() {
+        let chain = chain(20, 0x57a4e);
+        // The first block with two spending transactions, so both need a
+        // re-stamp.
+        let h = (1..chain.len())
+            .find(|&h| chain[h].transactions.len() > 2)
+            .expect("a block with two spending transactions");
+        let mut node = EbvNode::new(&chain[0], EbvConfig::default());
+        for block in &chain[1..h] {
+            node.process_block(block).expect("generated block connects");
+        }
+        // Admit its transactions as a wallet proposes them: stake 0.
+        let mut pool = Mempool::new();
+        for tx in &chain[h].transactions[1..] {
+            let mut tx = tx.clone();
+            tx.tidy.stake_position = 0;
+            pool.accept(&node, tx).expect("generated tx admits");
+        }
+        let inputs = cached(&node);
+        assert!(inputs > 0);
+
+        // A miner packages them, re-stamping every stake position.
+        let mut txs = vec![ebv_coinbase(h as u32, Script::new())];
+        txs.extend(pool.take_for_block(usize::MAX));
+        let block = pack_ebv_block(node.tip_hash(), txs, h as u32, 0);
+        assert!(block.transactions[1..]
+            .iter()
+            .all(|tx| tx.tidy.stake_position != 0));
+        node.process_block(&block).expect("packaged block connects");
+        assert_eq!(cached(&node), 0, "all {inputs} inputs hit");
+    }
+
+    #[test]
+    fn total_value_saturates() {
+        let outputs = [
+            TxOut::new(u64::MAX, Script::new()),
+            TxOut::new(5, Script::new()),
+        ];
+        assert_eq!(total_value(&outputs), u64::MAX);
+    }
 }

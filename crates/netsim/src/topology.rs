@@ -284,9 +284,9 @@ mod tests {
 
     #[test]
     fn matrix_is_symmetric() {
-        for i in 0..N_REGIONS {
-            for j in 0..N_REGIONS {
-                assert_eq!(REGION_RTT_MS[i][j], REGION_RTT_MS[j][i]);
+        for (i, row) in REGION_RTT_MS.iter().enumerate() {
+            for (j, &rtt) in row.iter().enumerate() {
+                assert_eq!(rtt, REGION_RTT_MS[j][i]);
             }
         }
     }

@@ -17,8 +17,8 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The whole workspace: the smoke steps below run bench binaries (fig16,
 # fig17, syncbench, netsimbench) that live outside the root package.

@@ -5,10 +5,13 @@
 //! Both node types run one pipeline, so across all four SV modes
 //! (sequential/parallel × strict/batch) they must also reject a tampered
 //! signature or an inflated output with the same coordinates and error.
+//! A node whose mempool already ran the honest transactions' scripts skips
+//! them in the block and must still report every error a cold node does.
 
 use ebv_core::tidy::{EbvBlock, InputBody};
 use ebv_core::{
     BaselineConfig, BaselineError, BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary,
+    Mempool,
 };
 use ebv_script::{Script, ScriptError};
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
@@ -314,4 +317,108 @@ fn both_node_types_agree_in_every_sv_mode() {
         assert_eq!(b.tip_hash(), baseline[0].tip_hash());
         assert_eq!(e.total_unspent(), b.utxos().size().count);
     }
+}
+
+/// The four SV modes as `EbvConfig`s: `(parallel, batch)`, parallel modes
+/// on 3 workers so even small blocks split their inputs across threads.
+fn sv_modes() -> [EbvConfig; 4] {
+    [(false, false), (false, true), (true, false), (true, true)].map(|(parallel, batch)| {
+        EbvConfig {
+            parallel_ev: parallel,
+            parallel_sv: parallel,
+            workers: parallel.then_some(3),
+            batch_verify: batch,
+            ..EbvConfig::default()
+        }
+    })
+}
+
+#[test]
+fn script_cache_changes_no_verdict() {
+    let (_, chain) = build_chains(GeneratorParams::tiny(90, 0xcac4e));
+    // Per SV mode: a cold node, and a warm one whose mempool admits each
+    // honest block's transactions before any version of the block arrives.
+    let mut nodes: Vec<(EbvNode, EbvNode, Mempool)> = sv_modes()
+        .into_iter()
+        .map(|config| {
+            let cold = EbvNode::new(&chain[0], config);
+            let warm = EbvNode::new(&chain[0], config);
+            (cold, warm, Mempool::new())
+        })
+        .collect();
+    let modes = nodes.len() as u64;
+
+    // Only this test fills a script cache, so within this binary it alone
+    // moves the cache's counters.
+    let hits = ebv_telemetry::counter("sv.script_cache.hits");
+    let misses = ebv_telemetry::counter("sv.script_cache.misses");
+    ebv_telemetry::set_enabled(true);
+    let before = (hits.get(), misses.get());
+    let (mut expected_hits, mut expected_misses) = (0, 0);
+    let mut rejected = [0; 2];
+    for (h, block) in chain.iter().enumerate().skip(1) {
+        for (_, warm, pool) in &mut nodes {
+            for tx in &block.transactions[1..] {
+                pool.accept(warm, tx.clone())
+                    .expect("honest transaction admits");
+            }
+        }
+        let inputs: u64 = block.transactions[1..]
+            .iter()
+            .map(|tx| tx.bodies.len() as u64)
+            .sum();
+        // As in `both_node_types_agree_in_every_sv_mode`: one or two
+        // tampered signatures (which miss the cache) every third block, an
+        // inflated output (rejected before SV) on the block after.
+        let last = block.transactions.len() - 1;
+        let tampered = match h % 3 {
+            _ if last == 0 => None,
+            0 => {
+                rejected[0] += 1;
+                let input = block.transactions[1].bodies.len() - 1;
+                let bad = tamper_signature(block, 1, input);
+                if h % 6 == 0 && last > 1 {
+                    Some((tamper_signature(&bad, last, 0), 2))
+                } else {
+                    Some((bad, 1))
+                }
+            }
+            1 => {
+                rejected[1] += 1;
+                Some((inflate_output(block, last), 0))
+            }
+            _ => None,
+        };
+        if let Some((bad, tampered_inputs)) = tampered {
+            for (cold, warm, _) in &mut nodes {
+                let e_cold = cold.process_block(&bad).expect_err("tampered block");
+                let e_warm = warm.process_block(&bad).expect_err("tampered block");
+                assert_eq!(e_warm, e_cold, "height {h}");
+            }
+            if tampered_inputs > 0 {
+                expected_misses += modes * tampered_inputs;
+                expected_hits += modes * (inputs - tampered_inputs);
+            }
+        }
+        for (cold, warm, pool) in &mut nodes {
+            cold.process_block(block)
+                .expect("generated block validates");
+            warm.process_block(block)
+                .expect("generated block validates");
+            pool.remove_confirmed(block);
+            assert!(pool.is_empty(), "height {h}");
+            assert_eq!(warm.state_digest(), cold.state_digest(), "height {h}");
+        }
+        expected_hits += modes * inputs;
+    }
+    ebv_telemetry::set_enabled(false);
+    assert!(
+        rejected.iter().all(|&n| n >= 3),
+        "too few tampered blocks: {rejected:?}"
+    );
+    // Every honest input skipped SV; every tampered one ran it.
+    assert_eq!(
+        (hits.get() - before.0, misses.get() - before.1),
+        (expected_hits, expected_misses)
+    );
 }

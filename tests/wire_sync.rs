@@ -13,6 +13,8 @@
 //! within a bounded time and score budget, and the converged state is
 //! identical to the in-process run's.
 
+use ebv::core::sync::wire::{decode_frame, encode_frame};
+use ebv::core::sync::{WireError, WireMessage, DEFAULT_MAX_FRAME};
 use ebv::core::{
     serve_adversary, serve_blocks, sync_multi, BaselineNode, BlockSource, EbvBlock, EbvConfig,
     EbvNode, Fault, FaultSchedule, FaultyPeer, Intermediary, PeerHandle, SyncConfig, TcpPeer,
@@ -22,6 +24,8 @@ use ebv::primitives::hash::Hash256;
 use ebv::store::{KvStore, StoreConfig, UtxoSet};
 use ebv::workload::{ChainGenerator, GeneratorParams};
 use ebv_chain::Block;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// A baseline chain and its EBV conversion.
@@ -467,4 +471,62 @@ fn tcp_scales_to_dozens_of_mixed_adversaries() {
     for stats in &result.report.peers[n_advs..] {
         assert!(!stats.banned, "honest peer {} banned", stats.id);
     }
+}
+
+/// Read one frame off a raw socket; `None` once the peer closes it.
+fn read_frame(stream: &mut TcpStream) -> Option<WireMessage> {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match decode_frame(&buf, DEFAULT_MAX_FRAME) {
+            Ok((msg, _)) => return Some(msg),
+            Err(WireError::TruncatedFrame) => {}
+            Err(e) => panic!("malformed frame from the server: {e:?}"),
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+#[test]
+fn server_answers_a_request_that_starts_late_in_an_idle_window() {
+    // The server waits for requests in `idle_step` windows. A request whose
+    // first byte lands at the end of one must get `io_timeout` for the rest
+    // of its frame, not the end of that window: a pause of three windows,
+    // far inside `io_timeout`, is no slow read.
+    let (_, chain) = chain_pair(8, 0x1a7e);
+    let network = chain[0].header.hash();
+    let wire = WireConfig::default();
+    let pause = 3 * wire.idle_step;
+    assert!(pause * 3 < wire.io_timeout);
+    let server = serve_blocks(chain, network, wire).expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let hello = WireMessage::Hello {
+        network,
+        start_height: 0,
+    };
+    stream.write_all(&encode_frame(&hello)).expect("send hello");
+    assert!(matches!(
+        read_frame(&mut stream),
+        Some(WireMessage::Hello { .. })
+    ));
+
+    let request = encode_frame(&WireMessage::GetBlocks {
+        id: 7,
+        start_height: 1,
+        count: 2,
+    });
+    stream.write_all(&request[..1]).expect("send first byte");
+    std::thread::sleep(pause);
+    stream.write_all(&request[1..]).expect("send the rest");
+    match read_frame(&mut stream) {
+        Some(WireMessage::Blocks { id: 7, blocks }) => assert_eq!(blocks.len(), 2),
+        other => panic!("expected Blocks for request 7, got {other:?}"),
+    }
+    server.shutdown();
 }

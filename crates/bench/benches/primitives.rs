@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ebv_chain::merkle::{merkle_root, MerkleBranch};
 use ebv_core::sighash::SV_BATCH_MAX;
-use ebv_core::sighash::{sign_input, DigestChecker};
+use ebv_core::sighash::{sign_input, DigestChecker, PubkeyCache};
 use ebv_primitives::ec::{ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey};
 use ebv_primitives::hash::{sha256, sha256d, Hash256};
 use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};
@@ -133,6 +133,14 @@ fn bench_script(c: &mut Criterion) {
     let checker = DigestChecker::new(digest);
     c.bench_function("script/p2pkh_verify_spend", |b| {
         b.iter(|| verify_spend(black_box(&unlock), black_box(&lock), &checker).expect("valid"))
+    });
+    // The same spend with its key already in a node's pubkey cache: what
+    // every input signed by a key the node has seen before costs.
+    let cache = PubkeyCache::new();
+    let cached = DigestChecker::with_context(digest, 0, &cache);
+    verify_spend(&unlock, &lock, &cached).expect("valid");
+    c.bench_function("script/p2pkh_verify_spend_cached", |b| {
+        b.iter(|| verify_spend(black_box(&unlock), black_box(&lock), &cached).expect("valid"))
     });
 
     // Pure stack work, no crypto: 50 arithmetic ops.

@@ -152,11 +152,6 @@ fn main() {
             workers,
             parallel_ev: args.parallel_ev,
             parallel_sv: args.parallel_sv,
-            // Node-lifetime pubkey cache on both arms: the 128-key pool
-            // re-signs every block, so per-block caches spend most of SV
-            // rebuilding odd-multiple tables, drowning the settlement
-            // difference this figure isolates.
-            persistent_pubkey_cache: true,
             ..EbvConfig::default()
         };
         let mut node = EbvNode::from_snapshot(&snapshot, snap_headers.clone(), config)

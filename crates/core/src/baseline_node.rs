@@ -116,7 +116,7 @@ impl BaselineNode {
         config: BaselineConfig,
     ) -> Result<BaselineNode, BaselineError> {
         insert_outputs(&mut utxos, genesis, 0)?;
-        Ok(Node::boot(vec![genesis.header], utxos, config, 0, false))
+        Ok(Node::boot(vec![genesis.header], utxos, config, 0))
     }
 
     /// The UTXO set (size and DBO statistics).

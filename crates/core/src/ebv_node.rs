@@ -98,13 +98,6 @@ pub struct EbvConfig {
     pub workers: Option<usize>,
     /// Check the header PoW (disabled in some microbenches).
     pub check_pow: bool,
-    /// Keep one [`PubkeyCache`] for the node's lifetime instead of one per
-    /// block. A prepared key (point decompression + wNAF odd-multiples
-    /// table) depends only on the key bytes, so this is always sound; the
-    /// per-block default merely bounds memory for open-ended network
-    /// operation. Interval replay during snapshot-parallel IBD turns it on:
-    /// there the block range is finite and wallets reuse keys heavily.
-    pub persistent_pubkey_cache: bool,
     /// Settle SV's ECDSA checks through block-wide batch verification
     /// ([`crate::sighash::sv_chunk_batched`]): inputs are chunked, each
     /// chunk's signatures are certified by one random-linear-combination
@@ -122,7 +115,6 @@ impl Default for EbvConfig {
             parallel_sv: true,
             workers: None,
             check_pow: true,
-            persistent_pubkey_cache: false,
             batch_verify: false,
         }
     }
@@ -245,13 +237,7 @@ impl EbvNode {
     pub fn new(genesis: &EbvBlock, config: EbvConfig) -> EbvNode {
         let mut bitvecs = BitVectorSet::new();
         bitvecs.insert_block(0, genesis.output_count());
-        Node::boot(
-            vec![genesis.header],
-            bitvecs,
-            config,
-            0,
-            config.persistent_pubkey_cache,
-        )
+        Node::boot(vec![genesis.header], bitvecs, config, 0)
     }
 
     /// Boot from a state checkpoint instead of replaying from genesis.
@@ -308,7 +294,6 @@ impl EbvNode {
             snapshot.restore(),
             config,
             snapshot.height(),
-            config.persistent_pubkey_cache,
         ))
     }
 

@@ -279,11 +279,6 @@ impl std::error::Error for ParallelIbdError {}
 /// offending interval in `stitch_mismatch`, and still finishes with a
 /// correct node. Validation failures inside a verified interval are
 /// genuine and abort the run.
-///
-/// Workers run with `persistent_pubkey_cache` on: interval replay is
-/// finite, and reusing prepared keys across the interval's blocks is where
-/// the single-core speedup comes from (thread fan-out adds the rest on
-/// multicore hosts).
 pub fn parallel_ibd(
     genesis: &EbvBlock,
     blocks: &[EbvBlock],
@@ -327,11 +322,6 @@ pub fn parallel_ibd(
     headers.push(genesis.header);
     headers.extend(blocks.iter().map(|b| b.header));
 
-    let worker_config = EbvConfig {
-        persistent_pubkey_cache: true,
-        ..config
-    };
-
     type IntervalOutcome = Result<(EbvNode, IntervalStat), ParallelIbdError>;
     let run_interval = |i: usize| -> IntervalOutcome {
         let _interval_span = match parent_ctx {
@@ -342,10 +332,10 @@ pub fn parallel_ibd(
         };
         let wall = Stopwatch::start();
         let mut node = if i == 0 {
-            EbvNode::new(genesis, worker_config)
+            EbvNode::new(genesis, config)
         } else {
             let cp = &checkpoints[i - 1];
-            EbvNode::from_snapshot(cp, headers[..=cp.height() as usize].to_vec(), worker_config)
+            EbvNode::from_snapshot(cp, headers[..=cp.height() as usize].to_vec(), config)
                 .map_err(|error| ParallelIbdError::Snapshot { interval: i, error })?
         };
         for block in &blocks[bounds[i] as usize..bounds[i + 1] as usize] {

@@ -6,9 +6,10 @@
 //! unconfirmed transactions, through the block pipeline's own EV check and
 //! per-transaction value + midstate phase; tracks which coordinates
 //! pending transactions consume (so conflicting spends are rejected at
-//! admission); and hands miners a ready-to-package batch. Each admitted
-//! input's scripts go into the node's script-execution cache, so the block
-//! that confirms the transaction does not run them again.
+//! admission); and hands miners a ready-to-package batch. SV prepares
+//! signer keys through the node's pubkey cache, which block SV shares. Each
+//! admitted input's scripts go into the node's script-execution cache, so
+//! the block that confirms the transaction does not run them again.
 
 use crate::ebv_node::{existence, EbvError, EbvNode};
 use crate::sighash::{DigestChecker, SvJob};
@@ -134,7 +135,8 @@ impl Mempool {
         };
         let (midstate, _fee) = tx_digest(&fields, &spends).ok_or(MempoolError::ValueImbalance)?;
 
-        // SV, every input's digest finished from the one midstate.
+        // SV, every input's digest finished from the one midstate and every
+        // key prepared once per node.
         let jobs: Vec<SvJob<'_>> = spends
             .iter()
             .map(|s| SvJob {
@@ -145,7 +147,8 @@ impl Mempool {
             })
             .collect();
         for (input, job) in jobs.iter().enumerate() {
-            let checker = DigestChecker::with_lock_time(job.digest, job.lock_time);
+            let checker =
+                DigestChecker::with_context(job.digest, job.lock_time, node.pubkey_cache());
             verify_spend(job.unlocking, job.locking, &checker)
                 .map_err(|err| MempoolError::SvFailed { input, err })?;
         }

@@ -33,38 +33,87 @@ pub const SIG_PUSH_LEN: usize = 65;
 /// per-batch fixed costs (transcript hashing, Montgomery inversions) well.
 pub const SV_BATCH_MAX: usize = 64;
 
+/// Upper bound on [`PubkeyCache`] entries: 4096 signer keys, about 3 MiB.
+/// Each costs ~760 bytes: a 648-byte [`PreparedPublicKey`] (the key and its
+/// eight affine odd multiples), a 16-byte `Arc` header, and a 48-byte map
+/// slot at most half full once a generation's table has grown.
+const PUBKEY_CACHE_CAPACITY: usize = 1 << 12;
+
 /// Number of shards in [`PubkeyCache`]; must be a power of two.
 const PUBKEY_CACHE_SHARDS: usize = 16;
 
-/// Per-block cache of parsed-and-prepared public keys, keyed by the 33-byte
-/// SEC compressed encoding.
+/// Entries one generation of one shard holds before it ages.
+const PUBKEY_GENERATION: usize = PUBKEY_CACHE_CAPACITY / PUBKEY_CACHE_SHARDS / 2;
+
+/// A node's cache of parsed-and-prepared public keys, keyed by the 33-byte
+/// SEC compressed encoding, kept for the node's whole life.
 ///
-/// Workloads reuse signer keys heavily across a block's inputs, so without
-/// a cache every input re-parses its pubkey (a field `sqrt` for `lift_x`)
-/// and rebuilds the odd-multiples table. `None` entries memoize parse
-/// *failures* so malformed keys are also rejected at HashMap speed on
-/// repeat sightings.
+/// Workloads reuse signer keys heavily across inputs and blocks, so
+/// without a cache every input re-parses its pubkey (a field `sqrt` for
+/// `lift_x`) and rebuilds the odd-multiples table. `None` entries memoize
+/// parse *failures* so malformed keys are also rejected at HashMap speed on
+/// repeat sightings. An entry is a pure function of its key bytes and
+/// never a verdict, so what the cache holds cannot change any result.
 ///
 /// The map is sharded [`PUBKEY_CACHE_SHARDS`] ways by an FNV-1a hash of the
 /// key bytes, each shard behind its own `RwLock`, so parallel SV workers
 /// hitting distinct keys never serialize on one lock. Lock acquisition
 /// first tries the non-blocking path and counts a
 /// `cache.pubkey.shard_contention` event before falling back to the
-/// blocking one, making contention observable instead of silent. First
-/// insert wins on a write race, which is harmless because both racers
-/// computed the same value.
+/// blocking one, making contention observable instead of silent. A miss
+/// prepares the key under its shard's write lock after looking again, so
+/// workers racing on one new key prepare it once: a key costs one
+/// preparation for as long as it stays cached.
+///
+/// Each shard is bounded in two generations: inserts go to `young`; once
+/// it holds `PUBKEY_GENERATION` entries it becomes `old` and the previous
+/// `old` is dropped, so the cache never holds more than
+/// `PUBKEY_CACHE_CAPACITY` keys, each shard keeps at least its newest
+/// `PUBKEY_GENERATION`, and eviction is O(1) per insert.
 pub struct PubkeyCache {
     shards: [RwLock<PubkeyShard>; PUBKEY_CACHE_SHARDS],
 }
 
-/// One shard's map: compressed key bytes → prepared key, or `None` for a
-/// memoized parse failure.
-type PubkeyShard = HashMap<[u8; 33], Option<Arc<PreparedPublicKey>>>;
+/// Compressed key bytes → prepared key, or `None` for a memoized parse
+/// failure.
+type KeyMap = HashMap<[u8; 33], Option<Arc<PreparedPublicKey>>>;
+
+/// One shard's two generations.
+#[derive(Default)]
+struct PubkeyShard {
+    young: KeyMap,
+    old: KeyMap,
+}
+
+impl PubkeyShard {
+    fn get(&self, key: &[u8; 33]) -> Option<&Option<Arc<PreparedPublicKey>>> {
+        self.young.get(key).or_else(|| self.old.get(key))
+    }
+
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+
+    /// Cache `value` under `key`, which is absent. Returns how many entries
+    /// aged out.
+    fn insert(&mut self, key: [u8; 33], value: Option<Arc<PreparedPublicKey>>) -> usize {
+        let mut evicted = 0;
+        if self.young.len() == PUBKEY_GENERATION {
+            // The young map becomes old; the old one is cleared and reused
+            // as the new young map, keeping its allocation.
+            std::mem::swap(&mut self.young, &mut self.old);
+            evicted = self.young.len();
+            self.young.clear();
+        }
+        self.young.insert(key, value);
+        evicted
+    }
+}
 
 impl Default for PubkeyCache {
     fn default() -> PubkeyCache {
         PubkeyCache {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::default()),
         }
     }
 }
@@ -81,6 +130,22 @@ fn shard_of(key: &[u8; 33]) -> usize {
     ((h ^ (h >> 32)) as usize) & (PUBKEY_CACHE_SHARDS - 1)
 }
 
+/// Take `lock` through `try_lock` first, counting a contended acquisition
+/// before blocking.
+fn contended<G>(
+    try_lock: impl FnOnce() -> std::sync::TryLockResult<G>,
+    lock: impl FnOnce() -> std::sync::LockResult<G>,
+) -> G {
+    match try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
+            ebv_telemetry::counter!("cache.pubkey.shard_contention").inc();
+            lock().expect("cache lock")
+        }
+        Err(TryLockError::Poisoned(e)) => panic!("cache lock poisoned: {e}"),
+    }
+}
+
 impl PubkeyCache {
     pub fn new() -> PubkeyCache {
         PubkeyCache::default()
@@ -92,41 +157,33 @@ impl PubkeyCache {
     pub fn get_or_prepare(&self, pubkey: &[u8]) -> Option<Arc<PreparedPublicKey>> {
         let key: [u8; 33] = pubkey.try_into().ok()?;
         let shard = &self.shards[shard_of(&key)];
-        let guard = match shard.try_read() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                ebv_telemetry::counter!("cache.pubkey.shard_contention").inc();
-                shard.read().expect("cache lock")
-            }
-            Err(TryLockError::Poisoned(e)) => panic!("cache lock poisoned: {e}"),
-        };
-        if let Some(cached) = guard.get(&key) {
+        let hit = |cached: &Option<Arc<PreparedPublicKey>>| {
             ebv_telemetry::counter!("ebv.pubkey_cache.hits").inc();
-            return cached.clone();
+            cached.clone()
+        };
+        if let Some(cached) = contended(|| shard.try_read(), || shard.read()).get(&key) {
+            return hit(cached);
         }
-        drop(guard);
+        let mut guard = contended(|| shard.try_write(), || shard.write());
+        if let Some(cached) = guard.get(&key) {
+            return hit(cached);
+        }
         ebv_telemetry::counter!("ebv.pubkey_cache.misses").inc();
         let prepared = PublicKey::from_compressed(&key)
             .ok()
             .map(|pk| Arc::new(pk.prepare()));
-        let mut map = match shard.try_write() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                ebv_telemetry::counter!("cache.pubkey.shard_contention").inc();
-                shard.write().expect("cache lock")
-            }
-            Err(TryLockError::Poisoned(e)) => panic!("cache lock poisoned: {e}"),
-        };
-        map.entry(key).or_insert_with(|| prepared.clone());
-        map.get(&key).expect("just inserted").clone()
+        let evicted = guard.insert(key, prepared.clone());
+        drop(guard);
+        ebv_telemetry::counter!("ebv.pubkey_cache.evictions").add(evicted as u64);
+        if ebv_telemetry::enabled() {
+            ebv_telemetry::gauge!("ebv.pubkey_cache.entries").set(self.len() as u64);
+        }
+        prepared
     }
 
-    /// Number of distinct pubkey encodings seen (tests/diagnostics).
+    /// Number of pubkey encodings held (tests/diagnostics).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache lock").len())
-            .sum()
+        self.shard_sizes().iter().sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -144,7 +201,8 @@ impl PubkeyCache {
 
 /// A [`SignatureChecker`] bound to one spend digest (and, for
 /// `OP_CHECKLOCKTIMEVERIFY`, the spending transaction's lock time),
-/// optionally sharing a per-block [`PubkeyCache`].
+/// preparing keys through a node's [`PubkeyCache`] — or, built with
+/// [`DigestChecker::new`], through none: the uncached reference.
 pub struct DigestChecker<'a> {
     digest: [u8; 32],
     lock_time: u32,
@@ -161,16 +219,7 @@ impl<'a> DigestChecker<'a> {
         }
     }
 
-    /// Checker carrying the spending transaction's lock time.
-    pub fn with_lock_time(digest: Hash256, lock_time: u32) -> DigestChecker<'a> {
-        DigestChecker {
-            digest: *digest.as_bytes(),
-            lock_time,
-            cache: None,
-        }
-    }
-
-    /// Checker carrying lock time and a shared per-block pubkey cache.
+    /// Checker carrying lock time and a node's shared pubkey cache.
     pub fn with_context(
         digest: Hash256,
         lock_time: u32,
@@ -455,6 +504,36 @@ mod tests {
         // FNV-1a should touch well more than a couple of shards with 64
         // distinct keys (probability of ≤ 4 occupied is negligible).
         assert!(sizes.iter().filter(|&&s| s > 0).count() > 4);
+    }
+
+    #[test]
+    fn pubkey_cache_stays_within_capacity() {
+        // Valid keys, each followed every third time by a malformed
+        // encoding whose parse failure is memoized like a key.
+        let keys: Vec<[u8; 33]> = (0..2 * PUBKEY_CACHE_CAPACITY as u64 + 7)
+            .flat_map(|i| {
+                let valid = PrivateKey::from_seed(i).public_key().to_compressed();
+                let mut malformed = [0u8; 33];
+                malformed[1..9].copy_from_slice(&i.to_le_bytes());
+                std::iter::once(valid).chain((i % 3 == 0).then_some(malformed))
+            })
+            .collect();
+        let cache = PubkeyCache::new();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(cache.get_or_prepare(key).is_some(), key[0] != 0);
+            assert!(cache.len() <= PUBKEY_CACHE_CAPACITY, "after {i} keys");
+        }
+        // Each shard keeps at least its newest generation; the oldest
+        // entries went first.
+        let held = |key: &[u8; 33]| {
+            let shard = cache.shards[shard_of(key)].read().expect("cache lock");
+            shard.get(key).is_some()
+        };
+        for s in 0..PUBKEY_CACHE_SHARDS {
+            let newest = keys.iter().rev().filter(|k| shard_of(k) == s);
+            assert!(newest.take(PUBKEY_GENERATION).all(held), "shard {s}");
+        }
+        assert!(!held(&keys[0]));
     }
 
     #[test]

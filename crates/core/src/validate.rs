@@ -17,7 +17,10 @@
 //!
 //! SV runs once per script: the mempool records each input it admitted in
 //! the node's script-execution cache ([`script_key`]), and the block that
-//! confirms the transaction skips SV for exactly those inputs.
+//! confirms the transaction skips SV for exactly those inputs. Every SV
+//! that does run — a block's, strict or batched, on either node type, and
+//! the mempool's — prepares signer keys through the node's one bounded
+//! [`PubkeyCache`].
 
 use crate::metrics::Breakdown;
 use crate::par::{try_par_map, worker_count};
@@ -176,9 +179,9 @@ pub struct Node<S: InputState> {
     /// height for a snapshot boot. Blocks at or below it carry no undo
     /// records and cannot be disconnected.
     base_height: u32,
-    /// Node-lifetime pubkey cache; `None` means SV builds a fresh
-    /// per-block cache.
-    pubkey_cache: Option<PubkeyCache>,
+    /// Prepared signer keys for every SV this node runs, kept for its
+    /// whole life within `PUBKEY_CACHE_CAPACITY`.
+    pubkey_cache: PubkeyCache,
     /// Inputs whose scripts passed SV at admission. Behind a lock because
     /// the mempool fills it through a shared `&Node`.
     script_cache: Mutex<ScriptCache>,
@@ -194,7 +197,6 @@ impl<S: InputState> Node<S> {
         state: S,
         config: S::Config,
         base_height: u32,
-        persistent_pubkey_cache: bool,
     ) -> Node<S> {
         Node {
             headers,
@@ -202,7 +204,7 @@ impl<S: InputState> Node<S> {
             config,
             undo_stack: Vec::new(),
             base_height,
-            pubkey_cache: persistent_pubkey_cache.then(PubkeyCache::new),
+            pubkey_cache: PubkeyCache::new(),
             script_cache: Mutex::default(),
             cumulative: Breakdown::default(),
             probes: S::probes(),
@@ -240,6 +242,11 @@ impl<S: InputState> Node<S> {
     /// Total validation time spent, by phase, since boot.
     pub fn cumulative_breakdown(&self) -> Breakdown {
         self.cumulative
+    }
+
+    /// The pubkey cache every SV entry point of this node reads.
+    pub(crate) fn pubkey_cache(&self) -> &PubkeyCache {
+        &self.pubkey_cache
     }
 
     /// Record that the inputs behind `keys` ([`script_key`]) passed SV, so
@@ -313,11 +320,9 @@ impl<S: InputState> Node<S> {
         // connects.
         let script_cache = self.script_cache.get_mut().expect("script cache lock");
         let (pending, passed) = unverified(script_cache, &spends, &digests, &txs);
-        // One pubkey cache per block (or per node): inputs signed by the
-        // same key share a single parse + odd-multiples table across all
-        // SV workers.
-        let block_cache = PubkeyCache::new();
-        let cache = self.pubkey_cache.as_ref().unwrap_or(&block_cache);
+        // Inputs signed by a key this node has seen before, in this block
+        // or any earlier one, reuse its parse + odd-multiples table.
+        let cache = &self.pubkey_cache;
         let failed = |s: &Spend<'_>, err: ScriptError| Rejection::SvFailed {
             tx: s.tx,
             input: s.input,
@@ -328,8 +333,7 @@ impl<S: InputState> Node<S> {
             // report the chunk's first failure. Chunks partition the
             // ordered spends, so the lowest failing chunk holds the
             // minimum `(tx, input)` — the strict path's error.
-            let chunks: Vec<&[&Spend<'_>]> = pending.chunks(SV_BATCH_MAX).collect();
-            try_par_map(&chunks, workers, |chunk| {
+            try_par_map(&sv_chunks(&pending, workers), workers, |chunk| {
                 let jobs: Vec<SvJob<'_>> =
                     chunk.iter().map(|s| sv_job(s, &digests, &txs)).collect();
                 sv_chunk_batched(&jobs, cache)
@@ -434,6 +438,26 @@ fn sv_job<'b>(
         unlocking: spend.unlocking,
         locking: spend.locking,
     }
+}
+
+/// Cut `items` into batch chunks in order: as few as `SV_BATCH_MAX`
+/// allows, rounded up to a multiple of `workers` so that `try_par_map`
+/// hands every worker the same number of chunks, with chunk sizes differing
+/// by at most one.
+fn sv_chunks<T>(items: &[T], workers: usize) -> Vec<&[T]> {
+    let parts = items
+        .len()
+        .div_ceil(SV_BATCH_MAX)
+        .next_multiple_of(workers)
+        .min(items.len());
+    let mut rest = items;
+    (0..parts)
+        .map(|i| {
+            let (chunk, tail) = rest.split_at(rest.len().div_ceil(parts - i));
+            rest = tail;
+            chunk
+        })
+        .collect()
 }
 
 /// Upper bound on the script-execution cache's entries (2 MiB of keys): a
@@ -667,6 +691,31 @@ mod tests {
             .all(|tx| tx.tidy.stake_position != 0));
         node.process_block(&block).expect("packaged block connects");
         assert_eq!(cached(&node), 0, "all {inputs} inputs hit");
+    }
+
+    #[test]
+    fn sv_chunks_balance_workers() {
+        let sizes = |n: usize, workers| -> Vec<usize> {
+            let items: Vec<usize> = (0..n).collect();
+            let chunks = sv_chunks(&items, workers);
+            assert_eq!(chunks.concat(), items, "{n} items, {workers} workers");
+            chunks.iter().map(|c| c.len()).collect()
+        };
+        // A 70-input block on two workers: one chunk each, not 64 + 6.
+        assert_eq!(sizes(70, 2), [35, 35]);
+        assert_eq!(sizes(70, 1), [35, 35]);
+        assert_eq!(sizes(64, 2), [32, 32]);
+        assert_eq!(sizes(130, 2), [33, 33, 32, 32]);
+        assert_eq!(sizes(1, 3), [1]);
+        assert!(sizes(0, 2).is_empty());
+        for n in 1..300 {
+            for workers in 1..=4 {
+                let s = sizes(n, workers);
+                assert!(s.iter().all(|&c| (1..=SV_BATCH_MAX).contains(&c)));
+                assert!(s.iter().max().unwrap() - s.iter().min().unwrap() <= 1);
+                assert!(s.len() % workers == 0 || s.len() == n, "{s:?}");
+            }
+        }
     }
 
     #[test]

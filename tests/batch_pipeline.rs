@@ -7,15 +7,19 @@
 //! signature or an inflated output with the same coordinates and error.
 //! A node whose mempool already ran the honest transactions' scripts skips
 //! them in the block and must still report every error a cold node does.
+//! Every node keeps one pubkey cache for life: a signature tampered under a
+//! key it already holds is refused at admission and in the block with the
+//! same error, and each node prepares each signer key once.
 
 use ebv_core::tidy::{EbvBlock, InputBody};
 use ebv_core::{
     BaselineConfig, BaselineError, BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary,
-    Mempool,
+    Mempool, MempoolError,
 };
 use ebv_script::{Script, ScriptError};
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
 use ebv_workload::{ChainGenerator, GeneratorParams};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn build_chains(params: GeneratorParams) -> (Vec<ebv_chain::Block>, Vec<EbvBlock>) {
     let blocks = ChainGenerator::new(params).generate();
@@ -70,6 +74,7 @@ fn tamper_baseline_signature(
 
 #[test]
 fn ebv_batch_and_strict_report_identical_errors() {
+    let _serial = serial();
     let (_, chain) = build_chains(GeneratorParams::tiny(400, 0xba7c));
     let mut strict = EbvNode::new(&chain[0], EbvConfig::default());
     let mut batch = EbvNode::new(
@@ -128,6 +133,7 @@ fn ebv_batch_and_strict_report_identical_errors() {
 
 #[test]
 fn baseline_batch_and_strict_agree() {
+    let _serial = serial();
     let (blocks, _) = build_chains(GeneratorParams::tiny(120, 0x5eed));
     let mut strict =
         BaselineNode::new(&blocks[0], fresh_utxos(), BaselineConfig::default()).expect("genesis");
@@ -209,6 +215,7 @@ fn baseline_verdict(e: &BaselineError) -> Verdict {
 
 #[test]
 fn both_node_types_agree_in_every_sv_mode() {
+    let _serial = serial();
     let (blocks, chain) = build_chains(GeneratorParams::tiny(90, 0xc0de));
     // `(parallel, batch)`. Parallel EBV modes use 3 workers, so even these
     // small blocks split their inputs across threads.
@@ -333,31 +340,56 @@ fn sv_modes() -> [EbvConfig; 4] {
     })
 }
 
+/// The signer key of a P2PKH unlocking script: its last push.
+fn signer_key(us: &Script) -> [u8; 33] {
+    let bytes = us.as_bytes();
+    bytes[bytes.len() - 33..]
+        .try_into()
+        .expect("P2PKH unlocking script")
+}
+
 #[test]
 fn script_cache_changes_no_verdict() {
-    let (_, chain) = build_chains(GeneratorParams::tiny(90, 0xcac4e));
-    // Per SV mode: a cold node, and a warm one whose mempool admits each
-    // honest block's transactions before any version of the block arrives.
-    let mut nodes: Vec<(EbvNode, EbvNode, Mempool)> = sv_modes()
+    let _serial = serial();
+    let (blocks, chain) = build_chains(GeneratorParams::tiny(90, 0xcac4e));
+    // Per SV mode: a cold node, a warm one whose mempool admits each honest
+    // block's transactions before any version of the block arrives, and a
+    // baseline node. All three keep their pubkey caches across blocks.
+    let mut nodes: Vec<(EbvNode, EbvNode, Mempool, BaselineNode)> = sv_modes()
         .into_iter()
         .map(|config| {
             let cold = EbvNode::new(&chain[0], config);
             let warm = EbvNode::new(&chain[0], config);
-            (cold, warm, Mempool::new())
+            let baseline_config = BaselineConfig {
+                parallel_sv: config.parallel_sv,
+                batch_verify: config.batch_verify,
+                ..BaselineConfig::default()
+            };
+            let baseline =
+                BaselineNode::new(&blocks[0], fresh_utxos(), baseline_config).expect("genesis");
+            (cold, warm, Mempool::new(), baseline)
         })
         .collect();
     let modes = nodes.len() as u64;
+    let node_count = 3 * modes;
 
     // Only this test fills a script cache, so within this binary it alone
-    // moves the cache's counters.
+    // moves the cache's counters; the pubkey cache's counters move with
+    // every test's SV, which `serial` keeps out of this window.
     let hits = ebv_telemetry::counter("sv.script_cache.hits");
     let misses = ebv_telemetry::counter("sv.script_cache.misses");
+    let key_misses = ebv_telemetry::counter("ebv.pubkey_cache.misses");
     ebv_telemetry::set_enabled(true);
-    let before = (hits.get(), misses.get());
+    let before = (hits.get(), misses.get(), key_misses.get());
     let (mut expected_hits, mut expected_misses) = (0, 0);
     let mut rejected = [0; 2];
-    for (h, block) in chain.iter().enumerate().skip(1) {
-        for (_, warm, pool) in &mut nodes {
+    // Signer keys of every block connected so far, and how many tampered
+    // signatures were under a key some earlier block had already put in
+    // every node's cache.
+    let mut keys = std::collections::HashSet::new();
+    let mut tampered_under_known_key = 0;
+    for (h, (block, baseline_block)) in chain.iter().zip(&blocks).enumerate().skip(1) {
+        for (_, warm, pool, _) in &mut nodes {
             for tx in &block.transactions[1..] {
                 pool.accept(warm, tx.clone())
                     .expect("honest transaction admits");
@@ -368,57 +400,111 @@ fn script_cache_changes_no_verdict() {
             .map(|tx| tx.bodies.len() as u64)
             .sum();
         // As in `both_node_types_agree_in_every_sv_mode`: one or two
-        // tampered signatures (which miss the cache) every third block, an
-        // inflated output (rejected before SV) on the block after.
+        // tampered signatures (which miss the script cache) every third
+        // block, an inflated output (rejected before SV) on the block
+        // after.
         let last = block.transactions.len() - 1;
         let tampered = match h % 3 {
             _ if last == 0 => None,
             0 => {
                 rejected[0] += 1;
                 let input = block.transactions[1].bodies.len() - 1;
-                let bad = tamper_signature(block, 1, input);
+                let mut bad = (
+                    tamper_signature(block, 1, input),
+                    tamper_baseline_signature(baseline_block, 1, input),
+                );
+                let mut tampered_inputs = 1;
                 if h % 6 == 0 && last > 1 {
-                    Some((tamper_signature(&bad, last, 0), 2))
-                } else {
-                    Some((bad, 1))
+                    bad = (
+                        tamper_signature(&bad.0, last, 0),
+                        tamper_baseline_signature(&bad.1, last, 0),
+                    );
+                    tampered_inputs = 2;
                 }
+                let key = signer_key(&block.transactions[1].bodies[input].us);
+                tampered_under_known_key += usize::from(keys.contains(&key));
+                Some((bad, tampered_inputs))
             }
             1 => {
                 rejected[1] += 1;
-                Some((inflate_output(block, last), 0))
+                let bad = (
+                    inflate_output(block, last),
+                    inflate_baseline_output(baseline_block, last),
+                );
+                Some((bad, 0))
             }
             _ => None,
         };
-        if let Some((bad, tampered_inputs)) = tampered {
-            for (cold, warm, _) in &mut nodes {
+        if let Some(((bad, baseline_bad), tampered_inputs)) = tampered {
+            for (cold, warm, _, baseline) in &mut nodes {
                 let e_cold = cold.process_block(&bad).expect_err("tampered block");
                 let e_warm = warm.process_block(&bad).expect_err("tampered block");
+                let e_baseline = baseline
+                    .process_block(&baseline_bad)
+                    .expect_err("tampered block");
                 assert_eq!(e_warm, e_cold, "height {h}");
+                let verdict = ebv_verdict(&e_cold);
+                assert_eq!(verdict, baseline_verdict(&e_baseline), "height {h}");
+                // Admission refuses the tampered transaction with the
+                // block's error, whichever cache already holds its key.
+                if let (1, Some((input, err))) = verdict {
+                    let expected = Err(MempoolError::SvFailed { input, err });
+                    for node in [&*cold, &*warm] {
+                        let admitted = Mempool::new().accept(node, bad.transactions[1].clone());
+                        assert_eq!(admitted.map(|_| ()), expected, "height {h}");
+                    }
+                }
             }
             if tampered_inputs > 0 {
                 expected_misses += modes * tampered_inputs;
                 expected_hits += modes * (inputs - tampered_inputs);
             }
         }
-        for (cold, warm, pool) in &mut nodes {
+        for (cold, warm, pool, baseline) in &mut nodes {
             cold.process_block(block)
                 .expect("generated block validates");
             warm.process_block(block)
+                .expect("generated block validates");
+            baseline
+                .process_block(baseline_block)
                 .expect("generated block validates");
             pool.remove_confirmed(block);
             assert!(pool.is_empty(), "height {h}");
             assert_eq!(warm.state_digest(), cold.state_digest(), "height {h}");
         }
         expected_hits += modes * inputs;
+        keys.extend(
+            block.transactions[1..]
+                .iter()
+                .flat_map(|tx| &tx.bodies)
+                .map(|body| signer_key(&body.us)),
+        );
+        // Each node prepares a key at most once.
+        let prepared = key_misses.get() - before.2;
+        assert!(prepared <= node_count * keys.len() as u64, "height {h}");
     }
     ebv_telemetry::set_enabled(false);
     assert!(
         rejected.iter().all(|&n| n >= 3),
         "too few tampered blocks: {rejected:?}"
     );
+    assert!(
+        tampered_under_known_key >= 3,
+        "too few tampers under a cached key: {tampered_under_known_key}"
+    );
     // Every honest input skipped SV; every tampered one ran it.
     assert_eq!(
         (hits.get() - before.0, misses.get() - before.1),
         (expected_hits, expected_misses)
     );
+    // And each node prepared every signer key exactly once.
+    assert_eq!(key_misses.get() - before.2, node_count * keys.len() as u64);
+}
+
+/// Serializes this file's tests: `script_cache_changes_no_verdict` counts
+/// pubkey-cache misses on process-global counters that every test's SV
+/// moves.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }

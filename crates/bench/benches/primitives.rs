@@ -2,7 +2,7 @@
 //! costs every figure is built from.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ebv_chain::merkle::{merkle_root, MerkleBranch};
+use ebv_chain::merkle::{merkle_levels, merkle_root, MerkleBranch};
 use ebv_core::sighash::SV_BATCH_MAX;
 use ebv_core::sighash::{sign_input, DigestChecker, PubkeyCache};
 use ebv_primitives::ec::{ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey};
@@ -13,9 +13,17 @@ use ebv_script::{verify_spend, Builder, RejectAllChecker};
 fn bench_hashing(c: &mut Criterion) {
     let data_1k = vec![0xabu8; 1024];
     c.bench_function("sha256/1KiB", |b| b.iter(|| sha256(black_box(&data_1k))));
+    // One message block plus one padding block: two compressions.
+    let data_64 = [0x5au8; 64];
+    c.bench_function("sha256/64B", |b| b.iter(|| sha256(black_box(&data_64))));
     c.bench_function("sha256d/80B_header", |b| {
         let header = [0x77u8; 80];
         b.iter(|| sha256d(black_box(&header)))
+    });
+    // A Merkle node: sha256d over two 32-byte children, three compressions.
+    let (left, right) = (sha256d(b"left"), sha256d(b"right"));
+    c.bench_function("sha256d/64B_merkle_parent", |b| {
+        b.iter(|| Hash256::merkle_parent(black_box(&left), black_box(&right)))
     });
 }
 
@@ -112,10 +120,15 @@ fn bench_merkle(c: &mut Criterion) {
     c.bench_function("merkle/root_1024", |b| {
         b.iter(|| merkle_root(black_box(&leaves)))
     });
-    c.bench_function("merkle/extract_branch_1024", |b| {
-        b.iter(|| MerkleBranch::extract(black_box(&leaves), 700))
+    // What the proof archive pays once per block, then per proof.
+    c.bench_function("merkle/levels_1024", |b| {
+        b.iter(|| merkle_levels(black_box(&leaves)))
     });
-    let branch = MerkleBranch::extract(&leaves, 700);
+    let levels = merkle_levels(&leaves);
+    c.bench_function("merkle/branch_from_levels_1024", |b| {
+        b.iter(|| MerkleBranch::from_levels(black_box(&levels), 700))
+    });
+    let branch = MerkleBranch::from_levels(&levels, 700);
     let root = merkle_root(&leaves);
     // The EV hot path: fold a 10-sibling branch.
     c.bench_function("merkle/fold_branch_1024", |b| {

@@ -29,7 +29,8 @@ pub struct CommonArgs {
     /// (figures that support it; fig17).
     pub parallel_ibd: Option<usize>,
     /// Write machine-readable results (per-phase ns, verifies/sec) to this
-    /// path, for figures that support it.
+    /// path, for figures that support it. Implies telemetry on: fig16 and
+    /// fig17 embed a telemetry snapshot.
     pub json: Option<String>,
     /// Compare this run against a committed benchmark JSON and exit
     /// nonzero on regression (figures that support it; syncbench gates
@@ -196,11 +197,12 @@ impl CommonArgs {
         }
     }
 
-    /// Enable telemetry collection when `--metrics-out` or
-    /// `--timeseries-out` was given. Call at the top of a figure binary's
-    /// `main`, before validation starts.
+    /// Enable telemetry collection when `--json`, `--metrics-out` or
+    /// `--timeseries-out` was given: each writes telemetry the run must have
+    /// recorded (`--json` embeds a snapshot). Call at the top of a figure
+    /// binary's `main`, before validation starts.
     pub fn enable_telemetry(&self) {
-        if self.metrics_out.is_some() || self.timeseries_out.is_some() {
+        if self.json.is_some() || self.metrics_out.is_some() || self.timeseries_out.is_some() {
             ebv_telemetry::set_enabled(true);
         }
     }

@@ -8,10 +8,31 @@
 //!
 //! Per the paper's model the miner builds the tree once per block while
 //! every validator folds 10-ish-hash branches, so tree construction stays
-//! a plain sequential loop.
+//! a plain sequential loop. A proof server keeps the levels
+//! ([`merkle_levels`]) and reads each branch out of them
+//! ([`MerkleBranch::from_levels`]) without hashing.
 
 use ebv_primitives::encode::{Decodable, DecodeError, Encodable, Reader};
 use ebv_primitives::hash::Hash256;
+
+/// Every level of the Merkle tree over `leaves`: `levels[0]` is the leaves,
+/// each next level pairs up the one below (an odd last node pairs with
+/// itself), and the last level is the root alone.
+///
+/// # Panics
+/// If `leaves` is empty — blocks always contain a coinbase.
+pub fn merkle_levels(leaves: &[Hash256]) -> Vec<Vec<Hash256>> {
+    assert!(!leaves.is_empty(), "merkle tree of zero leaves");
+    let mut levels = vec![leaves.to_vec()];
+    while let Some(level) = levels.last().filter(|level| level.len() > 1) {
+        let next = level
+            .chunks(2)
+            .map(|pair| Hash256::merkle_parent(&pair[0], pair.get(1).unwrap_or(&pair[0])))
+            .collect();
+        levels.push(next);
+    }
+    levels
+}
 
 /// Compute the Merkle root of `leaves` (Bitcoin rule: empty list is
 /// disallowed; a single leaf is its own root; odd levels duplicate the last
@@ -20,19 +41,9 @@ use ebv_primitives::hash::Hash256;
 /// # Panics
 /// If `leaves` is empty — blocks always contain a coinbase.
 pub fn merkle_root(leaves: &[Hash256]) -> Hash256 {
-    assert!(!leaves.is_empty(), "merkle tree of zero leaves");
-    let mut level: Vec<Hash256> = leaves.to_vec();
-    while level.len() > 1 {
-        level = next_level(&level);
-    }
-    level[0]
-}
-
-fn next_level(level: &[Hash256]) -> Vec<Hash256> {
-    level
-        .chunks(2)
-        .map(|pair| Hash256::merkle_parent(&pair[0], pair.get(1).unwrap_or(&pair[0])))
-        .collect()
+    merkle_levels(leaves)
+        .last()
+        .expect("a tree has at least the leaf level")[0]
 }
 
 /// An authentication path from a leaf to the root.
@@ -47,22 +58,23 @@ pub struct MerkleBranch {
 }
 
 impl MerkleBranch {
-    /// Extract the branch for `leaf_index` from the full leaf set.
+    /// Read the branch for `leaf_index` out of a tree's stored levels (as
+    /// [`merkle_levels`] returns them): one sibling per level below the
+    /// root, no hashing.
     ///
     /// # Panics
-    /// If `leaf_index` is out of range or `leaves` is empty.
-    pub fn extract(leaves: &[Hash256], leaf_index: usize) -> MerkleBranch {
-        assert!(leaf_index < leaves.len(), "leaf index in range");
-        let mut siblings = Vec::new();
-        let mut level: Vec<Hash256> = leaves.to_vec();
-        let mut idx = leaf_index;
-        while level.len() > 1 {
-            let sib_idx = idx ^ 1;
-            let sibling = *level.get(sib_idx).unwrap_or(&level[idx]);
-            siblings.push(sibling);
-            level = next_level(&level);
-            idx /= 2;
-        }
+    /// If `levels` is empty or `leaf_index` is out of range.
+    pub fn from_levels(levels: &[Vec<Hash256>], leaf_index: usize) -> MerkleBranch {
+        assert!(leaf_index < levels[0].len(), "leaf index in range");
+        let below_root = &levels[..levels.len() - 1];
+        let siblings = below_root
+            .iter()
+            .enumerate()
+            .map(|(k, level)| {
+                let idx = leaf_index >> k;
+                *level.get(idx ^ 1).unwrap_or(&level[idx])
+            })
+            .collect();
         MerkleBranch {
             leaf_index: leaf_index as u32,
             siblings,
@@ -124,11 +136,15 @@ mod tests {
         (0..n).map(|i| sha256d(&(i as u64).to_le_bytes())).collect()
     }
 
+    fn branch(leaves: &[Hash256], leaf_index: usize) -> MerkleBranch {
+        MerkleBranch::from_levels(&merkle_levels(leaves), leaf_index)
+    }
+
     #[test]
     fn single_leaf_is_root() {
         let l = leaves(1);
         assert_eq!(merkle_root(&l), l[0]);
-        let b = MerkleBranch::extract(&l, 0);
+        let b = branch(&l, 0);
         assert!(b.siblings.is_empty());
         assert!(b.verify(&l[0], &l[0]));
     }
@@ -153,10 +169,13 @@ mod tests {
     fn branches_verify_for_all_sizes_and_positions() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 100] {
             let l = leaves(n);
+            let levels = merkle_levels(&l);
             let root = merkle_root(&l);
-            for i in 0..n {
-                let b = MerkleBranch::extract(&l, i);
-                assert!(b.verify(&l[i], &root), "n={n} i={i}");
+            assert_eq!(levels.len(), tree_height(n) + 1, "n={n}");
+            assert_eq!(levels.last().unwrap(), &vec![root], "n={n}");
+            for (i, leaf) in l.iter().enumerate() {
+                let b = MerkleBranch::from_levels(&levels, i);
+                assert!(b.verify(leaf, &root), "n={n} i={i}");
                 assert_eq!(b.siblings.len(), tree_height(n), "n={n} i={i}");
             }
         }
@@ -174,7 +193,7 @@ mod tests {
     fn branch_rejects_wrong_leaf() {
         let l = leaves(8);
         let root = merkle_root(&l);
-        let b = MerkleBranch::extract(&l, 3);
+        let b = branch(&l, 3);
         assert!(!b.verify(&l[4], &root));
         assert!(!b.verify(&sha256d(b"forged"), &root));
     }
@@ -182,7 +201,7 @@ mod tests {
     #[test]
     fn branch_rejects_wrong_root() {
         let l = leaves(8);
-        let b = MerkleBranch::extract(&l, 3);
+        let b = branch(&l, 3);
         assert!(!b.verify(&l[3], &sha256d(b"other root")));
     }
 
@@ -190,7 +209,7 @@ mod tests {
     fn branch_rejects_tampered_sibling() {
         let l = leaves(16);
         let root = merkle_root(&l);
-        let mut b = MerkleBranch::extract(&l, 5);
+        let mut b = branch(&l, 5);
         b.siblings[2] = sha256d(b"tampered");
         assert!(!b.verify(&l[5], &root));
     }
@@ -201,7 +220,7 @@ mod tests {
         // what makes fake `position` values detectable via the MBr).
         let l = leaves(8);
         let root = merkle_root(&l);
-        let mut b = MerkleBranch::extract(&l, 3);
+        let mut b = branch(&l, 3);
         b.leaf_index = 2;
         assert!(!b.verify(&l[3], &root));
     }
@@ -209,10 +228,11 @@ mod tests {
     #[test]
     fn parallel_build_matches_sequential() {
         // A 1000-leaf tree (odd-length levels on the way up) against a
-        // from-scratch fold.
+        // from-scratch fold, level by level.
         let l = leaves(1000);
         let root = merkle_root(&l);
         let mut level = l.clone();
+        let mut folded = vec![level.clone()];
         while level.len() > 1 {
             let mut next = Vec::new();
             for pair in level.chunks(2) {
@@ -220,14 +240,16 @@ mod tests {
                 next.push(Hash256::merkle_parent(&pair[0], right));
             }
             level = next;
+            folded.push(level.clone());
         }
         assert_eq!(root, level[0]);
+        assert_eq!(merkle_levels(&l), folded);
     }
 
     #[test]
     fn encode_round_trip() {
         let l = leaves(20);
-        let b = MerkleBranch::extract(&l, 11);
+        let b = branch(&l, 11);
         let bytes = b.to_bytes();
         assert_eq!(bytes.len(), b.proof_size());
         assert_eq!(MerkleBranch::from_bytes(&bytes).unwrap(), b);

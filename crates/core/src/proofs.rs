@@ -4,15 +4,17 @@
 //! to spend, the previous tidy transaction (*ELs*) and a Merkle branch
 //! (*MBr*) into the block that packaged it. [`ProofArchive`] keeps exactly
 //! the data needed to serve those: per block, the tidy transactions and
-//! their leaf hashes.
+//! every level of their Merkle tree, built once when the block is archived,
+//! so a proof copies its branch out of the stored levels and hashes nothing.
 
 use crate::tidy::{EbvBlock, InputProof, TidyTransaction};
-use ebv_chain::merkle::MerkleBranch;
+use ebv_chain::merkle::{merkle_levels, MerkleBranch};
 use ebv_primitives::hash::Hash256;
 
 struct ArchiveBlock {
     tidies: Vec<TidyTransaction>,
-    leaves: Vec<Hash256>,
+    /// The block's Merkle tree, leaves first (see [`merkle_levels`]).
+    levels: Vec<Vec<Hash256>>,
     /// `stakes[k]` = stake position of transaction `k` (ascending).
     stakes: Vec<u32>,
     total_outputs: u32,
@@ -58,7 +60,7 @@ impl ProofArchive {
         let total_outputs = block.output_count();
         self.blocks.push(ArchiveBlock {
             tidies,
-            leaves,
+            levels: merkle_levels(&leaves),
             stakes,
             total_outputs,
         });
@@ -82,7 +84,7 @@ impl ProofArchive {
         if relative as usize >= els.outputs.len() {
             return None; // gap: position belongs to no transaction
         }
-        let mbr = MerkleBranch::extract(&block.leaves, tx_index);
+        let mbr = MerkleBranch::from_levels(&block.levels, tx_index);
         Some(InputProof {
             mbr,
             els: els.clone(),
@@ -96,14 +98,18 @@ impl ProofArchive {
         self.blocks.get(height as usize)?.tidies.get(tx_index)
     }
 
-    /// Total archive footprint in serialized bytes — this is proposer-side
-    /// state, not validator status data (contrast with Edrax, §VII-B).
+    /// Total archive footprint in bytes: the serialized tidy transactions
+    /// plus 32 bytes per stored Merkle node, every level of every tree
+    /// (about `2n` nodes for a block of `n` transactions). This is
+    /// proposer-side state, not validator status data (contrast with Edrax,
+    /// §VII-B).
     pub fn archive_size(&self) -> usize {
         use ebv_primitives::encode::Encodable;
         self.blocks
             .iter()
             .map(|b| {
-                b.tidies.iter().map(Encodable::encoded_len).sum::<usize>() + b.leaves.len() * 32
+                let nodes: usize = b.levels.iter().map(Vec::len).sum();
+                b.tidies.iter().map(Encodable::encoded_len).sum::<usize>() + nodes * 32
             })
             .sum()
     }
@@ -112,10 +118,33 @@ impl ProofArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intermediary::Intermediary;
     use crate::pack::{ebv_coinbase, pack_ebv_block};
     use crate::tidy::{EbvTransaction, InputBody};
     use ebv_chain::transaction::TxOut;
+    use ebv_primitives::encode::Encodable;
     use ebv_script::Script;
+    use ebv_workload::{ChainGenerator, GeneratorParams, Ramp};
+
+    /// The reference branch builder: rebuild the tree from the leaves for
+    /// one proof (O(n) hashes), keeping the sibling at each level.
+    fn reference_branch(leaves: &[Hash256], leaf_index: usize) -> MerkleBranch {
+        let mut siblings = Vec::new();
+        let mut level = leaves.to_vec();
+        let mut idx = leaf_index;
+        while level.len() > 1 {
+            siblings.push(*level.get(idx ^ 1).unwrap_or(&level[idx]));
+            level = level
+                .chunks(2)
+                .map(|pair| Hash256::merkle_parent(&pair[0], pair.get(1).unwrap_or(&pair[0])))
+                .collect();
+            idx /= 2;
+        }
+        MerkleBranch {
+            leaf_index: leaf_index as u32,
+            siblings,
+        }
+    }
 
     fn mk_tx(n_outputs: usize, tag: u8) -> EbvTransaction {
         EbvTransaction::from_parts(
@@ -209,9 +238,13 @@ mod tests {
 
     #[test]
     fn archive_size_grows() {
+        // Three transactions keep 3 + 2 + 1 tree nodes; a one-transaction
+        // block keeps its leaf, which is its root.
         let (archive, block) = archive_with_block();
+        let tidy_bytes =
+            |b: &EbvBlock| -> usize { b.transactions.iter().map(|tx| tx.tidy.encoded_len()).sum() };
         let s1 = archive.archive_size();
-        assert!(s1 > 0);
+        assert_eq!(s1, tidy_bytes(&block) + 6 * 32);
         let mut archive2 = ProofArchive::new();
         archive2.add_block(0, &block);
         let block1 = pack_ebv_block(
@@ -221,6 +254,51 @@ mod tests {
             0,
         );
         archive2.add_block(1, &block1);
-        assert!(archive2.archive_size() > s1);
+        assert_eq!(archive2.archive_size(), s1 + tidy_bytes(&block1) + 32);
+    }
+
+    #[test]
+    fn every_proof_of_a_converted_chain_matches_a_from_scratch_branch() {
+        // Blocks of 1 to ~13 transactions, so the trees have odd levels at
+        // every height on the way up.
+        let params = GeneratorParams {
+            txs_per_block: Ramp {
+                start: 0.0,
+                end: 12.0,
+            },
+            max_outputs_per_tx: 4,
+            mean_spend_age: 2.0,
+            ..GeneratorParams::tiny(60, 5)
+        };
+        let blocks = ChainGenerator::new(params).generate();
+        let mut intermediary = Intermediary::new(0);
+        let converted = intermediary
+            .convert_chain(&blocks)
+            .expect("generated chains convert");
+        let archive = intermediary.archive();
+        let mut proofs = 0;
+        for (height, block) in converted.iter().enumerate() {
+            let height = height as u32;
+            let leaves = block.leaves();
+            for position in 0..block.output_count() {
+                let at = format!("({height}, {position})");
+                let proof = archive.make_proof(height, position).expect(&at);
+                assert_eq!(proof.absolute_position(), position, "{at}");
+                let k = block
+                    .transactions
+                    .iter()
+                    .rposition(|tx| tx.tidy.stake_position <= position)
+                    .expect("stake 0 is the coinbase");
+                assert_eq!(proof.els, block.transactions[k].tidy, "{at}");
+                assert!(
+                    proof.mbr.verify(&leaves[k], &block.header.merkle_root),
+                    "{at}"
+                );
+                assert_eq!(proof.mbr, reference_branch(&leaves, k), "{at}");
+                proofs += 1;
+            }
+            assert!(archive.make_proof(height, block.output_count()).is_none());
+        }
+        assert!(proofs > 500, "{proofs} proofs");
     }
 }

@@ -1,8 +1,14 @@
 //! SHA-256, implemented from FIPS 180-4.
 //!
 //! An incremental [`Sha256`] hasher plus the one-shot helpers used across the
-//! workspace. The implementation is scalar and portable; the compression
-//! function processes one 64-byte block at a time.
+//! workspace. The compression function processes one 64-byte block at a
+//! time, on the kernel this CPU supports: the SHA-NI instructions on x86-64
+//! hosts that have them, else the portable scalar kernel, which is also the
+//! reference the tests hold the hardware kernel to.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni;
 
 /// Initial hash values (first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes).
@@ -53,6 +59,22 @@ impl Sha256 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        self.absorb(data, Kernel::detect())
+    }
+
+    /// Finish and produce the 32-byte digest.
+    pub fn finalize(self) -> [u8; 32] {
+        self.finish(Kernel::detect())
+    }
+
+    /// One-shot digest of `data`.
+    pub fn digest(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finalize()
+    }
+
+    fn absorb(&mut self, data: &[u8], kernel: Kernel) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -65,13 +87,12 @@ impl Sha256 {
                 // Buffer still not full — all input consumed.
                 return self;
             }
-            let block = self.buf;
-            compress(&mut self.state, &block);
+            kernel.compress(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
         let mut chunks = data.chunks_exact(64);
         for block in &mut chunks {
-            compress(
+            kernel.compress(
                 &mut self.state,
                 block.try_into().expect("chunk is 64 bytes"),
             );
@@ -82,35 +103,65 @@ impl Sha256 {
         self
     }
 
-    /// Finish and produce the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    fn finish(mut self, kernel: Kernel) -> [u8; 32] {
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length, which
+        // spills into a second block when fewer than 8 bytes remain after
+        // the 0x80.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            kernel.compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // The length bytes themselves must not be counted, but `update`
-        // already handled block flushing; write them directly.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        compress(&mut self.state, &block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        kernel.compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// One-shot digest of `data`.
-    pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
+/// A compression kernel this host can run.
+#[derive(Clone, Copy)]
+enum Kernel {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(sha_ni::ShaNi),
+}
+
+impl std::fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Kernel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi(_) => "SHA-NI",
+        })
     }
 }
 
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+impl Kernel {
+    /// The fastest kernel this CPU supports.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(ni) = sha_ni::ShaNi::detect() {
+            return Kernel::ShaNi(ni);
+        }
+        Kernel::Portable
+    }
+
+    fn compress(self, state: &mut [u32; 8], block: &[u8; 64]) {
+        match self {
+            Kernel::Portable => compress_portable(state, block),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi(ni) => ni.compress(state, block),
+        }
+    }
+}
+
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
         w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
@@ -160,37 +211,165 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 mod tests {
     use super::*;
     use crate::hex;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// The portable kernel, plus the dispatcher's pick when that differs:
+    /// every known-answer test runs each kernel explicitly.
+    fn kernels() -> Vec<Kernel> {
+        let picked = Kernel::detect();
+        eprintln!("sha256 dispatcher picked the {picked:?} kernel");
+        match picked {
+            Kernel::Portable => vec![Kernel::Portable],
+            #[cfg(target_arch = "x86_64")]
+            ni @ Kernel::ShaNi(_) => vec![Kernel::Portable, ni],
+        }
+    }
+
+    fn digest_with(kernel: Kernel, data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.absorb(data, kernel);
+        h.finish(kernel)
+    }
 
     #[test]
     fn fips_vectors() {
         // FIPS 180-4 / NIST CAVP known-answer tests.
-        assert_eq!(
-            hex::encode(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for kernel in kernels() {
+            for (msg, want) in vectors {
+                assert_eq!(hex::encode(&digest_with(kernel, msg)), want, "{kernel:?}");
+            }
+        }
         assert_eq!(
             hex::encode(&Sha256::digest(b"abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex::encode(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for kernel in kernels() {
+            let mut h = Sha256::new();
+            for _ in 0..1000 {
+                h.absorb(&chunk, kernel);
+            }
+            assert_eq!(
+                hex::encode(&h.finish(kernel)),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel:?}"
+            );
         }
-        assert_eq!(
-            hex::encode(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    }
+
+    #[test]
+    fn padding_boundaries() {
+        // One block holds at most 55 message bytes plus the 0x80 and the
+        // length; at 56..=63 the length spills into a second block, at 64 a
+        // whole padding block follows, and 119/120 repeat the edge one block
+        // later. Answers from an independent SHA-256.
+        let vectors = [
+            (
+                55,
+                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+            ),
+            (
+                56,
+                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+            ),
+            (
+                63,
+                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+            ),
+            (
+                64,
+                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+            ),
+            (
+                119,
+                "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e",
+            ),
+            (
+                120,
+                "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5",
+            ),
+        ];
+        for kernel in kernels() {
+            for (len, want) in vectors {
+                let msg: Vec<u8> = (0..len).map(|i: usize| (i * 7 + 3) as u8).collect();
+                assert_eq!(
+                    hex::encode(&digest_with(kernel, &msg)),
+                    want,
+                    "{kernel:?} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_random_blocks() {
+        let mut rng = SmallRng::seed_from_u64(0x5a256);
+        let kernels = kernels();
+        for _ in 0..100_000 {
+            let mut state = [0u32; 8];
+            state.iter_mut().for_each(|w| *w = rng.gen());
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let mut want = state;
+            compress_portable(&mut want, &block);
+            for &kernel in &kernels {
+                let mut got = state;
+                kernel.compress(&mut got, &block);
+                assert_eq!(
+                    got, want,
+                    "{kernel:?} state {state:08x?} block {block:02x?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dispatcher_matches_portable_on_split_messages() {
+        // Every length 0..=4096, each absorbed at its own seeded random
+        // split points by a portable-only hasher and by the dispatching one.
+        let mut rng = SmallRng::seed_from_u64(4096);
+        let mut data = vec![0u8; 4096];
+        rng.fill_bytes(&mut data);
+        let mut absorb_split = |h: &mut Sha256, msg: &[u8], kernel: Option<Kernel>| {
+            let mut rest = msg;
+            while !rest.is_empty() {
+                let take = rng.gen_range(0..=rest.len().min(200));
+                match kernel {
+                    Some(k) => h.absorb(&rest[..take], k),
+                    None => h.update(&rest[..take]),
+                };
+                rest = &rest[take..];
+            }
+        };
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let mut portable = Sha256::new();
+            absorb_split(&mut portable, msg, Some(Kernel::Portable));
+            let mut dispatched = Sha256::new();
+            absorb_split(&mut dispatched, msg, None);
+            let want = portable.finish(Kernel::Portable);
+            assert_eq!(dispatched.finalize(), want, "len {len}");
+            assert_eq!(Sha256::digest(msg), want, "len {len}");
+        }
     }
 
     #[test]

@@ -73,6 +73,17 @@ echo "==> fig17 parallel-IBD smoke"
     --timeseries-out target/trace_smoke.jsonl \
     --json target/BENCH_fig17_smoke.json > /dev/null
 
+# fig16/fig17 --json embed a telemetry snapshot of the run. A snapshot
+# taken with recording off is all zeros, so a smoke run that connected
+# blocks must report a nonzero ebv.blocks_connected.
+require_live_telemetry() {
+    if ! grep -Eq '"ebv\.blocks_connected": ?[1-9]' "$1"; then
+        echo "error: $1 reports ebv.blocks_connected = 0 (empty telemetry section)" >&2
+        exit 1
+    fi
+}
+require_live_telemetry target/BENCH_fig17_smoke.json
+
 # Health gate smoke: validate a generated chain with telemetry on and
 # evaluate the committed SLO document against the resulting snapshot.
 # Proves `ebv-cli health --gate` is usable as a CI quality gate.
@@ -136,6 +147,7 @@ cargo test -q --test batch_pipeline
 echo "==> fig16 batch-verify smoke"
 ./target/release/fig16 --blocks 120 --batch-verify \
     --json target/BENCH_fig16_smoke.json > /dev/null
+require_live_telemetry target/BENCH_fig16_smoke.json
 
 # Telemetry guards. The overhead test proves instrumentation is cheap
 # enough to leave on; the exporter tests pin the Prometheus/JSON formats

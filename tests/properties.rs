@@ -7,7 +7,7 @@
 //! print the seed/case so a run is trivially reproducible.
 
 use ebv::primitives::encode::{Decodable, Encodable, Reader};
-use ebv_chain::merkle::{merkle_root, MerkleBranch};
+use ebv_chain::merkle::{merkle_levels, merkle_root, MerkleBranch};
 use ebv_core::bitvec::{BitVectorSet, BlockBitVector};
 use ebv_primitives::hash::{sha256d, Hash256};
 use rand::rngs::SmallRng;
@@ -93,8 +93,9 @@ fn merkle_branch_verifies_for_every_leaf() {
         let tamper = rng.gen::<bool>();
         let leaves: Vec<Hash256> = (0..n).map(|i| sha256d(&(i as u64).to_le_bytes())).collect();
         let root = merkle_root(&leaves);
+        let levels = merkle_levels(&leaves);
         for (i, leaf) in leaves.iter().enumerate() {
-            let mut branch = MerkleBranch::extract(&leaves, i);
+            let mut branch = MerkleBranch::from_levels(&levels, i);
             if tamper && !branch.siblings.is_empty() {
                 branch.siblings[0] = sha256d(b"tampered");
                 // A tampered sibling always breaks verification.

@@ -9,7 +9,7 @@ use ebv::core::{
 use ebv::primitives::ec::PrivateKey;
 use ebv::primitives::hash::{sha256d, Hash256};
 use ebv::script::standard::{p2pkh_lock, p2pkh_unlock};
-use ebv_chain::merkle::MerkleBranch;
+use ebv_chain::merkle::{merkle_levels, MerkleBranch};
 use ebv_chain::BLOCK_SUBSIDY;
 use ebv_core::{EbvBlock, InputProof};
 
@@ -75,7 +75,7 @@ fn spending_a_nonexistent_output_fails_ev() {
     let real = archive.make_proof(0, 0).expect("exists");
     let fake_leaves = vec![sha256d(b"fake0"), sha256d(b"fake1")];
     let forged = InputProof {
-        mbr: MerkleBranch::extract(&fake_leaves, 0),
+        mbr: MerkleBranch::from_levels(&merkle_levels(&fake_leaves), 0),
         els: real.els.clone(),
         height: 0,
         relative_position: 0,

@@ -47,11 +47,15 @@ fn bench_block_validation(c: &mut Criterion) {
         )
     });
 
-    // Ablation: fully sequential pipeline (no parallel EV or SV).
+    // Ablation: one worker, so SV runs inline like every other phase.
     c.bench_function("validate/ebv_tip_block_sequential", |b| {
         b.iter_batched(
             || {
-                let mut node = EbvNode::new(&scenario.ebv_blocks[0], EbvConfig::sequential());
+                let config = EbvConfig {
+                    workers: Some(1),
+                    ..EbvConfig::default()
+                };
+                let mut node = EbvNode::new(&scenario.ebv_blocks[0], config);
                 replay_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
                 node
             },

@@ -1,6 +1,6 @@
 //! Minimal CLI parsing shared by the figure binaries (no external deps).
 
-use ebv_core::EbvConfig;
+use ebv_core::{BaselineConfig, EbvConfig};
 
 /// Common knobs; each binary overrides the defaults that matter to it.
 #[derive(Clone, Debug)]
@@ -13,15 +13,9 @@ pub struct CommonArgs {
     pub latency_us: u64,
     /// Repetitions for multi-run figures.
     pub runs: usize,
-    /// Fold Merkle branches (EV) in parallel on the EBV node.
-    pub parallel_ev: bool,
-    /// Verify scripts (SV) in parallel on the EBV node.
-    pub parallel_sv: bool,
-    /// Worker-thread override for the parallel phases (`None` = all cores).
+    /// SV worker threads on both node types (`None` = all cores, 1 =
+    /// inline).
     pub workers: Option<usize>,
-    /// Settle SV's ECDSA checks through batched verification on both
-    /// nodes.
-    pub batch_verify: bool,
     /// Worker counts to sweep (figures that support it; fig16 re-runs its
     /// comparison once per count).
     pub sweep_workers: Option<Vec<usize>>,
@@ -81,21 +75,9 @@ impl CommonArgs {
                     out.runs = parse_num::<u64>(value(i), flag) as usize;
                     i += 2;
                 }
-                "--seq-ev" => {
-                    out.parallel_ev = false;
-                    i += 1;
-                }
-                "--seq-sv" => {
-                    out.parallel_sv = false;
-                    i += 1;
-                }
                 "--workers" => {
                     out.workers = Some(parse_num::<u64>(value(i), flag) as usize);
                     i += 2;
-                }
-                "--batch-verify" => {
-                    out.batch_verify = true;
-                    i += 1;
                 }
                 "--sweep-workers" => {
                     let counts: Vec<usize> = value(i)
@@ -132,7 +114,7 @@ impl CommonArgs {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --blocks N --seed S --budget BYTES --latency-us US --runs R \
-                         --seq-ev --seq-sv --workers W --batch-verify --sweep-workers W1,W2,… \
+                         --workers W --sweep-workers W1,W2,… \
                          --parallel-ibd N --json PATH --gate PATH --metrics-out PATH \
                          --timeseries-out JSONL\n\
                          (--metrics-out writes Prometheus text to PATH and a JSON \
@@ -171,10 +153,7 @@ impl Default for CommonArgs {
             budget: 24 << 10,
             latency_us: 1000,
             runs: 5,
-            parallel_ev: true,
-            parallel_sv: true,
             workers: None,
-            batch_verify: false,
             sweep_workers: None,
             parallel_ibd: None,
             json: None,
@@ -189,11 +168,16 @@ impl CommonArgs {
     /// The EBV validator configuration these flags select.
     pub fn ebv_config(&self) -> EbvConfig {
         EbvConfig {
-            parallel_ev: self.parallel_ev,
-            parallel_sv: self.parallel_sv,
             workers: self.workers,
-            batch_verify: self.batch_verify,
             ..EbvConfig::default()
+        }
+    }
+
+    /// The baseline validator configuration these flags select.
+    pub fn baseline_config(&self) -> BaselineConfig {
+        BaselineConfig {
+            workers: self.workers,
+            ..BaselineConfig::default()
         }
     }
 

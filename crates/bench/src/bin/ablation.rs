@@ -1,7 +1,7 @@
 //! Ablation sweeps for the design choices called out in DESIGN.md §5:
 //! cache-budget sweep and disk-latency sweep for the baseline (how the
-//! DBO bottleneck develops), and the sparse-vector optimization's effect
-//! over chain age for EBV.
+//! DBO bottleneck develops), the sparse-vector optimization's effect over
+//! chain age for EBV, and EBV IBD across SV worker counts.
 
 use ebv_bench::apply::StatusTracker;
 use ebv_bench::{table, CommonArgs, Scenario};
@@ -112,11 +112,11 @@ fn main() {
     }
     println!("\npaper shape: optimization gain grows with age as old vectors go sparse (42.6% at the tip)");
 
-    println!("\n# Ablation 4 — EBV pipeline parallelism (EV/SV knobs, full IBD)");
-    // Every configuration returns byte-identical accept/reject decisions;
-    // only the wall time moves. `--workers` (if given) caps each run.
+    println!("\n# Ablation 4 — SV worker count (full EBV IBD)");
+    // Every worker count returns byte-identical accept/reject decisions;
+    // only the wall time moves. `--sweep-workers` replaces the counts.
     let cols = [
-        ("config", 12),
+        ("workers", 12),
         ("ibd_s", 9),
         ("ev_s", 9),
         ("sv_s", 9),
@@ -124,17 +124,14 @@ fn main() {
         ("others_s", 10),
     ];
     table::header(&cols);
-    let sweeps: [(&str, bool, bool); 4] = [
-        ("seq", false, false),
-        ("par_ev", true, false),
-        ("par_sv", false, true),
-        ("par_both", true, true),
-    ];
-    for (label, parallel_ev, parallel_sv) in sweeps {
+    let counts: Vec<Option<usize>> = match &args.sweep_workers {
+        Some(sweep) => sweep.iter().map(|&w| Some(w)).collect(),
+        None => vec![Some(1), Some(2), Some(4), None],
+    };
+    for workers in counts {
+        let label = workers.map_or("default".to_string(), |w| w.to_string());
         let config = EbvConfig {
-            parallel_ev,
-            parallel_sv,
-            workers: args.workers,
+            workers,
             ..EbvConfig::default()
         };
         let mut node = scenario.ebv_node_with(config);
@@ -142,7 +139,7 @@ fn main() {
         let total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();
         let b = node.cumulative_breakdown();
         table::row(&[
-            (label.to_string(), 12),
+            (label, 12),
             (format!("{total:.2}"), 9),
             (table::secs(b.ev), 9),
             (table::secs(b.sv), 9),

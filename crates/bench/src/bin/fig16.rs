@@ -3,9 +3,9 @@
 //!
 //! The paper: under the same memory limit, EBV cuts per-block validation
 //! by up to 93.5 % (block 590004); inside EBV, EV and UV are negligible
-//! and SV dominates. This binary additionally reports the sequential
-//! pipeline next to the parallel one (Fig. 16c), exposing what the
-//! `parallel_ev`/`parallel_sv` knobs buy.
+//! and SV dominates. This binary additionally reports one SV worker next
+//! to the configured count (Fig. 16c) and sweeps SV's worker count over the
+//! tail (Fig. 16d), exposing what SV's parallelism buys.
 
 use std::time::Duration;
 
@@ -32,13 +32,17 @@ fn main() {
     // Baseline node, warmed to the split point.
     let mut baseline = scenario.baseline_node(&args);
     replay_ibd(&mut baseline, &scenario.blocks[1..split], 1 << 20).expect("warmup");
-    // EBV node with the configured pipeline, warmed identically; plus a
-    // fully sequential twin for the Fig. 16c comparison.
+    // EBV node with the configured worker count, warmed identically; plus
+    // a one-worker twin for the Fig. 16c comparison.
+    let with_workers = |workers| EbvConfig {
+        workers,
+        ..args.ebv_config()
+    };
     let mut ebv = scenario.ebv_node_with(args.ebv_config());
     replay_ibd(&mut ebv, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
-    let mut ebv_seq = scenario.ebv_node_with(EbvConfig::sequential());
-    replay_ibd(&mut ebv_seq, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
-    // Snapshot the warmed state once; the Fig. 16d configurations below
+    let mut ebv_one = scenario.ebv_node_with(with_workers(Some(1)));
+    replay_ibd(&mut ebv_one, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
+    // Snapshot the warmed state once; the Fig. 16d worker counts below
     // each boot from it instead of replaying the warmup chain again.
     let snapshot = ebv.snapshot();
     let snap_headers: Vec<_> = (0..=ebv.tip_height())
@@ -56,7 +60,7 @@ fn main() {
     table::header(&cols);
     let mut worst = (0.0f64, 0.0f64, 0.0f64); // (reduction, bitcoin, ebv)
     let mut ebv_breakdowns = Vec::new();
-    let mut seq_breakdowns = Vec::new();
+    let mut one_breakdowns = Vec::new();
     let mut baseline_totals = Vec::new();
     for (base_block, ebv_block) in scenario.blocks[split..]
         .iter()
@@ -66,11 +70,11 @@ fn main() {
             .process_block(base_block)
             .expect("baseline validates");
         let eb = ebv.process_block(ebv_block).expect("ebv validates");
-        let sb = ebv_seq
+        let ob = ebv_one
             .process_block(ebv_block)
-            .expect("sequential ebv validates");
+            .expect("one-worker ebv validates");
         ebv_breakdowns.push((ebv.tip_height(), ebv_block.input_count(), eb));
-        seq_breakdowns.push(sb);
+        one_breakdowns.push(ob);
         baseline_totals.push(bb.total());
         let b_ms = bb.total().as_secs_f64() * 1000.0;
         let e_ms = eb.total().as_secs_f64() * 1000.0;
@@ -115,116 +119,93 @@ fn main() {
     }
     println!("\npaper shape: EV and UV take little time; SV dominates EBV validation");
 
-    println!("\n## Fig. 16c — parallel vs sequential EBV pipeline");
+    println!("\n## Fig. 16c — one SV worker vs the configured count (default: every core)");
     let cols = [
         ("height", 8),
-        ("par_ms", 9),
-        ("seq_ms", 9),
-        ("par_ev_ms", 10),
-        ("seq_ev_ms", 10),
-        ("par_sv_ms", 10),
-        ("seq_sv_ms", 10),
+        ("cfg_ms", 9),
+        ("one_ms", 9),
+        ("cfg_sv_ms", 10),
+        ("one_sv_ms", 10),
     ];
     table::header(&cols);
-    for ((height, _, pb), sb) in ebv_breakdowns.iter().zip(&seq_breakdowns) {
+    for ((height, _, cb), ob) in ebv_breakdowns.iter().zip(&one_breakdowns) {
         table::row(&[
             (format!("{height}"), 8),
-            (table::ms(pb.total()), 9),
-            (table::ms(sb.total()), 9),
-            (table::ms(pb.ev), 10),
-            (table::ms(sb.ev), 10),
-            (table::ms(pb.sv), 10),
-            (table::ms(sb.sv), 10),
+            (table::ms(cb.total()), 9),
+            (table::ms(ob.total()), 9),
+            (table::ms(cb.sv), 10),
+            (table::ms(ob.sv), 10),
         ]);
     }
-    println!(
-        "\nboth pipelines return identical accept/reject decisions; only the wall time differs"
-    );
+    println!("\nevery worker count returns identical accept/reject decisions; only the wall time differs");
 
-    // ---- Fig. 16d — batched vs individual ECDSA settlement -------------
-    // Each configuration boots a fresh node from the warmed snapshot and
-    // replays the same tail, so the only variable is the SV settlement
-    // strategy (and, when sweeping, the worker count).
-    println!("\n## Fig. 16d — batched vs individual ECDSA settlement over the tail");
-    let replay_tail = |batch: bool, workers: Option<usize>| -> Vec<(Duration, Duration)> {
-        let config = EbvConfig {
-            batch_verify: batch,
-            workers,
-            parallel_ev: args.parallel_ev,
-            parallel_sv: args.parallel_sv,
-            ..EbvConfig::default()
-        };
-        let mut node = EbvNode::from_snapshot(&snapshot, snap_headers.clone(), config)
-            .expect("snapshot boots");
+    // ---- Fig. 16d — SV worker sweep -------------------------------------
+    // Each worker count boots a fresh node from the warmed snapshot and
+    // replays the same tail, so the only variable is the worker count.
+    // One worker is always measured: it is the speedup reference.
+    let mut worker_settings: Vec<Option<usize>> = vec![Some(1)];
+    for workers in
+        std::iter::once(args.workers).chain(args.sweep_workers.iter().flatten().map(|&w| Some(w)))
+    {
+        if !worker_settings.contains(&workers) {
+            worker_settings.push(workers);
+        }
+    }
+    let replay_tail = |workers: Option<usize>| -> Vec<(Duration, Duration)> {
+        let mut node =
+            EbvNode::from_snapshot(&snapshot, snap_headers.clone(), with_workers(workers))
+                .expect("snapshot boots");
         scenario.ebv_blocks[split..]
             .iter()
             .map(|block| {
                 let b = node.process_block(block).expect("tail validates");
                 (b.sv, b.total())
             })
-            .collect::<Vec<_>>()
+            .collect()
     };
-    // Interleave the two arms and keep each arm's per-block minima: CPU
-    // steal on a shared single-core host spikes on sub-second timescales,
-    // so back-to-back arm runs measure the drift, not the settlement
-    // strategy. The per-block minimum over interleaved repetitions is the
-    // standard noise-floor estimator for a deterministic workload.
+    // Interleave the worker counts and keep each one's per-block minima:
+    // CPU steal on a shared host spikes on sub-second timescales, so
+    // back-to-back runs of one count measure the drift, not the count. The
+    // per-block minimum over interleaved repetitions is the standard
+    // noise-floor estimator for a deterministic workload.
     const TAIL_REPS: usize = 5;
-    let run_pair = |workers: Option<usize>| -> ((Duration, Duration), (Duration, Duration)) {
-        let floor = |acc: &mut Vec<(Duration, Duration)>, rep: Vec<(Duration, Duration)>| {
-            if acc.is_empty() {
-                *acc = rep;
-            } else {
-                for (a, r) in acc.iter_mut().zip(rep) {
-                    a.0 = a.0.min(r.0);
-                    a.1 = a.1.min(r.1);
-                }
+    let mut floors = vec![vec![(Duration::MAX, Duration::MAX); tail]; worker_settings.len()];
+    for _ in 0..TAIL_REPS {
+        for (floor, &workers) in floors.iter_mut().zip(&worker_settings) {
+            for (f, r) in floor.iter_mut().zip(replay_tail(workers)) {
+                *f = (f.0.min(r.0), f.1.min(r.1));
             }
-        };
-        let sum = |acc: &[(Duration, Duration)]| -> (Duration, Duration) {
-            acc.iter()
-                .fold((Duration::ZERO, Duration::ZERO), |(sv, total), b| {
-                    (sv + b.0, total + b.1)
-                })
-        };
-        let mut off = Vec::new();
-        let mut on = Vec::new();
-        for _ in 0..TAIL_REPS {
-            floor(&mut off, replay_tail(false, workers));
-            floor(&mut on, replay_tail(true, workers));
         }
-        (sum(&off), sum(&on))
-    };
-    let mut worker_settings: Vec<Option<usize>> = vec![args.workers];
-    if let Some(sweep) = &args.sweep_workers {
-        worker_settings.extend(sweep.iter().map(|&w| Some(w)));
     }
+    let sums: Vec<(Duration, Duration)> = floors
+        .iter()
+        .map(|f| (f.iter().map(|b| b.0).sum(), f.iter().map(|b| b.1).sum()))
+        .collect();
+    println!("\n## Fig. 16d — SV worker sweep over the tail (batched settlement)");
     let cols = [
         ("workers", 8),
-        ("indiv_sv_ms", 12),
-        ("batch_sv_ms", 12),
+        ("sv_ms", 9),
+        ("total_ms", 9),
         ("sv_speedup", 11),
-        ("indiv_tot_ms", 13),
-        ("batch_tot_ms", 13),
     ];
     table::header(&cols);
-    let mut batch_rows = Vec::new();
-    for &workers in &worker_settings {
-        let ((off_sv, off_total), (on_sv, on_total)) = run_pair(workers);
-        let speedup = off_sv.as_secs_f64() / on_sv.as_secs_f64().max(1e-12);
+    let one_sv = sums[0].0.as_secs_f64();
+    let mut sweep_rows = Vec::new();
+    for (&workers, &(sv, total)) in worker_settings.iter().zip(&sums) {
+        let speedup = one_sv / sv.as_secs_f64().max(1e-12);
         table::row(&[
             (workers.map_or("default".to_string(), |w| w.to_string()), 8),
-            (table::ms(off_sv), 12),
-            (table::ms(on_sv), 12),
+            (table::ms(sv), 9),
+            (table::ms(total), 9),
             (format!("{speedup:.2}x"), 11),
-            (table::ms(off_total), 13),
-            (table::ms(on_total), 13),
         ]);
-        batch_rows.push((workers, off_sv, on_sv, speedup, off_total, on_total));
+        sweep_rows.push((workers, sv, total, speedup));
     }
     println!(
-        "\nbatch settlement certifies a whole chunk's signatures with one shared \
-         multi-scalar ladder; verdicts are identical either way"
+        "\nsv_speedup is against one worker; each chunk's signatures settle through one \
+         shared multi-scalar ladder. The batch-vs-individual settlement ratio is the \
+         criterion pair ecdsa/verify_64_individual / ecdsa/verify_64_batch \
+         (cargo bench -p ebv-bench --bench primitives)"
     );
 
     if let Some(path) = &args.json {
@@ -235,9 +216,9 @@ fn main() {
         let mut blocks = String::new();
         let mut sv_ns_total = 0u128;
         let mut inputs_total = 0usize;
-        for (((height, inputs, b), sb), base_total) in ebv_breakdowns
+        for (((height, inputs, b), ob), base_total) in ebv_breakdowns
             .iter()
-            .zip(&seq_breakdowns)
+            .zip(&one_breakdowns)
             .zip(&baseline_totals)
         {
             sv_ns_total += b.sv.as_nanos();
@@ -249,14 +230,14 @@ fn main() {
                 "\n    {{\"height\": {height}, \"inputs\": {inputs}, \
                  \"ev_ns\": {}, \"uv_ns\": {}, \"sv_ns\": {}, \
                  \"commit_ns\": {}, \"others_ns\": {}, \"total_ns\": {}, \
-                 \"seq_total_ns\": {}, \"baseline_total_ns\": {}}}",
+                 \"one_worker_total_ns\": {}, \"baseline_total_ns\": {}}}",
                 b.ev.as_nanos(),
                 b.uv.as_nanos(),
                 b.sv.as_nanos(),
                 b.commit.as_nanos(),
                 b.others.as_nanos(),
                 b.total().as_nanos(),
-                sb.total().as_nanos(),
+                ob.total().as_nanos(),
                 base_total.as_nanos(),
             ));
         }
@@ -266,31 +247,24 @@ fn main() {
             0.0
         };
         let mut batch_json = String::new();
-        for (workers, off_sv, on_sv, speedup, off_total, on_total) in &batch_rows {
+        for (workers, sv, total, speedup) in &sweep_rows {
             if !batch_json.is_empty() {
                 batch_json.push(',');
             }
             batch_json.push_str(&format!(
-                "\n    {{\"workers\": {}, \"individual_sv_ns\": {}, \"batch_sv_ns\": {}, \
-                 \"sv_speedup\": {speedup:.3}, \"individual_total_ns\": {}, \
-                 \"batch_total_ns\": {}}}",
+                "\n    {{\"workers\": {}, \"batch_sv_ns\": {}, \"batch_total_ns\": {}, \
+                 \"sv_speedup_vs_one_worker\": {speedup:.3}}}",
                 workers.map_or("null".to_string(), |w| w.to_string()),
-                off_sv.as_nanos(),
-                on_sv.as_nanos(),
-                off_total.as_nanos(),
-                on_total.as_nanos(),
+                sv.as_nanos(),
+                total.as_nanos(),
             ));
         }
-        // The first row is always the default-workers configuration: the
-        // acceptance gate for the batched path reads this field.
-        let default_speedup = batch_rows[0].3;
         let telemetry = ebv_telemetry::json_snapshot(&ebv_telemetry::global().snapshot());
         let json = format!(
             "{{\n  \"figure\": \"fig16\",\n  \"seed\": {},\n  \"blocks\": [{blocks}\n  ],\n  \
              \"sv_ns_total\": {sv_ns_total},\n  \"inputs_total\": {inputs_total},\n  \
              \"verifies_per_sec\": {verifies_per_sec:.1},\n  \
              \"batch\": [{batch_json}\n  ],\n  \
-             \"batch_sv_speedup_default_workers\": {default_speedup:.3},\n  \
              \"telemetry\": {telemetry}\n}}\n",
             args.seed
         );

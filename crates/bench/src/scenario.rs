@@ -2,7 +2,7 @@
 
 use crate::args::CommonArgs;
 use ebv_chain::Block;
-use ebv_core::{BaselineConfig, BaselineNode, EbvBlock, EbvConfig, EbvNode, Intermediary};
+use ebv_core::{BaselineNode, EbvBlock, EbvConfig, EbvNode, Intermediary};
 use ebv_store::{KvStore, LatencyModel, StoreConfig, UtxoSet};
 use ebv_workload::{ChainGenerator, GeneratorParams};
 
@@ -43,15 +43,8 @@ impl Scenario {
             path: None,
         })
         .expect("temp store opens");
-        BaselineNode::new(
-            &self.blocks[0],
-            UtxoSet::new(store),
-            BaselineConfig {
-                batch_verify: args.batch_verify,
-                ..BaselineConfig::default()
-            },
-        )
-        .expect("genesis applies")
+        BaselineNode::new(&self.blocks[0], UtxoSet::new(store), args.baseline_config())
+            .expect("genesis applies")
     }
 
     /// A freshly booted EBV node over this scenario's genesis.
@@ -59,7 +52,7 @@ impl Scenario {
         self.ebv_node_with(EbvConfig::default())
     }
 
-    /// Same, with an explicit validator configuration (parallelism knobs).
+    /// Same, with an explicit validator configuration (SV worker count).
     pub fn ebv_node_with(&self, config: EbvConfig) -> EbvNode {
         EbvNode::new(&self.ebv_blocks[0], config)
     }

@@ -9,7 +9,7 @@
 //! Figs. 4 and 5 once the set outgrows the cache budget.
 
 use crate::metrics::Breakdown;
-use crate::validate::{InputState, Knobs, Node, Probes, Rejection, Spend, TxFields};
+use crate::validate::{InputState, Node, Probes, Rejection, Spend, TxFields};
 use ebv_chain::{Block, BlockHeader, BlockStructureError, OutPoint, TxIn};
 use ebv_script::ScriptError;
 use ebv_store::{UtxoEntry, UtxoError, UtxoSet};
@@ -73,24 +73,18 @@ impl std::error::Error for BaselineError {}
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct BaselineConfig {
-    /// Verify scripts, and build the per-transaction sighash midstates and
-    /// value sums feeding them, in parallel (DBO stays serial, as in Btcd).
-    pub parallel_sv: bool,
+    /// Threads SV's batch chunks fan out to; `None` uses every available
+    /// core, 1 runs SV inline. DBO stays serial, as in Btcd.
+    pub workers: Option<usize>,
     /// Check header PoW.
     pub check_pow: bool,
-    /// Settle SV's ECDSA checks through batched verification (same
-    /// machinery as the EBV node; see
-    /// [`crate::sighash::sv_chunk_batched`]). Results and the reported
-    /// minimum-`(tx, input)` error are identical with the flag on or off.
-    pub batch_verify: bool,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
-            parallel_sv: true,
+            workers: None,
             check_pow: true,
-            batch_verify: false,
         }
     }
 }
@@ -180,7 +174,6 @@ impl InputState for UtxoSet {
             structure: histogram!("baseline.structure"),
             value: histogram!("baseline.value"),
             sv: histogram!("baseline.sv"),
-            sv_input: histogram!("baseline.sv_input"),
             block_total: histogram!("baseline.block_total"),
             blocks_connected: counter!("baseline.blocks_connected"),
         }
@@ -202,12 +195,8 @@ impl InputState for UtxoSet {
             .collect()
     }
 
-    fn knobs(config: &BaselineConfig) -> Knobs {
-        Knobs {
-            parallel_sv: config.parallel_sv,
-            workers: None,
-            batch_verify: config.batch_verify,
-        }
+    fn workers(config: &BaselineConfig) -> Option<usize> {
+        config.workers
     }
 
     fn is_not_on_tip(err: &BaselineError) -> bool {
@@ -227,7 +216,6 @@ impl InputState for UtxoSet {
         _headers: &[BlockHeader],
         block: &'b Block,
         fetched: &'b mut Vec<UtxoEntry>,
-        _config: &BaselineConfig,
         breakdown: &mut Breakdown,
     ) -> Result<Vec<Spend<'b>>, BaselineError> {
         // ---- DBO: fetch every input's UTXO entry (EV+UV) ----------------

@@ -6,8 +6,9 @@
 //! bit-vector set resolves a block's inputs in two phases:
 //!
 //! * **EV** — fold each input's Merkle branch from its `ELs` leaf and
-//!   compare against the stored header of the claimed height; parallel
-//!   across inputs (`parallel_ev`);
+//!   compare against the stored header of the claimed height; inline,
+//!   because a thread scope per block costs more than splitting the folds
+//!   saves;
 //! * **UV** — probe the bit at `(height, stake + relative)`; sequential,
 //!   because intra-block duplicate detection is order-dependent.
 //!
@@ -17,9 +18,8 @@
 
 use crate::bitvec::{BitVectorSet, BitVectorSetSize, UvError};
 use crate::metrics::Breakdown;
-use crate::par::{try_par_map, worker_count};
-use crate::tidy::{EbvBlock, EbvTransaction, InputBody, InputProof, TxIntegrityError};
-use crate::validate::{InputState, Knobs, Node, Probes, Rejection, Spend, TxFields};
+use crate::tidy::{EbvBlock, EbvTransaction, InputProof, TxIntegrityError};
+use crate::validate::{InputState, Node, Probes, Rejection, Spend, TxFields};
 use ebv_chain::transaction::TxOut;
 use ebv_chain::BlockHeader;
 use ebv_primitives::hash::Hash256;
@@ -87,46 +87,18 @@ impl std::error::Error for EbvError {}
 /// Tuning knobs (ablations).
 #[derive(Clone, Copy, Debug)]
 pub struct EbvConfig {
-    /// Fold Merkle branches (EV) across inputs in parallel.
-    pub parallel_ev: bool,
-    /// Verify scripts (SV) across inputs — and build the per-transaction
-    /// sighash midstates and value sums feeding it across transactions —
-    /// in parallel.
-    pub parallel_sv: bool,
-    /// Worker-thread override for the parallel phases; `None` uses every
-    /// available core.
+    /// Threads SV's batch chunks fan out to; `None` uses every available
+    /// core, 1 runs SV inline. Every count returns identical verdicts.
     pub workers: Option<usize>,
     /// Check the header PoW (disabled in some microbenches).
     pub check_pow: bool,
-    /// Settle SV's ECDSA checks through block-wide batch verification
-    /// ([`crate::sighash::sv_chunk_batched`]): inputs are chunked, each
-    /// chunk's signatures are certified by one random-linear-combination
-    /// equation over a shared multi-scalar ladder, and any chunk the batch
-    /// cannot certify re-runs strictly. Accept/reject results and the
-    /// reported minimum-`(tx, input)` error are identical with the flag on
-    /// or off.
-    pub batch_verify: bool,
 }
 
 impl Default for EbvConfig {
     fn default() -> Self {
         EbvConfig {
-            parallel_ev: true,
-            parallel_sv: true,
             workers: None,
             check_pow: true,
-            batch_verify: false,
-        }
-    }
-}
-
-impl EbvConfig {
-    /// Fully sequential pipeline (the ablation baseline).
-    pub fn sequential() -> EbvConfig {
-        EbvConfig {
-            parallel_ev: false,
-            parallel_sv: false,
-            ..EbvConfig::default()
         }
     }
 }
@@ -338,7 +310,6 @@ impl InputState for BitVectorSet {
             structure: histogram!("ebv.structure"),
             value: histogram!("ebv.value_midstate"),
             sv: histogram!("ebv.sv"),
-            sv_input: histogram!("ebv.sv_input"),
             block_total: histogram!("ebv.block_total"),
             blocks_connected: counter!("ebv.blocks_connected"),
         }
@@ -360,12 +331,8 @@ impl InputState for BitVectorSet {
             .collect()
     }
 
-    fn knobs(config: &EbvConfig) -> Knobs {
-        Knobs {
-            parallel_sv: config.parallel_sv,
-            workers: config.workers,
-            batch_verify: config.batch_verify,
-        }
+    fn workers(config: &EbvConfig) -> Option<usize> {
+        config.workers
     }
 
     fn is_not_on_tip(err: &EbvError) -> bool {
@@ -408,34 +375,28 @@ impl InputState for BitVectorSet {
         headers: &[BlockHeader],
         block: &'b EbvBlock,
         spent: &'b mut Vec<(u32, u32)>,
-        config: &EbvConfig,
         breakdown: &mut Breakdown,
     ) -> Result<Vec<Spend<'b>>, EbvError> {
         // ---- EV: Merkle branches against stored headers ----------------
         let span_ev = span!("ebv.ev", &mut breakdown.ev);
-        let inputs: Vec<(usize, usize, &InputBody)> = block
+        let spends = block
             .transactions
             .iter()
             .enumerate()
             .skip(1)
             .flat_map(|(tx, t)| t.bodies.iter().enumerate().map(move |(j, b)| (tx, j, b)))
-            .collect();
-        let workers = if config.parallel_ev {
-            worker_count(config.workers)
-        } else {
-            1
-        };
-        let spends = try_par_map(&inputs, workers, |&(tx, input, body)| {
-            let proof = body.proof.as_ref().expect("non-coinbase checked");
-            existence(headers, proof, tx, input).map(|output| Spend {
-                tx,
-                input,
-                unlocking: &body.us,
-                value: output.value,
-                locking: &output.locking_script,
-                coord: (proof.height, proof.absolute_position()),
+            .map(|(tx, input, body)| {
+                let proof = body.proof.as_ref().expect("non-coinbase checked");
+                existence(headers, proof, tx, input).map(|output| Spend {
+                    tx,
+                    input,
+                    unlocking: &body.us,
+                    value: output.value,
+                    locking: &output.locking_script,
+                    coord: (proof.height, proof.absolute_position()),
+                })
             })
-        })?;
+            .collect::<Result<Vec<_>, _>>()?;
         drop(span_ev);
 
         // ---- UV: bit probes + intra-block duplicate detection ----------
@@ -552,6 +513,7 @@ mod tests {
     use super::*;
     use crate::pack::{ebv_coinbase, pack_ebv_block};
     use crate::proofs::ProofArchive;
+    use crate::tidy::InputBody;
     use ebv_chain::transaction::spend_sighash;
     use ebv_chain::BLOCK_SUBSIDY;
     use ebv_primitives::ec::PrivateKey;
@@ -814,7 +776,11 @@ mod tests {
         let pk = sk.public_key();
         let genesis_cb = ebv_coinbase(0, p2pkh_lock(&pk.address_hash()));
         let genesis = pack_ebv_block(Hash256::ZERO, vec![genesis_cb], 0, 0);
-        let mut seq_node = EbvNode::new(&genesis, EbvConfig::sequential());
+        let config = EbvConfig {
+            workers: Some(1),
+            ..EbvConfig::default()
+        };
+        let mut seq_node = EbvNode::new(&genesis, config);
         seq_node
             .process_block(&block1)
             .expect("sequential pipeline accepts the same block");

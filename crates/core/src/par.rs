@@ -1,20 +1,27 @@
-//! Data parallelism for the validation phases, on `std::thread::scope`.
+//! Data parallelism for block SV, on `std::thread::scope`.
 //!
-//! Every call splits its items into one contiguous chunk per worker and
-//! spawns a scoped thread per chunk; there is no pool. Results come back in
-//! index order, so the lowest-index error wins however the chunks finish —
-//! the property that makes a parallel phase report the same minimum
-//! `(tx, input)` failure as a sequential scan.
+//! SV is the one phase that fans out: EV, UV and value/midstates run
+//! inline, because a scope costs more than their whole per-block job. Every
+//! call splits its items into one contiguous chunk per worker and spawns a
+//! scoped thread per chunk; there is no pool. Results come back in index
+//! order, so the lowest-index error wins however the chunks finish — the
+//! property that makes parallel SV report the same minimum `(tx, input)`
+//! failure as a sequential scan.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
-/// Worker count for a parallel phase: the override, or every available
-/// core when there is none (or it is 0).
+/// Worker count for SV: the override, or every available core when there
+/// is none (or it is 0). The core count is resolved once per process:
+/// `available_parallelism` reads cgroup files on every call.
 pub fn worker_count(workers: Option<usize>) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     workers.filter(|&n| n > 0).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
+        *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     })
 }
 

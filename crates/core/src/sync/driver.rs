@@ -312,10 +312,12 @@ pub fn sync_multi<N: ValidatingNode, T: Transport>(
     // child span under `sync_managed`'s trace when it does. Seeded, so
     // same-seed runs produce identical trace trees.
     let _session_span = ebv_telemetry::context::SpanGuard::enter_root("sync.session", cfg.seed);
-    // Session floor: reorgs deeper than the driver's starting tip cannot
-    // be restored on failure (we never saw those blocks), so forks below
-    // it are refused.
-    let floor = node.tip_height();
+    // The newest connected blocks, `store[k]` at height `floor + 1 + k`,
+    // kept so a failed reorg can restore the old branch. Forks below
+    // `floor` are refused: it starts at the session's first tip (we never
+    // saw the blocks below it) and rises as `trim_store` drops blocks too
+    // deep for any accepted fork.
+    let mut floor = node.tip_height();
     let mut store: Vec<N::Block> = Vec::new();
     let mut ctls: Vec<PeerCtl<T>> = peers.into_iter().map(PeerCtl::new).collect();
     let mut report = SyncReport::default();
@@ -323,6 +325,7 @@ pub fn sync_multi<N: ValidatingNode, T: Transport>(
 
     loop {
         report.rounds += 1;
+        trim_store(&mut store, &mut floor, cfg.max_reorg_depth);
         // Liveness heartbeat: the stall watchdog distinguishes a slow
         // session (beating every round) from a hung one (silent).
         ebv_telemetry::health::heartbeat("sync.session.progress");
@@ -634,6 +637,19 @@ fn sync_failure_dump<T: Transport>(kind: &str, ctls: &[PeerCtl<T>]) {
     );
 }
 
+/// Drop the oldest blocks of `store` once it holds `2 × depth`, keeping
+/// the newest `depth` and raising `floor` past the dropped ones. No fork
+/// `depth` or more blocks deep is accepted, so no reorg can need them;
+/// trimming in batches keeps the shift amortized O(1) per block.
+fn trim_store<B>(store: &mut Vec<B>, floor: &mut u32, depth: u32) {
+    let keep = depth as usize;
+    if store.len() >= 2 * keep {
+        let dropped = store.len() - keep;
+        store.drain(..dropped);
+        *floor += dropped as u32;
+    }
+}
+
 /// A batch from `ctl` did not attach to the tip: walk its chain back to
 /// the common ancestor, fetch its candidate branch to exhaustion, and
 /// reorg if the branch is strictly longer.
@@ -664,7 +680,7 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
         if h < floor {
             return ForkOutcome::Rejected {
                 penalty: FORK_PENALTY,
-                reason: format!("fork point below the session floor (height {floor})"),
+                reason: format!("fork point below the reorg floor (height {floor})"),
             };
         }
         match ctl.handle.request(h, 1, cfg.request_timeout) {

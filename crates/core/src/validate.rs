@@ -6,10 +6,12 @@
 //! bit vectors. [`Node`] runs every other phase once, whatever its
 //! [`InputState`]: the tip and structure checks, the state's `resolve` of
 //! each input into a [`Spend`], value + sighash midstates per transaction,
-//! the coinbase bound, SV (strict or batched, inline or parallel), and the
-//! state's commit. Every parallel phase reports the failure with the
-//! minimum `(tx, input)` — the error a sequential scan hits first — so
-//! every configuration returns identical results.
+//! the coinbase bound, SV, and the state's commit. SV settles its ECDSA
+//! checks in batches ([`sv_chunk_batched`]) on the config's `workers`, and
+//! is the only phase that fans out: every other phase runs inline. SV
+//! reports the failure with the minimum `(tx, input)` — the error a strict
+//! sequential scan hits first — so every worker count returns identical
+//! results.
 //!
 //! The shared phases record into the handles of the state's [`Probes`],
 //! resolved in the state's own non-generic code: a `span!` call site here
@@ -18,18 +20,17 @@
 //! SV runs once per script: the mempool records each input it admitted in
 //! the node's script-execution cache ([`script_key`]), and the block that
 //! confirms the transaction skips SV for exactly those inputs. Every SV
-//! that does run — a block's, strict or batched, on either node type, and
-//! the mempool's — prepares signer keys through the node's one bounded
-//! [`PubkeyCache`].
+//! that does run — a block's on either node type, and the mempool's —
+//! prepares signer keys through the node's one bounded [`PubkeyCache`].
 
 use crate::metrics::Breakdown;
 use crate::par::{try_par_map, worker_count};
-use crate::sighash::{sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
+use crate::sighash::{sv_chunk_batched, PubkeyCache, SvJob, SV_BATCH_MAX};
 use ebv_chain::transaction::{SpendSighashMidstate, TxOut};
 use ebv_chain::{BlockHeader, BLOCK_SUBSIDY};
 use ebv_primitives::encode::Decodable;
 use ebv_primitives::hash::{Hash256, Sha256};
-use ebv_script::{verify_spend, Script, ScriptError};
+use ebv_script::{Script, ScriptError};
 use ebv_telemetry::context::SpanGuard;
 use ebv_telemetry::{counter, Counter, Histogram, Span};
 use std::collections::HashSet;
@@ -80,31 +81,15 @@ pub struct TxFields<'b> {
     pub lock_time: u32,
 }
 
-/// The knobs of a state's config that the shared phases read.
-#[derive(Clone, Copy, Debug)]
-pub struct Knobs {
-    /// Run value + midstates across transactions, and SV across inputs, in
-    /// parallel.
-    pub parallel_sv: bool,
-    /// Worker-thread override for the parallel phases; `None` uses every
-    /// available core.
-    pub workers: Option<usize>,
-    /// Settle SV's ECDSA checks through batch verification
-    /// ([`crate::sighash::sv_chunk_batched`]).
-    pub batch_verify: bool,
-}
-
 /// Telemetry handles of one node type's shared phases.
 #[derive(Clone, Copy)]
 pub struct Probes {
     /// Name of the per-block trace span (keyed by height).
     pub block: &'static str,
-    /// Tip + structure checks, value + midstates, SV, one strict SV input,
-    /// and the whole block.
+    /// Tip + structure checks, value + midstates, SV, and the whole block.
     pub structure: &'static Histogram,
     pub value: &'static Histogram,
     pub sv: &'static Histogram,
-    pub sv_input: &'static Histogram,
     pub block_total: &'static Histogram,
     pub blocks_connected: &'static Counter,
 }
@@ -132,7 +117,8 @@ pub trait InputState: Sized {
     fn header(block: &Self::Block) -> &BlockHeader;
     /// Every transaction's digest fields, coinbase first.
     fn tx_fields(block: &Self::Block) -> Vec<TxFields<'_>>;
-    fn knobs(config: &Self::Config) -> Knobs;
+    /// SV's worker-thread override; `None` uses every available core.
+    fn workers(config: &Self::Config) -> Option<usize>;
     /// Whether `err` is the shared tip check's rejection.
     fn is_not_on_tip(err: &Self::Error) -> bool;
 
@@ -147,7 +133,6 @@ pub trait InputState: Sized {
         headers: &[BlockHeader],
         block: &'b Self::Block,
         resolved: &'b mut Self::Resolved,
-        config: &Self::Config,
         breakdown: &mut Breakdown,
     ) -> Result<Vec<Spend<'b>>, Self::Error>;
     /// Apply a fully validated `block` at `height`. Times itself into
@@ -265,7 +250,6 @@ impl<S: InputState> Node<S> {
     pub fn process_block(&mut self, block: &S::Block) -> Result<Breakdown, S::Error> {
         let mut breakdown = Breakdown::default();
         let height = self.headers.len() as u32;
-        let knobs = S::knobs(&self.config);
         let probes = self.probes;
         // Per-block trace span, keyed by height: inert (one thread-local
         // peek) unless a caller entered a trace context.
@@ -281,13 +265,9 @@ impl<S: InputState> Node<S> {
 
         // ---- resolve: EV + UV, or the DBO fetch -------------------------
         let mut resolved = S::Resolved::default();
-        let spends = self.state.resolve(
-            &self.headers,
-            block,
-            &mut resolved,
-            &self.config,
-            &mut breakdown,
-        )?;
+        let spends = self
+            .state
+            .resolve(&self.headers, block, &mut resolved, &mut breakdown)?;
 
         // ---- "others": value conservation + sighash midstates -----------
         // One pass per transaction: sum input/output values and hash the
@@ -295,15 +275,10 @@ impl<S: InputState> Node<S> {
         // below never re-serializes the outputs once per input.
         let value = Span::new(probes.value, Some(&mut breakdown.others));
         let txs = S::tx_fields(block);
-        let workers = if knobs.parallel_sv {
-            worker_count(knobs.workers)
-        } else {
-            1
-        };
-        let runs = tx_runs(&spends, txs.len());
-        let digests = try_par_map(&runs, workers, |&(tx, run)| {
-            tx_digest(&txs[tx], run).ok_or(Rejection::ValueImbalance { tx })
-        })?;
+        let digests = tx_runs(&spends, txs.len())
+            .into_iter()
+            .map(|(tx, run)| tx_digest(&txs[tx], run).ok_or(Rejection::ValueImbalance { tx }))
+            .collect::<Result<Vec<_>, _>>()?;
         let fees = digests
             .iter()
             .fold(0u64, |acc, (_, fee)| acc.saturating_add(*fee));
@@ -323,32 +298,24 @@ impl<S: InputState> Node<S> {
         // Inputs signed by a key this node has seen before, in this block
         // or any earlier one, reuse its parse + odd-multiples table.
         let cache = &self.pubkey_cache;
-        let failed = |s: &Spend<'_>, err: ScriptError| Rejection::SvFailed {
-            tx: s.tx,
-            input: s.input,
-            err,
-        };
-        if knobs.batch_verify {
-            // Settle each chunk's ECDSA through one batch equation and
-            // report the chunk's first failure. Chunks partition the
-            // ordered spends, so the lowest failing chunk holds the
-            // minimum `(tx, input)` — the strict path's error.
-            try_par_map(&sv_chunks(&pending, workers), workers, |chunk| {
-                let jobs: Vec<SvJob<'_>> =
-                    chunk.iter().map(|s| sv_job(s, &digests, &txs)).collect();
-                sv_chunk_batched(&jobs, cache)
-                    .into_iter()
-                    .zip(*chunk)
-                    .try_for_each(|(result, s)| result.map_err(|err| failed(s, err)))
-            })?;
-        } else {
-            try_par_map(&pending, workers, |s| {
-                let _input_span = Span::new(probes.sv_input, None);
-                let job = sv_job(s, &digests, &txs);
-                let checker = DigestChecker::with_context(job.digest, job.lock_time, cache);
-                verify_spend(job.unlocking, job.locking, &checker).map_err(|err| failed(s, err))
-            })?;
-        }
+        // Settle each chunk's ECDSA through one batch equation and report
+        // the chunk's first failure. Chunks partition the ordered spends,
+        // so the lowest failing chunk holds the minimum `(tx, input)` — the
+        // strict path's error.
+        let workers = worker_count(S::workers(&self.config));
+        try_par_map(&sv_chunks(&pending, workers), workers, |chunk| {
+            let jobs: Vec<SvJob<'_>> = chunk.iter().map(|s| sv_job(s, &digests, &txs)).collect();
+            sv_chunk_batched(&jobs, cache)
+                .into_iter()
+                .zip(*chunk)
+                .try_for_each(|(result, s)| {
+                    result.map_err(|err| Rejection::SvFailed {
+                        tx: s.tx,
+                        input: s.input,
+                        err,
+                    })
+                })
+        })?;
         drop(sv);
 
         // ---- commit: the state, then the header and the undo record -------

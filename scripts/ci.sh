@@ -75,10 +75,16 @@ echo "==> fig17 parallel-IBD smoke"
 
 # fig16/fig17 --json embed a telemetry snapshot of the run. A snapshot
 # taken with recording off is all zeros, so a smoke run that connected
-# blocks must report a nonzero ebv.blocks_connected.
+# blocks must report a nonzero ebv.blocks_connected. Block SV settles in
+# batches at every worker count, so it must also report a nonzero
+# sv.batch.batches.
 require_live_telemetry() {
     if ! grep -Eq '"ebv\.blocks_connected": ?[1-9]' "$1"; then
         echo "error: $1 reports ebv.blocks_connected = 0 (empty telemetry section)" >&2
+        exit 1
+    fi
+    if ! grep -Eq '"sv\.batch\.batches": ?[1-9]' "$1"; then
+        echo "error: $1 reports sv.batch.batches = 0 (block SV did not settle in batches)" >&2
         exit 1
     fi
 }
@@ -133,19 +139,19 @@ timeout 180 ./target/release/netsimbench --prop-nodes 200 --prop-runs 1 \
 # Batch ECDSA verification must be a pure performance layer: the
 # crypto-level differential suite (edge scalars, mixed batches,
 # odd-parity fallback, cancellation-attack probe) and the node-level
-# tamper differential (identical error selection with batching on and
-# off) both run by name.
+# tamper differential (every SV worker count on both node types returns
+# the strict per-input oracle's error) both run by name.
 echo "==> cargo test -p ebv-primitives --test batch_verify (batch ECDSA differential)"
 cargo test -q -p ebv-primitives --test batch_verify
 
-echo "==> cargo test --test batch_pipeline (node batch-on/off tamper differential)"
+echo "==> cargo test --test batch_pipeline (worker-count tamper differential vs strict oracle)"
 cargo test -q --test batch_pipeline
 
-# Exercise the fig16 --batch-verify path end to end. Small smoke into
-# target/ — the committed BENCH_fig16.json comes from the full-scale run
-# (--batch-verify --sweep-workers 1,2,4).
-echo "==> fig16 batch-verify smoke"
-./target/release/fig16 --blocks 120 --batch-verify \
+# Exercise fig16's worker comparison and sweep end to end. Small smoke
+# into target/ — the committed BENCH_fig16.json comes from the full-scale
+# run (--sweep-workers 1,2,4).
+echo "==> fig16 smoke"
+./target/release/fig16 --blocks 120 \
     --json target/BENCH_fig16_smoke.json > /dev/null
 require_live_telemetry target/BENCH_fig16_smoke.json
 

@@ -1,22 +1,25 @@
-//! Batch-verification differential at the node level: with
-//! `batch_verify` on and off, both validators must return the identical
-//! accept/reject decision and the identical error — including the
-//! minimum-`(tx, input)` selection — on every block of a tampered chain.
-//! Both node types run one pipeline, so across all four SV modes
-//! (sequential/parallel × strict/batch) they must also reject a tampered
-//! signature or an inflated output with the same coordinates and error.
+//! Worker-count differential at the node level, against a strict oracle.
+//! Block SV settles each chunk's signatures through one batch equation and
+//! fans the chunks out to `workers` threads. On every block of a tampered
+//! chain, both validators at every worker count must return the decision
+//! and the error of a strict reference that runs each input's script on
+//! its own, in `(tx, input)` order — so the minimum-`(tx, input)` error
+//! survives chunking and threads. The reference is built here from public
+//! API only: `spend_sighash`, `InputProof::spent_output`, and `verify_spend`
+//! with the strict `DigestChecker`.
 //! A node whose mempool already ran the honest transactions' scripts skips
 //! them in the block and must still report every error a cold node does.
 //! Every node keeps one pubkey cache for life: a signature tampered under a
 //! key it already holds is refused at admission and in the block with the
 //! same error, and each node prepares each signer key once.
 
+use ebv_chain::transaction::spend_sighash;
 use ebv_core::tidy::{EbvBlock, InputBody};
 use ebv_core::{
-    BaselineConfig, BaselineError, BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary,
-    Mempool, MempoolError,
+    BaselineConfig, BaselineError, BaselineNode, DigestChecker, EbvConfig, EbvError, EbvNode,
+    Intermediary, Mempool, MempoolError, PubkeyCache,
 };
-use ebv_script::{Script, ScriptError};
+use ebv_script::{verify_spend, Script, ScriptError};
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
 use ebv_workload::{ChainGenerator, GeneratorParams};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -72,105 +75,146 @@ fn tamper_baseline_signature(
     b
 }
 
+/// Every worker count under test: inline, two and three threads (so even
+/// small blocks split their inputs across chunks), and the default.
+const WORKERS: [Option<usize>; 4] = [Some(1), Some(2), Some(3), None];
+
+fn ebv_nodes(genesis: &EbvBlock) -> Vec<EbvNode> {
+    WORKERS
+        .iter()
+        .map(|&workers| {
+            let config = EbvConfig {
+                workers,
+                ..EbvConfig::default()
+            };
+            EbvNode::new(genesis, config)
+        })
+        .collect()
+}
+
+fn baseline_nodes(genesis: &ebv_chain::Block) -> Vec<BaselineNode> {
+    WORKERS
+        .iter()
+        .map(|&workers| {
+            let config = BaselineConfig {
+                workers,
+                ..BaselineConfig::default()
+            };
+            BaselineNode::new(genesis, fresh_utxos(), config).expect("genesis")
+        })
+        .collect()
+}
+
+/// The strict reference: each input's script run on its own through
+/// `verify_spend` with the strict `DigestChecker`, in `(tx, input)` order,
+/// reading the spent output from the input's proof. Returns the first
+/// failure as `(tx, input, err)`.
+fn strict_oracle(block: &EbvBlock) -> Option<(usize, usize, ScriptError)> {
+    let cache = PubkeyCache::new();
+    for (tx, t) in block.transactions.iter().enumerate().skip(1) {
+        let proofs: Vec<_> = t
+            .bodies
+            .iter()
+            .map(|body| body.proof.as_ref().expect("spending input carries a proof"))
+            .collect();
+        let coords: Vec<(u32, u32)> = proofs
+            .iter()
+            .map(|p| (p.height, p.absolute_position()))
+            .collect();
+        for (input, (body, proof)) in t.bodies.iter().zip(&proofs).enumerate() {
+            let spent = proof.spent_output().expect("honest proof inside ELs");
+            let digest = spend_sighash(
+                t.tidy.version,
+                &coords,
+                &t.tidy.outputs,
+                t.tidy.lock_time,
+                input as u32,
+            );
+            let checker = DigestChecker::with_context(digest, t.tidy.lock_time, &cache);
+            if let Err(err) = verify_spend(&body.us, &spent.locking_script, &checker) {
+                return Some((tx, input, err));
+            }
+        }
+    }
+    None
+}
+
 #[test]
 fn ebv_batch_and_strict_report_identical_errors() {
     let _serial = serial();
     let (_, chain) = build_chains(GeneratorParams::tiny(400, 0xba7c));
-    let mut strict = EbvNode::new(&chain[0], EbvConfig::default());
-    let mut batch = EbvNode::new(
-        &chain[0],
-        EbvConfig {
-            batch_verify: true,
-            ..EbvConfig::default()
-        },
-    );
-    let mut batch_seq = EbvNode::new(
-        &chain[0],
-        EbvConfig {
-            batch_verify: true,
-            ..EbvConfig::sequential()
-        },
-    );
-
+    let mut nodes = ebv_nodes(&chain[0]);
+    let mut tampered = 0;
     for (h, block) in chain.iter().enumerate().skip(1) {
-        // Every 5th block: tamper a signature (possibly several, to
-        // exercise minimum-(tx, input) selection) and demand the same
-        // rejection from all three configurations.
-        if h % 5 == 0
-            && block.transactions.len() > 1
-            && block.transactions[1].bodies[0].proof.is_some()
-        {
+        // Every 5th block: tamper a signature (two on every 10th, to
+        // exercise minimum-(tx, input) selection) and demand the oracle's
+        // rejection from every worker count.
+        if h % 5 == 0 && block.transactions.len() > 1 {
             let mut bad = tamper_signature(block, 1, 0);
-            if h % 10 == 0
-                && bad.transactions.len() > 2
-                && bad.transactions[2].bodies[0].proof.is_some()
-            {
+            if h % 10 == 0 && bad.transactions.len() > 2 {
                 bad = tamper_signature(&bad, 2, 0);
             }
-            let e_strict = strict.process_block(&bad).expect_err("tampered sig");
-            let e_batch = batch.process_block(&bad).expect_err("tampered sig");
-            let e_seq = batch_seq.process_block(&bad).expect_err("tampered sig");
-            assert_eq!(e_strict, e_batch, "height {h}: strict vs batch error");
-            assert_eq!(e_strict, e_seq, "height {h}: strict vs batch-seq error");
+            let (tx, input, err) = strict_oracle(&bad).expect("oracle rejects a tampered sig");
+            for node in &mut nodes {
+                let e = node.process_block(&bad).expect_err("tampered sig");
+                assert_eq!(e, EbvError::SvFailed { tx, input, err }, "height {h}");
+            }
+            tampered += 1;
         }
-        let r_strict = strict.process_block(block);
-        let r_batch = batch.process_block(block);
-        let r_seq = batch_seq.process_block(block);
-        assert_eq!(
-            r_strict.as_ref().err(),
-            r_batch.as_ref().err(),
-            "height {h}"
-        );
-        assert_eq!(r_strict.as_ref().err(), r_seq.as_ref().err(), "height {h}");
-        assert!(r_strict.is_ok(), "height {h}: generated block validates");
+        assert_eq!(strict_oracle(block), None, "height {h}");
+        for node in &mut nodes {
+            node.process_block(block)
+                .unwrap_or_else(|e| panic!("height {h}: generated block rejected: {e:?}"));
+        }
     }
-
-    assert_eq!(strict.tip_height(), batch.tip_height());
-    assert_eq!(strict.tip_hash(), batch.tip_hash());
-    assert_eq!(strict.state_digest(), batch.state_digest());
-    assert_eq!(strict.state_digest(), batch_seq.state_digest());
+    assert!(tampered >= 40, "too few tampered blocks: {tampered}");
+    for node in &nodes {
+        assert_eq!(node.tip_hash(), nodes[0].tip_hash());
+        assert_eq!(node.state_digest(), nodes[0].state_digest());
+    }
 }
 
 #[test]
 fn baseline_batch_and_strict_agree() {
     let _serial = serial();
-    let (blocks, _) = build_chains(GeneratorParams::tiny(120, 0x5eed));
-    let mut strict =
-        BaselineNode::new(&blocks[0], fresh_utxos(), BaselineConfig::default()).expect("genesis");
-    let mut batch = BaselineNode::new(
-        &blocks[0],
-        fresh_utxos(),
-        BaselineConfig {
-            batch_verify: true,
-            ..BaselineConfig::default()
-        },
-    )
-    .expect("genesis");
-
-    for (h, block) in blocks.iter().enumerate().skip(1) {
-        if h % 6 == 0 && block.transactions.len() > 1 && !block.transactions[1].inputs.is_empty() {
-            let bad = tamper_baseline_signature(block, 1, 0);
-            let e_strict = strict.process_block(&bad).expect_err("tampered sig");
-            let e_batch = batch.process_block(&bad).expect_err("tampered sig");
-            // BaselineError wraps io::Error and so cannot derive PartialEq;
-            // the Debug rendering carries the full (tx, input, err) triple.
-            assert_eq!(
-                format!("{e_strict:?}"),
-                format!("{e_batch:?}"),
-                "height {h}: baseline batch error"
+    let (blocks, chain) = build_chains(GeneratorParams::tiny(120, 0x5eed));
+    let mut nodes = baseline_nodes(&blocks[0]);
+    let mut tampered = 0;
+    for (h, (block, ebv_block)) in blocks.iter().zip(&chain).enumerate().skip(1) {
+        let last = block.transactions.len() - 1;
+        if h % 6 == 0 && last > 0 {
+            // One tampered signature, and on every 12th block a second in
+            // the last transaction, so the minimum `(tx, input)` is selected
+            // across chunks. The oracle reads spent outputs from proofs, so
+            // it judges the EBV twin of the block, tampered identically.
+            let mut pair = (
+                tamper_signature(ebv_block, 1, 0),
+                tamper_baseline_signature(block, 1, 0),
             );
+            if h % 12 == 0 && last > 1 {
+                pair = (
+                    tamper_signature(&pair.0, last, 0),
+                    tamper_baseline_signature(&pair.1, last, 0),
+                );
+            }
+            let (ebv_bad, bad) = pair;
+            let (tx, input, err) = strict_oracle(&ebv_bad).expect("oracle rejects");
+            for node in &mut nodes {
+                let e = node.process_block(&bad).expect_err("tampered sig");
+                assert_eq!(baseline_verdict(&e), (tx, Some((input, err))), "height {h}");
+            }
+            tampered += 1;
         }
-        let r_strict = strict.process_block(block);
-        let r_batch = batch.process_block(block);
-        assert_eq!(
-            r_strict.as_ref().err().map(|e| format!("{e:?}")),
-            r_batch.as_ref().err().map(|e| format!("{e:?}")),
-            "height {h}"
-        );
-        assert!(r_strict.is_ok(), "height {h}: generated block validates");
+        for node in &mut nodes {
+            node.process_block(block)
+                .unwrap_or_else(|e| panic!("height {h}: generated block rejected: {e:?}"));
+        }
     }
-    assert_eq!(strict.tip_height(), batch.tip_height());
-    assert_eq!(strict.tip_hash(), batch.tip_hash());
+    assert!(tampered >= 10, "too few tampered blocks: {tampered}");
+    for node in &nodes {
+        assert_eq!(node.tip_hash(), nodes[0].tip_hash());
+        assert_eq!(node.utxos().size().count, nodes[0].utxos().size().count);
+    }
 }
 
 fn fresh_utxos() -> UtxoSet {
@@ -217,33 +261,8 @@ fn baseline_verdict(e: &BaselineError) -> Verdict {
 fn both_node_types_agree_in_every_sv_mode() {
     let _serial = serial();
     let (blocks, chain) = build_chains(GeneratorParams::tiny(90, 0xc0de));
-    // `(parallel, batch)`. Parallel EBV modes use 3 workers, so even these
-    // small blocks split their inputs across threads.
-    let modes = [(false, false), (false, true), (true, false), (true, true)];
-    let mut ebv: Vec<EbvNode> = modes
-        .iter()
-        .map(|&(parallel, batch)| {
-            let config = EbvConfig {
-                parallel_ev: parallel,
-                parallel_sv: parallel,
-                workers: parallel.then_some(3),
-                batch_verify: batch,
-                ..EbvConfig::default()
-            };
-            EbvNode::new(&chain[0], config)
-        })
-        .collect();
-    let mut baseline: Vec<BaselineNode> = modes
-        .iter()
-        .map(|&(parallel, batch)| {
-            let config = BaselineConfig {
-                parallel_sv: parallel,
-                batch_verify: batch,
-                ..BaselineConfig::default()
-            };
-            BaselineNode::new(&blocks[0], fresh_utxos(), config).expect("genesis")
-        })
-        .collect();
+    let mut ebv = ebv_nodes(&chain[0]);
+    let mut baseline = baseline_nodes(&blocks[0]);
 
     // Blocks rejected for one bad signature, for two, for an inflated output.
     let mut rejected = [0; 3];
@@ -305,6 +324,13 @@ fn both_node_types_agree_in_every_sv_mode() {
             let verdict = ebv_verdict(&ebv_errors[0]);
             assert_eq!(verdict, baseline_verdict(&baseline_errors[0]), "height {h}");
             assert_eq!((verdict.0, verdict.1.map(|(input, _)| input)), expected);
+            if let (tx, Some((input, err))) = verdict {
+                assert_eq!(
+                    strict_oracle(&ebv_bad),
+                    Some((tx, input, err)),
+                    "height {h}"
+                );
+            }
         }
         for node in &mut ebv {
             node.process_block(ebv_block)
@@ -326,20 +352,6 @@ fn both_node_types_agree_in_every_sv_mode() {
     }
 }
 
-/// The four SV modes as `EbvConfig`s: `(parallel, batch)`, parallel modes
-/// on 3 workers so even small blocks split their inputs across threads.
-fn sv_modes() -> [EbvConfig; 4] {
-    [(false, false), (false, true), (true, false), (true, true)].map(|(parallel, batch)| {
-        EbvConfig {
-            parallel_ev: parallel,
-            parallel_sv: parallel,
-            workers: parallel.then_some(3),
-            batch_verify: batch,
-            ..EbvConfig::default()
-        }
-    })
-}
-
 /// The signer key of a P2PKH unlocking script: its last push.
 fn signer_key(us: &Script) -> [u8; 33] {
     let bytes = us.as_bytes();
@@ -352,26 +364,18 @@ fn signer_key(us: &Script) -> [u8; 33] {
 fn script_cache_changes_no_verdict() {
     let _serial = serial();
     let (blocks, chain) = build_chains(GeneratorParams::tiny(90, 0xcac4e));
-    // Per SV mode: a cold node, a warm one whose mempool admits each honest
-    // block's transactions before any version of the block arrives, and a
-    // baseline node. All three keep their pubkey caches across blocks.
-    let mut nodes: Vec<(EbvNode, EbvNode, Mempool, BaselineNode)> = sv_modes()
+    // Per worker count: a cold node, a warm one whose mempool admits each
+    // honest block's transactions before any version of the block arrives,
+    // and a baseline node. All three keep their pubkey caches across
+    // blocks.
+    let mut nodes: Vec<(EbvNode, EbvNode, Mempool, BaselineNode)> = ebv_nodes(&chain[0])
         .into_iter()
-        .map(|config| {
-            let cold = EbvNode::new(&chain[0], config);
-            let warm = EbvNode::new(&chain[0], config);
-            let baseline_config = BaselineConfig {
-                parallel_sv: config.parallel_sv,
-                batch_verify: config.batch_verify,
-                ..BaselineConfig::default()
-            };
-            let baseline =
-                BaselineNode::new(&blocks[0], fresh_utxos(), baseline_config).expect("genesis");
-            (cold, warm, Mempool::new(), baseline)
-        })
+        .zip(ebv_nodes(&chain[0]))
+        .zip(baseline_nodes(&blocks[0]))
+        .map(|((cold, warm), baseline)| (cold, warm, Mempool::new(), baseline))
         .collect();
-    let modes = nodes.len() as u64;
-    let node_count = 3 * modes;
+    let arms = nodes.len() as u64;
+    let node_count = 3 * arms;
 
     // Only this test fills a script cache, so within this binary it alone
     // moves the cache's counters; the pubkey cache's counters move with
@@ -456,8 +460,8 @@ fn script_cache_changes_no_verdict() {
                 }
             }
             if tampered_inputs > 0 {
-                expected_misses += modes * tampered_inputs;
-                expected_hits += modes * (inputs - tampered_inputs);
+                expected_misses += arms * tampered_inputs;
+                expected_hits += arms * (inputs - tampered_inputs);
             }
         }
         for (cold, warm, pool, baseline) in &mut nodes {
@@ -472,7 +476,7 @@ fn script_cache_changes_no_verdict() {
             assert!(pool.is_empty(), "height {h}");
             assert_eq!(warm.state_digest(), cold.state_digest(), "height {h}");
         }
-        expected_hits += modes * inputs;
+        expected_hits += arms * inputs;
         keys.extend(
             block.transactions[1..]
                 .iter()

@@ -11,8 +11,10 @@
 //! cross-format invariant, own-format tip hash the per-node one.)
 //!
 //! Also here: the forced 3-block reorg mid-IBD, the reorg restore path,
-//! and the disconnect-to-genesis round trip driven through the
-//! `ValidatingNode` interface with invariants checked at every step.
+//! reorgs at the deepest accepted fork once the driver has trimmed its
+//! store of connected blocks, and the disconnect-to-genesis round trip
+//! driven through the `ValidatingNode` interface with invariants checked
+//! at every step.
 
 use ebv::chain::{build_block, coinbase_tx, Block};
 use ebv::core::sync::node::ValidatingNode;
@@ -400,6 +402,65 @@ fn reorg_restores_original_chain_when_branch_is_invalid() {
     assert_eq!(node.total_unspent(), unspent_before);
     node.check_invariants()
         .expect("invariants hold after restore");
+}
+
+#[test]
+fn deepest_fork_reorgs_from_the_trimmed_store() {
+    // The driver keeps only the newest `max_reorg_depth` connected blocks
+    // (trimmed once it holds twice that). After connecting more than
+    // 2 × depth blocks, a fork at depth − 1 still needs every displaced
+    // block: a longer valid branch must reorg, and an invalid one must put
+    // the old branch back from the store, not from the peer.
+    let depth = 8u32;
+    let cfg = SyncConfig {
+        max_reorg_depth: depth,
+        batch: 5,
+        ..SyncConfig::fast_test()
+    };
+    let (blocks_a, ebv_a) = chain_pair(3 * depth, 1201);
+    let tip_a = blocks_a.len() as u32 - 1;
+    assert!(tip_a > 2 * depth);
+    let fork = tip_a - (depth - 1);
+    let blocks_b = fork_chain(&blocks_a, fork, depth as usize + 2, 1212);
+    let ebv_b = Intermediary::new(0)
+        .convert_chain(&blocks_b)
+        .expect("branch B conversion");
+    let tip_b = blocks_b.len() as u32 - 1;
+    // B's block two above the fork, corrupted without touching its header:
+    // the linkage pre-check passes and validation fails mid-connect.
+    let mut bad_b = ebv_b.clone();
+    bad_b[fork as usize + 2].transactions[0].tidy.lock_time += 1;
+
+    let sync = |branch: Vec<EbvBlock>| {
+        let mut node = EbvNode::new(&ebv_a[0], EbvConfig::default());
+        let peers = vec![
+            PeerHandle::spawn(0, ebv_a.clone()),
+            PeerHandle::spawn(1, branch),
+        ];
+        let report = sync_multi(&mut node, peers, &cfg).expect("sync completes");
+        node.check_invariants().expect("invariants hold");
+        (node, report)
+    };
+
+    let (node, report) = sync(ebv_b.clone());
+    assert_eq!(report.reorgs, 1);
+    assert_eq!(report.blocks_disconnected, depth - 1);
+    assert_eq!(node.tip_hash(), ebv_b[tip_b as usize].header.hash());
+
+    let (node, report) = sync(bad_b);
+    assert_eq!(report.reorgs, 0);
+    assert!(
+        report.peers[1].banned,
+        "the invalid branch's peer is banned"
+    );
+    // A's blocks were each connected once: the restore re-downloaded none.
+    assert_eq!(report.blocks_connected, tip_a);
+    assert_eq!(node.tip_hash(), ebv_a[tip_a as usize].header.hash());
+    let mut replayed = EbvNode::new(&ebv_a[0], EbvConfig::default());
+    for b in &ebv_a[1..] {
+        replayed.process_block(b).expect("valid");
+    }
+    assert_eq!(node.state_digest(), replayed.state_digest());
 }
 
 #[test]

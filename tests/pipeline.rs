@@ -1,8 +1,9 @@
 //! End-to-end properties of the EBV validation pipeline:
 //!
-//! * the sequential and parallel configurations are observationally
-//!   identical — same accept/reject decision and the same `EbvError` on
-//!   every block, valid or tampered, over a ~1k-block random chain;
+//! * every SV worker count is observationally identical — same
+//!   accept/reject decision and the same `EbvError` on every block, valid
+//!   or tampered (in EV, value, SV, stake and Merkle), over a ~1k-block
+//!   random chain;
 //! * `disconnect_tip` restores the bit-vector set exactly (connect /
 //!   disconnect round trip).
 
@@ -76,15 +77,17 @@ fn tamper(block: &EbvBlock, mode: usize) -> EbvBlock {
 #[test]
 fn sequential_and_parallel_pipelines_agree() {
     let chain = build_ebv_chain(GeneratorParams::tiny(1000, 0xd1ff));
-    let mut par = EbvNode::new(&chain[0], EbvConfig::default());
-    let mut seq = EbvNode::new(&chain[0], EbvConfig::sequential());
-    let mut two = EbvNode::new(
-        &chain[0],
-        EbvConfig {
-            workers: Some(2),
-            ..EbvConfig::default()
-        },
-    );
+    // One worker (everything inline), two, three, and the default.
+    let mut nodes: Vec<EbvNode> = [Some(1), Some(2), Some(3), None]
+        .into_iter()
+        .map(|workers| {
+            let config = EbvConfig {
+                workers,
+                ..EbvConfig::default()
+            };
+            EbvNode::new(&chain[0], config)
+        })
+        .collect();
 
     for (h, block) in chain.iter().enumerate().skip(1) {
         // Every 7th block, feed all nodes a tampered copy first and
@@ -92,46 +95,35 @@ fn sequential_and_parallel_pipelines_agree() {
         // targets so every phase's error selection is exercised).
         if h % 7 == 0 {
             let bad = tamper(block, h / 7);
-            let e_par = par
-                .process_block(&bad)
-                .expect_err("tampered block rejected");
-            let e_seq = seq
-                .process_block(&bad)
-                .expect_err("tampered block rejected");
-            let e_two = two
-                .process_block(&bad)
-                .expect_err("tampered block rejected");
-            assert_eq!(e_par, e_seq, "height {h}: parallel vs sequential error");
-            assert_eq!(e_par, e_two, "height {h}: default vs 2-worker error");
+            let errors: Vec<_> = nodes
+                .iter_mut()
+                .map(|n| n.process_block(&bad).expect_err("tampered block rejected"))
+                .collect();
+            assert!(
+                errors.iter().all(|e| e == &errors[0]),
+                "height {h}: {errors:?}"
+            );
         }
         // `Ok` carries wall-clock timings, so compare decisions + errors.
-        let r_par = par.process_block(block);
-        let r_seq = seq.process_block(block);
-        let r_two = two.process_block(block);
-        assert_eq!(
-            r_par.as_ref().err(),
-            r_seq.as_ref().err(),
-            "height {h}: par vs seq error"
-        );
-        assert_eq!(
-            r_par.as_ref().err(),
-            r_two.as_ref().err(),
-            "height {h}: 2-worker error"
-        );
-        assert!(r_par.is_ok(), "height {h}: generated block must validate");
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let result = node.process_block(block);
+            assert!(result.is_ok(), "height {h}, node {i}: {result:?}");
+        }
     }
 
     // Identical decisions must leave identical state.
-    assert_eq!(par.tip_height(), seq.tip_height());
-    assert_eq!(par.tip_hash(), seq.tip_hash());
-    assert_eq!(par.total_unspent(), seq.total_unspent());
-    assert_eq!(par.status_memory(), seq.status_memory());
-    for h in 0..=par.tip_height() {
-        assert_eq!(
-            par.bitvecs().vector(h),
-            seq.bitvecs().vector(h),
-            "vector at height {h}"
-        );
+    let one = &nodes[0];
+    for node in &nodes[1..] {
+        assert_eq!(node.tip_hash(), one.tip_hash());
+        assert_eq!(node.total_unspent(), one.total_unspent());
+        assert_eq!(node.status_memory(), one.status_memory());
+        for h in 0..=one.tip_height() {
+            assert_eq!(
+                node.bitvecs().vector(h),
+                one.bitvecs().vector(h),
+                "vector at height {h}"
+            );
+        }
     }
 }
 

@@ -13,16 +13,19 @@ use ebv::workload::{ChainGenerator, GeneratorParams};
 use std::time::Duration;
 
 /// Validate the whole chain on a fresh node and return the wall time.
-/// Sequential pipeline: single-threaded runs time far more reproducibly
-/// than the work-stealing one, and they execute the identical span and
-/// per-input instrumentation.
+/// One worker: single-threaded runs time far more reproducibly than
+/// parallel SV, and they execute the identical span instrumentation.
 fn validate_run(chain: &[EbvBlock]) -> Duration {
     let sw = Stopwatch::start();
     // With telemetry on, this roots a trace so every per-block span carries
     // ids and feeds the flight-recorder rings — the full causal-tracing
     // cost is inside the guarded window. Inert when disabled.
     let _root = ebv::telemetry::SpanGuard::enter_root("overhead.run", 0xd1ff);
-    let mut node = EbvNode::new(&chain[0], EbvConfig::sequential());
+    let config = EbvConfig {
+        workers: Some(1),
+        ..EbvConfig::default()
+    };
+    let mut node = EbvNode::new(&chain[0], config);
     for block in &chain[1..] {
         node.process_block(block).expect("chain is valid");
     }

@@ -5,7 +5,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ebv_chain::merkle::{merkle_levels, merkle_root, MerkleBranch};
 use ebv_core::sighash::SV_BATCH_MAX;
 use ebv_core::sighash::{sign_input, DigestChecker, PubkeyCache};
-use ebv_primitives::ec::{ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey};
+use ebv_primitives::ec::{
+    ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey, Signature,
+};
 use ebv_primitives::hash::{sha256, sha256d, Hash256};
 use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};
 use ebv_script::{verify_spend, Builder, RejectAllChecker};
@@ -27,51 +29,78 @@ fn bench_hashing(c: &mut Criterion) {
     });
 }
 
+/// Signer keys per ring: the ledgers' key pool.
+const RING_KEYS: usize = 128;
+
+/// Distinct `(digest, signature, key)` entries per ring. The verify benches
+/// step through a ring as the ledgers' inputs do: one fixed signature
+/// verified in a loop read ~1.5× under what the workloads pay per verify.
+const RING_LEN: usize = 2048;
+
+/// A digest, its signature, and the signing key's index.
+type RingItem = ([u8; 32], Signature, usize);
+
+/// `RING_LEN` signatures, each over its own digest, by a key the digest
+/// picks: a batch of 64 repeats some keys, as a ledger's does.
+fn signature_ring() -> (Vec<PrivateKey>, Vec<RingItem>) {
+    let keys: Vec<PrivateKey> = (0..RING_KEYS as u64).map(PrivateKey::from_seed).collect();
+    let items = (0..RING_LEN)
+        .map(|i| {
+            let digest = sha256(format!("ring item {i}").as_bytes());
+            let k = usize::from(digest[0]) % RING_KEYS;
+            (digest, keys[k].sign(&digest), k)
+        })
+        .collect();
+    (keys, items)
+}
+
 fn bench_ecdsa(c: &mut Criterion) {
     let sk = PrivateKey::from_seed(1);
-    let pk = sk.public_key();
     let digest = sha256(b"bench digest");
-    let sig = sk.sign(&digest);
     c.bench_function("ecdsa/sign", |b| b.iter(|| sk.sign(black_box(&digest))));
+    // Each sample verifies the next signature of the ring.
+    let (keys, ring) = signature_ring();
+    let public: Vec<_> = keys.iter().map(PrivateKey::public_key).collect();
+    let mut next = ring.iter().cycle();
     c.bench_function("ecdsa/verify", |b| {
-        b.iter(|| assert!(pk.verify(black_box(&digest), black_box(&sig))))
+        b.iter(|| {
+            let (digest, sig, k) = next.next().expect("a ring never ends");
+            assert!(public[*k].verify(black_box(digest), black_box(sig)))
+        })
     });
     // The pre-fast-path ladder, kept as the correctness oracle; the gap to
     // ecdsa/verify is the tentpole speedup this crate's PR chain tracks.
     c.bench_function("ecdsa/verify_reference", |b| {
         b.iter(|| {
+            let (digest, sig, k) = next.next().expect("a ring never ends");
             assert!(ecdsa::verify_reference(
-                black_box(&digest),
-                black_box(&sig),
-                black_box(pk.point()),
+                black_box(digest),
+                black_box(sig),
+                black_box(public[*k].point()),
             ))
         })
     });
-    // Amortized path: the per-key table is built once (what the per-block
-    // pubkey cache does for repeated signers).
-    let prepared = pk.prepare();
+    // Amortized path: each key's table is built once (what a node's pubkey
+    // cache does for repeated signers).
+    let prepared: Vec<_> = public.iter().map(|pk| pk.prepare()).collect();
     c.bench_function("ecdsa/verify_prepared", |b| {
-        b.iter(|| assert!(prepared.verify(black_box(&digest), black_box(&sig))))
+        b.iter(|| {
+            let (digest, sig, k) = next.next().expect("a ring never ends");
+            assert!(prepared[*k].verify(black_box(digest), black_box(sig)))
+        })
     });
 }
 
-/// One full SV batch (`SV_BATCH_MAX` signatures over 20 distinct keys, so
-/// the key-dedup path is realistic) settled by one [`BatchVerifier`]
-/// equation, against the same signatures verified one by one: the raw
-/// speedup ceiling of batched SV.
+/// One full SV batch (the next `SV_BATCH_MAX` signatures of the ring)
+/// settled by one [`BatchVerifier`] equation, against the same signatures
+/// verified one by one: the raw speedup ceiling of batched SV.
 fn bench_batch_verify(c: &mut Criterion) {
-    let keys: Vec<PrivateKey> = (0..20u64).map(PrivateKey::from_seed).collect();
+    let (keys, ring) = signature_ring();
     let prepared: Vec<_> = keys.iter().map(|k| k.public_key().prepare()).collect();
-    let items: Vec<_> = (0..SV_BATCH_MAX)
-        .map(|i| {
-            let k = i % keys.len();
-            let digest = sha256(format!("item {i}").as_bytes());
-            (digest, keys[k].sign(&digest), k)
-        })
-        .collect();
+    let mut batches = ring.chunks_exact(SV_BATCH_MAX).cycle();
     c.bench_function("ecdsa/verify_64_individual", |b| {
         b.iter(|| {
-            for (digest, sig, k) in &items {
+            for (digest, sig, k) in batches.next().expect("a ring never ends") {
                 assert!(prepared[*k].verify(black_box(digest), black_box(sig)));
             }
         })
@@ -79,7 +108,7 @@ fn bench_batch_verify(c: &mut Criterion) {
     c.bench_function("ecdsa/verify_64_batch", |b| {
         b.iter(|| {
             let mut batch = BatchVerifier::new();
-            for (digest, sig, k) in &items {
+            for (digest, sig, k) in batches.next().expect("a ring never ends") {
                 batch.push(*black_box(digest), *black_box(sig), &prepared[*k]);
             }
             assert!(batch.verify().all_valid);
@@ -137,23 +166,41 @@ fn bench_merkle(c: &mut Criterion) {
 }
 
 fn bench_script(c: &mut Criterion) {
-    // The SV hot path: a full P2PKH spend (hashing + one ECDSA verify).
-    let sk = PrivateKey::from_seed(9);
-    let pk = sk.public_key();
-    let digest = sha256d(b"spend digest");
-    let lock = p2pkh_lock(&pk.address_hash());
-    let unlock = p2pkh_unlock(&sign_input(&sk, &digest), &pk.to_compressed());
-    let checker = DigestChecker::new(digest);
+    // The SV hot path: a full P2PKH spend (hashing + one ECDSA verify),
+    // each sample the next spend of a ring over the ledgers' key pool.
+    let spends: Vec<_> = (0..RING_LEN / 2)
+        .map(|i| {
+            // Key `i % RING_KEYS`, so the first `RING_KEYS` spends cover
+            // every key.
+            let sk = PrivateKey::from_seed((i % RING_KEYS) as u64);
+            let pk = sk.public_key();
+            let digest = sha256d(format!("spend digest {i}").as_bytes());
+            let lock = p2pkh_lock(&pk.address_hash());
+            let unlock = p2pkh_unlock(&sign_input(&sk, &digest), &pk.to_compressed());
+            (digest, unlock, lock)
+        })
+        .collect();
+    let mut next = spends.iter().cycle();
     c.bench_function("script/p2pkh_verify_spend", |b| {
-        b.iter(|| verify_spend(black_box(&unlock), black_box(&lock), &checker).expect("valid"))
+        b.iter(|| {
+            let (digest, unlock, lock) = next.next().expect("a ring never ends");
+            let checker = DigestChecker::new(*digest);
+            verify_spend(black_box(unlock), black_box(lock), &checker).expect("valid")
+        })
     });
-    // The same spend with its key already in a node's pubkey cache: what
-    // every input signed by a key the node has seen before costs.
+    // The same spends with their keys already in a node's pubkey cache:
+    // what every input signed by a key the node has seen before costs.
     let cache = PubkeyCache::new();
-    let cached = DigestChecker::with_context(digest, 0, &cache);
-    verify_spend(&unlock, &lock, &cached).expect("valid");
+    for (digest, unlock, lock) in &spends[..RING_KEYS] {
+        let checker = DigestChecker::with_context(*digest, 0, &cache);
+        verify_spend(unlock, lock, &checker).expect("valid");
+    }
     c.bench_function("script/p2pkh_verify_spend_cached", |b| {
-        b.iter(|| verify_spend(black_box(&unlock), black_box(&lock), &cached).expect("valid"))
+        b.iter(|| {
+            let (digest, unlock, lock) = next.next().expect("a ring never ends");
+            let checker = DigestChecker::with_context(*digest, 0, &cache);
+            verify_spend(black_box(unlock), black_box(lock), &checker).expect("valid")
+        })
     });
 
     // Pure stack work, no crypto: 50 arithmetic ops.

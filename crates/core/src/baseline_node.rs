@@ -73,8 +73,9 @@ impl std::error::Error for BaselineError {}
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct BaselineConfig {
-    /// Threads SV's batch chunks fan out to; `None` uses every available
-    /// core, 1 runs SV inline. DBO stays serial, as in Btcd.
+    /// Threads SV's batch chunks settle on, the validating thread
+    /// included; `None` uses every available core, 1 runs SV inline.
+    /// DBO stays serial, as in Btcd.
     pub workers: Option<usize>,
     /// Check header PoW.
     pub check_pow: bool,
@@ -176,6 +177,10 @@ impl InputState for UtxoSet {
             sv: histogram!("baseline.sv"),
             block_total: histogram!("baseline.block_total"),
             blocks_connected: counter!("baseline.blocks_connected"),
+            window_blocks: histogram!("baseline.window_blocks"),
+            window_rollbacks: counter!("baseline.window_rollbacks"),
+            block_disconnected: "baseline.block_disconnected",
+            blocks_disconnected: counter!("baseline.blocks_disconnected"),
         }
     }
 
@@ -268,23 +273,23 @@ impl InputState for UtxoSet {
         Ok(BaselineUndo { spent, created })
     }
 
-    fn connected(&self, height: u32, block: &Block) {
-        trace_event!(
-            "baseline.block_connected",
-            height = height,
-            txs = block.transactions.len(),
-        );
+    fn connected(&self, first: u32, blocks: &[Block]) {
+        for (height, block) in (first..).zip(blocks) {
+            trace_event!(
+                "baseline.block_connected",
+                height = height,
+                txs = block.transactions.len(),
+            );
+        }
     }
 
-    fn disconnect(&mut self, height: u32, undo: BaselineUndo) -> Result<(), BaselineError> {
+    fn disconnect(&mut self, _height: u32, undo: BaselineUndo) -> Result<(), BaselineError> {
         for (outpoint, entry) in &undo.created {
             self.delete(outpoint, entry)?;
         }
         for (outpoint, entry) in undo.spent.iter().rev() {
             self.insert(outpoint, entry)?;
         }
-        counter!("baseline.blocks_disconnected").inc();
-        trace_event!("baseline.block_disconnected", height = height);
         Ok(())
     }
 

@@ -87,8 +87,9 @@ impl std::error::Error for EbvError {}
 /// Tuning knobs (ablations).
 #[derive(Clone, Copy, Debug)]
 pub struct EbvConfig {
-    /// Threads SV's batch chunks fan out to; `None` uses every available
-    /// core, 1 runs SV inline. Every count returns identical verdicts.
+    /// Threads SV's batch chunks settle on, the validating thread
+    /// included; `None` uses every available core, 1 runs SV inline.
+    /// Every count returns identical verdicts.
     pub workers: Option<usize>,
     /// Check the header PoW (disabled in some microbenches).
     pub check_pow: bool,
@@ -312,6 +313,10 @@ impl InputState for BitVectorSet {
             sv: histogram!("ebv.sv"),
             block_total: histogram!("ebv.block_total"),
             blocks_connected: counter!("ebv.blocks_connected"),
+            window_blocks: histogram!("ebv.window_blocks"),
+            window_rollbacks: counter!("ebv.window_rollbacks"),
+            block_disconnected: "ebv.block_disconnected",
+            blocks_disconnected: counter!("ebv.blocks_disconnected"),
         }
     }
 
@@ -450,21 +455,22 @@ impl InputState for BitVectorSet {
         })
     }
 
-    fn connected(&self, height: u32, block: &EbvBlock) {
+    fn connected(&self, first: u32, blocks: &[EbvBlock]) {
         if ebv_telemetry::enabled() {
             // `memory()` walks every vector; only refresh the gauges when
-            // someone is collecting them.
+            // someone is collecting them, once per window.
             let size = self.memory();
             gauge!("ebv.bitvec.resident_bytes").set(size.optimized);
             gauge!("ebv.bitvec.vectors").set(size.vectors);
             gauge!("ebv.bitvec.sparse_vectors").set(size.sparse_vectors);
             gauge!("ebv.bitvec.dense_vectors").set(size.dense_vectors);
-            trace_event!(
-                "ebv.block_connected",
-                height = height,
-                txs = block.transactions.len(),
-                unspent = self.total_unspent(),
-            );
+            for (height, block) in (first..).zip(blocks) {
+                trace_event!(
+                    "ebv.block_connected",
+                    height = height,
+                    txs = block.transactions.len(),
+                );
+            }
         }
     }
 
@@ -487,8 +493,6 @@ impl InputState for BitVectorSet {
                 EbvError::Internal("disconnect: undo data does not mirror applied spends")
             })?;
         }
-        counter!("ebv.blocks_disconnected").inc();
-        trace_event!("ebv.block_disconnected", height = height);
         Ok(())
     }
 

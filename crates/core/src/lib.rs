@@ -17,7 +17,8 @@
 //! Modules: [`validate`] is the validation pipeline both node types share,
 //! over an input state: [`ebv_node`] for EBV (headers + bit vectors),
 //! [`baseline_node`] for the Bitcoin-style comparator (the UTXO set);
-//! [`par`] fans its parallel phases out over scoped threads;
+//! [`par`] settles its SV on scoped helper threads while the caller
+//! validates the next blocks;
 //! [`intermediary`] converts baseline chains to EBV format (the paper's
 //! §VI-A testbed component); [`proofs`] builds input proofs (the
 //! transaction-proposer side); [`pack`] packages and mines EBV blocks;

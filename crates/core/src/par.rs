@@ -1,15 +1,17 @@
 //! Data parallelism for block SV, on `std::thread::scope`.
 //!
 //! SV is the one phase that fans out: EV, UV and value/midstates run
-//! inline, because a scope costs more than their whole per-block job. Every
-//! call splits its items into one contiguous chunk per worker and spawns a
-//! scoped thread per chunk; there is no pool. Results come back in index
-//! order, so the lowest-index error wins however the chunks finish — the
-//! property that makes parallel SV report the same minimum `(tx, input)`
-//! failure as a sequential scan.
+//! inline on the calling thread, because they read and write the chain
+//! state and a scope costs more than their per-block job. [`feed`] runs a
+//! window's staging on the calling thread while the SV chunks it queues
+//! are settled by helper threads, spawned as chunks appear; once staging
+//! ends, the caller settles what is left alongside them. There is no pool:
+//! one scope per window.
 
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Mutex, OnceLock};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Worker count for SV: the override, or every available core when there
 /// is none (or it is 0). The core count is resolved once per process:
@@ -25,98 +27,180 @@ pub fn worker_count(workers: Option<usize>) -> usize {
     })
 }
 
-/// Map `f` over `items` on up to `workers` scoped threads, one contiguous
-/// chunk each, and collect the results in index order. The first error in
-/// index order is returned; a chunk stops at its own first error, which
-/// cannot hide a lower-index one. With one worker (or one item) the map
-/// runs inline on the calling thread.
-pub fn try_par_map<T, R, E, F>(items: &[T], workers: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
+/// The queue end `body` pushes items onto, inside [`feed`]'s scope.
+pub struct Feed<'scope, 'env, T, R> {
+    scope: &'scope Scope<'scope, 'env>,
+    sender: Sender<T>,
+    drain: &'scope (dyn Fn() -> Vec<R> + Sync),
+    helpers: Vec<ScopedJoinHandle<'scope, Vec<R>>>,
+    workers: usize,
+    pushed: usize,
+}
+
+impl<T: Send, R: Send> Feed<'_, '_, T, R> {
+    /// Queue `item`. Each item after the first spawns a helper while
+    /// fewer than `workers - 1` run: the caller takes a share once `body`
+    /// returns, so a lone item never starts a thread.
+    pub fn push(&mut self, item: T) {
+        self.sender
+            .send(item)
+            .expect("the queue outlives every feed");
+        self.pushed += 1;
+        if self.helpers.len() + 1 < self.workers.min(self.pushed) {
+            let drain = self.drain;
+            self.helpers.push(self.scope.spawn(drain));
+        }
     }
-    let f = &f;
+}
+
+/// Run `body` on the calling thread while up to `workers - 1` helper
+/// threads apply `work` to the items it pushes, in queue order; when
+/// `body` returns, the caller drains the queue too. Returns `body`'s
+/// output and every `Some` that `work` returned, in no particular order.
+/// With one worker, `body` runs to its end and then the caller works off
+/// every item itself.
+pub fn feed<T: Send, R: Send, O>(
+    workers: usize,
+    work: impl Fn(T) -> Option<R> + Sync,
+    body: impl FnOnce(&mut Feed<'_, '_, T, R>) -> O,
+) -> (O, Vec<R>) {
+    let (sender, receiver) = mpsc::channel();
+    let queue = Mutex::new(receiver);
+    let drain = || {
+        let mut out = Vec::new();
+        loop {
+            // The guard drops at the end of this statement, so other
+            // threads take items while this one works.
+            let next = queue.lock().expect("feed queue lock").recv();
+            let Ok(item) = next else { break out };
+            out.extend(work(item));
+        }
+    };
     std::thread::scope(|scope| {
-        let chunks: Vec<_> = items
-            .chunks(items.len().div_ceil(workers))
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Result<Vec<R>, E>>()))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            let results = chunk
+        let mut feed = Feed {
+            scope,
+            sender,
+            drain: &drain,
+            helpers: Vec::new(),
+            workers,
+            pushed: 0,
+        };
+        let output = body(&mut feed);
+        // Closing the queue lets every drainer stop once it is empty.
+        let Feed {
+            sender, helpers, ..
+        } = feed;
+        drop(sender);
+        let mut results = drain();
+        for helper in helpers {
+            let theirs = helper
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            out.extend(results?);
+            results.extend(theirs);
         }
-        Ok(out)
+        (output, results)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread::ThreadId;
+    use std::time::Duration;
 
-    fn ok<T: Copy>(x: &T) -> Result<T, ()> {
-        Ok(*x)
+    /// Push `items` and return `(work result, worker thread)` pairs.
+    fn run(items: usize, workers: usize) -> Vec<(usize, ThreadId)> {
+        let (_, mut out) = feed(
+            workers,
+            |x: usize| Some((x * 2, std::thread::current().id())),
+            |feed| (0..items).for_each(|x| feed.push(x)),
+        );
+        out.sort_by_key(|r| r.0);
+        out
     }
 
     #[test]
-    fn results_keep_index_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        for workers in [1, 2, 3, 7, 64] {
-            let doubled = try_par_map(&items, workers, |&x| Ok::<_, ()>(x * 2)).unwrap();
-            assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    fn every_item_is_worked_once() {
+        for workers in [1, 2, 3, 7] {
+            for items in [0, 1, 2, 5, 100] {
+                let doubled: Vec<usize> = run(items, workers).iter().map(|r| r.0).collect();
+                assert_eq!(doubled, (0..items).map(|x| x * 2).collect::<Vec<_>>());
+            }
         }
-        assert_eq!(try_par_map(&[] as &[u8], 4, ok), Ok(Vec::new()));
+        // `None` results are dropped.
+        let (output, evens) = feed(
+            2,
+            |x: u32| (x < 5).then_some(x),
+            |feed| {
+                (0..10).for_each(|x| feed.push(x));
+                "body output"
+            },
+        );
+        assert_eq!(output, "body output");
+        assert_eq!(evens.into_iter().collect::<HashSet<_>>(), (0..5).collect());
     }
 
     #[test]
-    fn lowest_index_error_wins() {
-        let items: Vec<usize> = (0..100).collect();
-        // Failures in several chunks: the lowest index is reported no
-        // matter which chunk finishes first.
-        for workers in [1, 2, 4, 100] {
-            let r = try_par_map(&items, workers, |&x| {
-                if matches!(x, 40 | 63 | 97) {
-                    Err(x)
-                } else {
-                    Ok(x)
-                }
-            });
-            assert_eq!(r, Err(40), "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn one_contiguous_chunk_per_worker() {
-        let threads = |items: usize, workers: usize| -> Vec<ThreadId> {
-            let items: Vec<usize> = (0..items).collect();
-            try_par_map(&items, workers, |_| {
-                Ok::<_, ()>(std::thread::current().id())
-            })
-            .unwrap()
-        };
-        let runs = |ids: &[ThreadId]| -> Vec<usize> {
-            ids.chunk_by(|a, b| a == b).map(<[ThreadId]>::len).collect()
-        };
+    fn helpers_start_only_for_a_second_item() {
         let caller = std::thread::current().id();
-        // One worker, or one item: inline on the calling thread.
-        assert!(threads(10, 1).iter().all(|&t| t == caller));
-        assert_eq!(threads(1, 8), vec![caller]);
-        // 10 items over 3 workers: chunks of 4, 4, 2, each on its own
-        // spawned thread.
-        let ids = threads(10, 3);
-        assert_eq!(runs(&ids), vec![4, 4, 2]);
-        assert!(!ids.contains(&caller));
-        // More workers than items: one item per thread.
-        assert_eq!(runs(&threads(3, 8)), vec![1, 1, 1]);
+        let threads = |items, workers| -> HashSet<ThreadId> {
+            run(items, workers).into_iter().map(|r| r.1).collect()
+        };
+        // One worker, or one item: only the calling thread works.
+        assert_eq!(threads(10, 1), [caller].into());
+        assert_eq!(threads(1, 8), [caller].into());
+        assert_eq!(threads(0, 8), HashSet::new());
+        // Never more threads than workers, nor than items.
+        for (items, workers) in [(2, 8), (3, 2), (50, 3)] {
+            let n = threads(items, workers).len();
+            assert!(
+                n <= workers.min(items),
+                "{items} items, {workers} workers: {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_everything_after_the_body() {
+        let body_done = AtomicBool::new(false);
+        let (_, seen) = feed(
+            1,
+            |_: u8| Some(body_done.load(Ordering::SeqCst)),
+            |feed| {
+                (0..5).for_each(|x| feed.push(x));
+                body_done.store(true, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(seen, [true; 5]);
+    }
+
+    #[test]
+    fn helpers_work_while_the_body_runs() {
+        let worked = AtomicUsize::new(0);
+        let (during_body, _) = feed(
+            2,
+            |_: u8| {
+                worked.fetch_add(1, Ordering::SeqCst);
+                Some(())
+            },
+            |feed| {
+                feed.push(0);
+                feed.push(1);
+                // The second item started a helper; wait for it to take
+                // an item while the body is still running.
+                let waited = ebv_telemetry::Stopwatch::start();
+                while worked.load(Ordering::SeqCst) == 0
+                    && waited.elapsed() < Duration::from_secs(10)
+                {
+                    std::thread::yield_now();
+                }
+                worked.load(Ordering::SeqCst)
+            },
+        );
+        assert!(during_body >= 1);
+        assert_eq!(worked.into_inner(), 2);
     }
 
     #[test]

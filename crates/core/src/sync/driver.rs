@@ -521,28 +521,19 @@ pub fn sync_multi<N: ValidatingNode, T: Transport>(
                         }
                     }
                 } else {
-                    let mut connected = 0u32;
-                    let mut failure: Option<(u32, N::Error)> = None;
-                    for block in blocks {
-                        match node.connect_block(&block) {
-                            Ok(()) => {
-                                store.push(block);
-                                connected += 1;
-                            }
-                            Err(e) => {
-                                failure = Some((node.tip_height() + 1, e));
-                                break;
-                            }
-                        }
-                    }
-                    report.blocks_connected += connected;
-                    ctls[i].stats.blocks_accepted += connected;
-                    if let Some((height, err)) = failure {
+                    // The batch is one validation window: it settles, and
+                    // keeps exactly the blocks a block-by-block connect
+                    // would, before the driver sees the result.
+                    let (connected, result) = node.connect_blocks(&blocks);
+                    store.extend(blocks.into_iter().take(connected));
+                    report.blocks_connected += connected as u32;
+                    ctls[i].stats.blocks_accepted += connected as u32;
+                    if let Err(err) = result {
                         ctls[i].stats.validation_failures += 1;
                         let attempts = ctls[i].penalize(VALIDATION_PENALTY, "validation", cfg);
                         last_failure = Some(SyncError::Validation {
                             peer: peer_id,
-                            height,
+                            height: node.tip_height() + 1,
                             attempts,
                             err,
                         });

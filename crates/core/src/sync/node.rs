@@ -1,8 +1,8 @@
 //! The [`ValidatingNode`] abstraction the sync drivers operate over.
 //!
 //! `EbvNode` and `BaselineNode` expose the same chain-manipulation surface
-//! — connect a block to the tip, disconnect the tip, look up a header hash
-//! — differing only in block format and error type. The trait captures
+//! — connect a block or a batch to the tip, disconnect the tip, look up a
+//! header hash — differing only in block format and error type. The trait captures
 //! exactly that surface, so the multi-peer driver and the reorg engine
 //! have a single implementation instead of the copy-paste twins the old
 //! flat `sync.rs` carried. Both node types are one [`Node`], so one impl
@@ -36,6 +36,18 @@ pub trait ValidatingNode {
 
     /// Validate `block` and, if valid, connect it to the tip.
     fn connect_block(&mut self, block: &Self::Block) -> Result<(), Self::Error>;
+    /// Validate `blocks` in order and connect the longest valid prefix.
+    /// Returns how many connected and the first rejected block's error,
+    /// exactly as `connect_block` on each block in turn would. That is the
+    /// default; a node may validate the batch as one window.
+    fn connect_blocks(&mut self, blocks: &[Self::Block]) -> (usize, Result<(), Self::Error>) {
+        for (connected, block) in blocks.iter().enumerate() {
+            if let Err(err) = self.connect_block(block) {
+                return (connected, Err(err));
+            }
+        }
+        (blocks.len(), Ok(()))
+    }
     /// Disconnect the tip block, restoring the previous state. `Ok(None)`
     /// means only genesis remains; `Err` is an internal-consistency
     /// failure (corrupt undo data, store I/O).
@@ -79,6 +91,10 @@ impl<S: InputState> ValidatingNode for Node<S> {
 
     fn connect_block(&mut self, block: &S::Block) -> Result<(), S::Error> {
         self.process_block(block).map(|_| ())
+    }
+
+    fn connect_blocks(&mut self, blocks: &[S::Block]) -> (usize, Result<(), S::Error>) {
+        Node::connect_blocks(self, blocks)
     }
 
     fn disconnect_tip_block(&mut self) -> Result<Option<u32>, S::Error> {

@@ -6,12 +6,19 @@
 //! bit vectors. [`Node`] runs every other phase once, whatever its
 //! [`InputState`]: the tip and structure checks, the state's `resolve` of
 //! each input into a [`Spend`], value + sighash midstates per transaction,
-//! the coinbase bound, SV, and the state's commit. SV settles its ECDSA
-//! checks in batches ([`sv_chunk_batched`]) on the config's `workers`, and
-//! is the only phase that fans out: every other phase runs inline. SV
+//! the coinbase bound, SV, and the state's commit.
+//!
+//! Blocks connect in windows ([`Node::connect_blocks`]; `process_block` is
+//! a window of one). The calling thread runs every phase but SV on each
+//! block in order and commits it optimistically. Meanwhile the window's SV
+//! chunks, cut across block boundaries, settle in batches
+//! ([`sv_chunk_batched`]) on helper threads ([`feed`]), and on the caller
+//! too once staging ends. SV is each block's last check and changes no
+//! state, so the window then keeps the blocks below the lowest one with an
+//! SV failure and undoes the rest: the result is the block-by-block
+//! result, whatever the window size or worker count. Within a block, SV
 //! reports the failure with the minimum `(tx, input)` — the error a strict
-//! sequential scan hits first — so every worker count returns identical
-//! results.
+//! sequential scan hits first.
 //!
 //! The shared phases record into the handles of the state's [`Probes`],
 //! resolved in the state's own non-generic code: a `span!` call site here
@@ -24,7 +31,7 @@
 //! prepares signer keys through the node's one bounded [`PubkeyCache`].
 
 use crate::metrics::Breakdown;
-use crate::par::{try_par_map, worker_count};
+use crate::par::{feed, worker_count};
 use crate::sighash::{sv_chunk_batched, PubkeyCache, SvJob, SV_BATCH_MAX};
 use ebv_chain::transaction::{SpendSighashMidstate, TxOut};
 use ebv_chain::{BlockHeader, BLOCK_SUBSIDY};
@@ -32,9 +39,11 @@ use ebv_primitives::encode::Decodable;
 use ebv_primitives::hash::{Hash256, Sha256};
 use ebv_script::{Script, ScriptError};
 use ebv_telemetry::context::SpanGuard;
-use ebv_telemetry::{counter, Counter, Histogram, Span};
+use ebv_telemetry::{counter, trace_event, Counter, Histogram, Span, Stopwatch};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// A block rejection raised by a shared phase. Both node types' error
 /// types carry each of these as a variant of the same name.
@@ -86,12 +95,21 @@ pub struct TxFields<'b> {
 pub struct Probes {
     /// Name of the per-block trace span (keyed by height).
     pub block: &'static str,
-    /// Tip + structure checks, value + midstates, SV, and the whole block.
+    /// Tip + structure checks, value + midstates, each window's SV settle
+    /// wait, and each connected block.
     pub structure: &'static Histogram,
     pub value: &'static Histogram,
     pub sv: &'static Histogram,
     pub block_total: &'static Histogram,
     pub blocks_connected: &'static Counter,
+    /// Blocks handed to each window, and windows that undid blocks they
+    /// had committed.
+    pub window_blocks: &'static Histogram,
+    pub window_rollbacks: &'static Counter,
+    /// Trace event and counter of a disconnected tip; a window's rollback
+    /// records neither.
+    pub block_disconnected: &'static str,
+    pub blocks_disconnected: &'static Counter,
 }
 
 /// Where a node's inputs come from, and how a connected block changes it.
@@ -101,9 +119,9 @@ pub struct Probes {
 /// disconnect; [`Node`] owns every other phase.
 pub trait InputState: Sized {
     /// The block format this state validates.
-    type Block: Decodable + Sync;
+    type Block: Decodable;
     /// Rejection reasons; the shared phases' [`Rejection`]s convert in.
-    type Error: From<Rejection> + std::fmt::Debug + Send;
+    type Error: From<Rejection> + std::fmt::Debug;
     /// Tuning knobs.
     type Config: Copy;
     /// What `resolve` found that `commit` applies.
@@ -135,8 +153,8 @@ pub trait InputState: Sized {
         resolved: &'b mut Self::Resolved,
         breakdown: &mut Breakdown,
     ) -> Result<Vec<Spend<'b>>, Self::Error>;
-    /// Apply a fully validated `block` at `height`. Times itself into
-    /// `breakdown`.
+    /// Apply `block` at `height`, every check but SV passed. Times itself
+    /// into `breakdown`.
     fn commit(
         &mut self,
         block: &Self::Block,
@@ -144,8 +162,9 @@ pub trait InputState: Sized {
         resolved: Self::Resolved,
         breakdown: &mut Breakdown,
     ) -> Result<Self::Undo, Self::Error>;
-    /// Telemetry after `block` connected at `height`.
-    fn connected(&self, height: u32, block: &Self::Block);
+    /// Telemetry once `blocks` stay connected at the heights from `first`
+    /// on.
+    fn connected(&self, first: u32, blocks: &[Self::Block]);
     /// Undo the block at `height`, the tip being disconnected.
     fn disconnect(&mut self, height: u32, undo: Self::Undo) -> Result<(), Self::Error>;
     /// The state's own consistency checks at `tip`.
@@ -244,97 +263,103 @@ impl<S: InputState> Node<S> {
     }
 
     /// Validate `block` and, if valid, append it (storing the header and
-    /// committing it to the state). Returns the per-phase timing. A
-    /// rejected block leaves the node untouched; a store-level I/O error
-    /// mid-commit is fatal (as in real nodes).
+    /// committing it to the state): a window of one block. Returns the
+    /// per-phase timing. A rejected block leaves the node as it was; a
+    /// store-level I/O error mid-commit is fatal (as in real nodes).
     pub fn process_block(&mut self, block: &S::Block) -> Result<Breakdown, S::Error> {
-        let mut breakdown = Breakdown::default();
-        let height = self.headers.len() as u32;
-        let probes = self.probes;
-        // Per-block trace span, keyed by height: inert (one thread-local
-        // peek) unless a caller entered a trace context.
-        let _block_span = SpanGuard::enter(probes.block, u64::from(height));
+        let (breakdowns, result) = self.connect_window(std::slice::from_ref(block));
+        result.map(|()| breakdowns[0])
+    }
 
-        // ---- "others": tip and structure checks -------------------------
-        let structure = Span::new(probes.structure, Some(&mut breakdown.others));
-        if S::header(block).prev_block_hash != self.tip_hash() {
-            return Err(Rejection::NotOnTip.into());
-        }
-        S::check_structure(block, &self.config)?;
-        drop(structure);
+    /// Validate `blocks` in order as one window and connect the longest
+    /// valid prefix. Returns how many connected and the first rejected
+    /// block's error: exactly what `process_block` on each block in turn
+    /// returns. The window settles before this returns, so no caller ever
+    /// sees a block whose SV is unsettled.
+    pub fn connect_blocks(&mut self, blocks: &[S::Block]) -> (usize, Result<(), S::Error>) {
+        let (breakdowns, result) = self.connect_window(blocks);
+        (breakdowns.len(), result)
+    }
 
-        // ---- resolve: EV + UV, or the DBO fetch -------------------------
-        let mut resolved = S::Resolved::default();
-        let spends = self
-            .state
-            .resolve(&self.headers, block, &mut resolved, &mut breakdown)?;
-
-        // ---- "others": value conservation + sighash midstates -----------
-        // One pass per transaction: sum input/output values and hash the
-        // sighash prefix every input of that transaction shares, so SV
-        // below never re-serializes the outputs once per input.
-        let value = Span::new(probes.value, Some(&mut breakdown.others));
-        let txs = S::tx_fields(block);
-        let digests = tx_runs(&spends, txs.len())
-            .into_iter()
-            .map(|(tx, run)| tx_digest(&txs[tx], run).ok_or(Rejection::ValueImbalance { tx }))
-            .collect::<Result<Vec<_>, _>>()?;
-        let fees = digests
-            .iter()
-            .fold(0u64, |acc, (_, fee)| acc.saturating_add(*fee));
-        if total_value(txs[0].outputs) > BLOCK_SUBSIDY.saturating_add(fees) {
-            return Err(Rejection::ExcessiveCoinbase.into());
-        }
-        drop(value);
-
-        // ---- SV -----------------------------------------------------------
-        let sv = Span::new(probes.sv, Some(&mut breakdown.sv));
-        // Inputs whose exact digest and scripts passed SV at admission
-        // skip it; the rest run in order, so the first failure is still
-        // the minimum `(tx, input)`. Their entries go once the block
-        // connects.
-        let script_cache = self.script_cache.get_mut().expect("script cache lock");
-        let (pending, passed) = unverified(script_cache, &spends, &digests, &txs);
-        // Inputs signed by a key this node has seen before, in this block
-        // or any earlier one, reuse its parse + odd-multiples table.
-        let cache = &self.pubkey_cache;
-        // Settle each chunk's ECDSA through one batch equation and report
-        // the chunk's first failure. Chunks partition the ordered spends,
-        // so the lowest failing chunk holds the minimum `(tx, input)` — the
-        // strict path's error.
-        let workers = worker_count(S::workers(&self.config));
-        try_par_map(&sv_chunks(&pending, workers), workers, |chunk| {
-            let jobs: Vec<SvJob<'_>> = chunk.iter().map(|s| sv_job(s, &digests, &txs)).collect();
-            sv_chunk_batched(&jobs, cache)
-                .into_iter()
-                .zip(*chunk)
-                .try_for_each(|(result, s)| {
-                    result.map_err(|err| Rejection::SvFailed {
-                        tx: s.tx,
-                        input: s.input,
-                        err,
-                    })
-                })
-        })?;
-        drop(sv);
-
-        // ---- commit: the state, then the header and the undo record -------
-        let undo = self.state.commit(block, height, resolved, &mut breakdown)?;
-        self.headers.push(*S::header(block));
-        self.undo_stack.push(undo);
-        let script_cache = self.script_cache.get_mut().expect("script cache lock");
-        for key in &passed {
-            script_cache.remove(key);
-        }
-
-        probes.blocks_connected.inc();
-        probes
-            .block_total
-            .record(breakdown.total().as_nanos() as u64);
-        self.state.connected(height, block);
-
-        self.cumulative += breakdown;
-        Ok(breakdown)
+    /// The pipeline: stage each block on this thread while the window's SV
+    /// chunks settle on helpers, then keep the blocks below the first
+    /// rejected one and undo the rest. Returns the kept blocks' breakdowns
+    /// and the rejected block's error.
+    fn connect_window(&mut self, blocks: &[S::Block]) -> (Vec<Breakdown>, Result<(), S::Error>) {
+        // Helper threads borrow the pubkey cache and their own chunks;
+        // this thread keeps `&mut` access to the chain, the state and the
+        // undo stack.
+        let Node {
+            headers,
+            state,
+            config,
+            undo_stack,
+            base_height: _,
+            pubkey_cache,
+            script_cache,
+            cumulative,
+            probes,
+        } = self;
+        let probes = *probes;
+        probes.window_blocks.record(blocks.len() as u64);
+        let workers = worker_count(S::workers(config));
+        let mut window = Window {
+            first: headers.len(),
+            headers,
+            state,
+            config,
+            undo_stack,
+            script_cache: script_cache.get_mut().expect("script cache lock"),
+            probes,
+            staged: Vec::with_capacity(blocks.len()),
+        };
+        let cache: &PubkeyCache = pubkey_cache;
+        // The lowest window block an SV failure has been found in: staging
+        // stops once there is one, and a chunk that starts past it is
+        // skipped, as no failure in it can be the window's verdict. A hint
+        // only (hence `Relaxed`): the verdict comes from the failures the
+        // drainers return.
+        let failed = AtomicUsize::new(usize::MAX);
+        let settle_chunk = |chunk: Vec<SvTask>| {
+            if chunk[0].block > failed.load(Ordering::Relaxed) {
+                return None;
+            }
+            let failure = settle(&chunk, cache);
+            if let Some(f) = &failure {
+                failed.fetch_min(f.block, Ordering::Relaxed);
+            }
+            failure
+        };
+        let ((rejected, settling), failures) = feed(workers, settle_chunk, |feed| {
+            let mut tasks = Vec::new();
+            let mut rejected = None;
+            for (i, block) in blocks.iter().enumerate() {
+                if failed.load(Ordering::Relaxed) != usize::MAX {
+                    break;
+                }
+                if let Err(err) = window.stage(i, block, &mut tasks) {
+                    rejected = Some((i, err));
+                    break;
+                }
+                // More blocks follow, so full chunks go out now and the
+                // next block's inputs fill the one after.
+                if i + 1 < blocks.len() {
+                    while tasks.len() >= SV_BATCH_MAX {
+                        let rest = tasks.split_off(SV_BATCH_MAX);
+                        feed.push(std::mem::replace(&mut tasks, rest));
+                    }
+                }
+            }
+            // The tail is cut as a lone block's inputs are, so a window of
+            // one block splits its SV across the workers.
+            for chunk in sv_chunks(tasks, workers) {
+                feed.push(chunk);
+            }
+            (rejected, Stopwatch::start())
+        });
+        let settled = settling.elapsed();
+        probes.sv.record(settled.as_nanos() as u64);
+        window.settle(blocks, failures, rejected, settled, cumulative)
     }
 
     /// Disconnect the tip block, restoring the previous state (the reorg
@@ -349,6 +374,8 @@ impl<S: InputState> Node<S> {
         let height = self.tip_height();
         self.headers.pop();
         self.state.disconnect(height, undo)?;
+        self.probes.blocks_disconnected.inc();
+        trace_event!(self.probes.block_disconnected, height = height);
         Ok(Some(self.tip_height()))
     }
 
@@ -375,6 +402,251 @@ impl<S: InputState> Node<S> {
         }
         self.state.check_invariants(tip)
     }
+}
+
+/// A window in progress: the parts of its node the calling thread
+/// mutates, and what it keeps of each block it staged until SV settles.
+struct Window<'n, S: InputState> {
+    headers: &'n mut Vec<BlockHeader>,
+    state: &'n mut S,
+    config: &'n S::Config,
+    undo_stack: &'n mut Vec<S::Undo>,
+    script_cache: &'n mut ScriptCache,
+    probes: Probes,
+    /// Height of the window's first block.
+    first: usize,
+    staged: Vec<Staged>,
+}
+
+/// What a window keeps of a staged block until SV settles.
+struct Staged {
+    breakdown: Breakdown,
+    /// Script-cache keys of the inputs that skipped SV: they leave the
+    /// cache if the block stays connected.
+    passed: Vec<Hash256>,
+    /// Inputs the script cache was asked about and lacked.
+    misses: usize,
+}
+
+impl<S: InputState> Window<'_, S> {
+    /// Every phase of `block` but SV, then its optimistic commit. Its SV
+    /// tasks go onto `tasks`, tagged with its window `index`, and its
+    /// record onto `staged` before the commit, so a failed commit still
+    /// leaves its SV to settle first: within a block, SV precedes commit.
+    fn stage(
+        &mut self,
+        index: usize,
+        block: &S::Block,
+        tasks: &mut Vec<SvTask>,
+    ) -> Result<(), S::Error> {
+        let probes = self.probes;
+        let height = self.headers.len() as u32;
+        // Per-block trace span, keyed by height: inert (one thread-local
+        // peek) unless a caller entered a trace context.
+        let _block_span = SpanGuard::enter(probes.block, u64::from(height));
+        let mut breakdown = Breakdown::default();
+
+        // ---- "others": tip and structure checks -------------------------
+        let structure = Span::new(probes.structure, Some(&mut breakdown.others));
+        let tip = self.headers.last().expect("genesis present").hash();
+        if S::header(block).prev_block_hash != tip {
+            return Err(Rejection::NotOnTip.into());
+        }
+        S::check_structure(block, self.config)?;
+        drop(structure);
+
+        // ---- resolve: EV + UV, or the DBO fetch -------------------------
+        let mut resolved = S::Resolved::default();
+        let spends = self
+            .state
+            .resolve(self.headers, block, &mut resolved, &mut breakdown)?;
+
+        // ---- "others": value conservation + sighash midstates -----------
+        // One pass per transaction: sum input/output values and hash the
+        // sighash prefix every input of that transaction shares, so SV
+        // never re-serializes the outputs once per input.
+        let value = Span::new(probes.value, Some(&mut breakdown.others));
+        let txs = S::tx_fields(block);
+        let digests = tx_runs(&spends, txs.len())
+            .into_iter()
+            .map(|(tx, run)| tx_digest(&txs[tx], run).ok_or(Rejection::ValueImbalance { tx }))
+            .collect::<Result<Vec<_>, _>>()?;
+        let fees = digests
+            .iter()
+            .fold(0u64, |acc, (_, fee)| acc.saturating_add(*fee));
+        if total_value(txs[0].outputs) > BLOCK_SUBSIDY.saturating_add(fees) {
+            return Err(Rejection::ExcessiveCoinbase.into());
+        }
+        drop(value);
+
+        // ---- SV, queued ---------------------------------------------------
+        // Inputs whose exact digest and scripts passed SV at admission
+        // skip it; the rest queue in order, each owning its scripts, to
+        // settle with the window.
+        let queued = Stopwatch::start();
+        let leaving = self.staged.iter().map(|s| s.passed.len()).sum();
+        let (pending, passed, misses) =
+            unverified(self.script_cache, leaving, &spends, &digests, &txs);
+        tasks.extend(
+            pending
+                .into_iter()
+                .map(|s| SvTask::new(index, s, &digests, &txs)),
+        );
+        breakdown.sv += queued.elapsed();
+        self.staged.push(Staged {
+            breakdown,
+            passed,
+            misses,
+        });
+
+        // ---- commit: the state, then the header and the undo record -------
+        let breakdown = &mut self.staged.last_mut().expect("just staged").breakdown;
+        let undo = self.state.commit(block, height, resolved, breakdown)?;
+        self.headers.push(*S::header(block));
+        self.undo_stack.push(undo);
+        Ok(())
+    }
+
+    /// Judge the window once SV settled. The verdict is the lowest block
+    /// with an SV failure, at its minimum `(tx, input)`, or else the block
+    /// staging rejected. Blocks from the verdict's on are undone; only the
+    /// blocks that stay connected leave side effects: their script-cache
+    /// entries go, and they count as connected. Returns the kept blocks'
+    /// breakdowns, the last carrying the window's settle wait `settled`.
+    fn settle(
+        self,
+        blocks: &[S::Block],
+        failures: Vec<SvFailure>,
+        rejected: Option<(usize, S::Error)>,
+        settled: Duration,
+        cumulative: &mut Breakdown,
+    ) -> (Vec<Breakdown>, Result<(), S::Error>) {
+        let sv_failure = failures
+            .into_iter()
+            .min_by_key(|f| (f.block, f.tx, f.input));
+        // `looked_up`: the blocks whose script-cache lookups count, as one
+        // block at a time would have made them — every block up to the
+        // verdict's that reached SV.
+        let (kept, looked_up, mut result) = match (sv_failure, rejected) {
+            (Some(f), _) => {
+                let err = Rejection::SvFailed {
+                    tx: f.tx,
+                    input: f.input,
+                    err: f.err,
+                };
+                (f.block, f.block + 1, Err(err.into()))
+            }
+            (None, Some((index, err))) => (index, self.staged.len(), Err(err)),
+            (None, None) => (blocks.len(), self.staged.len(), Ok(())),
+        };
+        let keep = self.first + kept;
+        if self.headers.len() > keep {
+            self.probes.window_rollbacks.inc();
+        }
+        while self.headers.len() > keep {
+            let undo = self.undo_stack.pop().expect("a committed block's undo");
+            self.headers.pop();
+            if let Err(err) = self.state.disconnect(self.headers.len() as u32, undo) {
+                result = Err(err);
+                break;
+            }
+        }
+
+        let judged = &self.staged[..looked_up];
+        counter!("sv.script_cache.hits").add(judged.iter().map(|s| s.passed.len() as u64).sum());
+        counter!("sv.script_cache.misses").add(judged.iter().map(|s| s.misses as u64).sum());
+        let mut breakdowns = Vec::with_capacity(kept);
+        for staged in self.staged.into_iter().take(kept) {
+            for key in &staged.passed {
+                self.script_cache.remove(key);
+            }
+            breakdowns.push(staged.breakdown);
+        }
+        if let Some(last) = breakdowns.last_mut() {
+            last.sv += settled;
+        }
+        for breakdown in &breakdowns {
+            self.probes.blocks_connected.inc();
+            self.probes
+                .block_total
+                .record(breakdown.total().as_nanos() as u64);
+            *cumulative += *breakdown;
+        }
+        if kept > 0 {
+            self.state.connected(self.first as u32, &blocks[..kept]);
+        }
+        (breakdowns, result)
+    }
+}
+
+/// One input's SV job, owning its scripts: it settles after its block's
+/// commit has consumed what `resolve` found, the baseline's locking
+/// scripts among it.
+struct SvTask {
+    /// Its block's index in the window.
+    block: usize,
+    tx: usize,
+    input: usize,
+    digest: Hash256,
+    lock_time: u32,
+    unlocking: Script,
+    locking: Script,
+}
+
+impl SvTask {
+    fn new(
+        block: usize,
+        spend: &Spend<'_>,
+        digests: &[(SpendSighashMidstate, u64)],
+        txs: &[TxFields<'_>],
+    ) -> SvTask {
+        let job = sv_job(spend, digests, txs);
+        SvTask {
+            block,
+            tx: spend.tx,
+            input: spend.input,
+            digest: job.digest,
+            lock_time: job.lock_time,
+            unlocking: spend.unlocking.clone(),
+            locking: spend.locking.clone(),
+        }
+    }
+
+    fn job(&self) -> SvJob<'_> {
+        SvJob {
+            digest: self.digest,
+            lock_time: self.lock_time,
+            unlocking: &self.unlocking,
+            locking: &self.locking,
+        }
+    }
+}
+
+/// An SV failure at input `(tx, input)` of window block `block`.
+struct SvFailure {
+    block: usize,
+    tx: usize,
+    input: usize,
+    err: ScriptError,
+}
+
+/// Settle a chunk's ECDSA through one batch equation and return its first
+/// failure. Chunks partition the window's tasks in order, so the failure
+/// of the lowest failing chunk is the window's minimum `(block, tx,
+/// input)`: the strict path's error.
+fn settle(chunk: &[SvTask], cache: &PubkeyCache) -> Option<SvFailure> {
+    let jobs: Vec<SvJob<'_>> = chunk.iter().map(SvTask::job).collect();
+    sv_chunk_batched(&jobs, cache)
+        .into_iter()
+        .zip(chunk)
+        .find_map(|(result, task)| {
+            result.err().map(|err| SvFailure {
+                block: task.block,
+                tx: task.tx,
+                input: task.input,
+                err,
+            })
+        })
 }
 
 /// Each spending transaction with its spends. Spends are in `(tx, input)`
@@ -408,21 +680,19 @@ fn sv_job<'b>(
 }
 
 /// Cut `items` into batch chunks in order: as few as `SV_BATCH_MAX`
-/// allows, rounded up to a multiple of `workers` so that `try_par_map`
-/// hands every worker the same number of chunks, with chunk sizes differing
-/// by at most one.
-fn sv_chunks<T>(items: &[T], workers: usize) -> Vec<&[T]> {
+/// allows, rounded up to a multiple of `workers` so that every worker
+/// settles the same number of chunks, with chunk sizes differing by at
+/// most one.
+fn sv_chunks<T>(mut items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
     let parts = items
         .len()
         .div_ceil(SV_BATCH_MAX)
         .next_multiple_of(workers)
         .min(items.len());
-    let mut rest = items;
     (0..parts)
         .map(|i| {
-            let (chunk, tail) = rest.split_at(rest.len().div_ceil(parts - i));
-            rest = tail;
-            chunk
+            let rest = items.split_off(items.len().div_ceil(parts - i));
+            std::mem::replace(&mut items, rest)
         })
         .collect()
 }
@@ -444,15 +714,18 @@ struct ScriptCache {
 }
 
 impl ScriptCache {
-    fn is_empty(&self) -> bool {
-        self.young.is_empty() && self.old.is_empty()
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
     }
 
     fn contains(&self, key: &Hash256) -> bool {
         self.young.contains(key) || self.old.contains(key)
     }
 
+    /// Insert `key` into the young generation, keeping each key in one
+    /// generation only.
     fn insert(&mut self, key: Hash256) {
+        self.old.remove(&key);
         if self.young.len() == SCRIPT_CACHE_CAPACITY / 2 {
             self.old = std::mem::take(&mut self.young);
         }
@@ -484,16 +757,21 @@ pub(crate) fn script_key(job: &SvJob<'_>) -> Hash256 {
 }
 
 /// Split `spends` into those SV must run, in order, and the keys of those
-/// that `cache` says already passed. Looks nothing up in an empty cache,
-/// which is every node without a mempool.
+/// that `cache` says already passed, and count the misses. `leaving` keys
+/// of the cache were hit by the window's earlier blocks and leave it at
+/// settle; one block at a time, they would be gone already. A cache of
+/// nothing else looks nothing up: an empty cache is every node without a
+/// mempool. No key of an earlier block can hit again, as UV rejects a
+/// second spend of its coordinates first.
 fn unverified<'s, 'b>(
     cache: &ScriptCache,
+    leaving: usize,
     spends: &'s [Spend<'b>],
     digests: &[(SpendSighashMidstate, u64)],
     txs: &[TxFields<'_>],
-) -> (Vec<&'s Spend<'b>>, Vec<Hash256>) {
-    if cache.is_empty() {
-        return (spends.iter().collect(), Vec::new());
+) -> (Vec<&'s Spend<'b>>, Vec<Hash256>, usize) {
+    if cache.len() == leaving {
+        return (spends.iter().collect(), Vec::new(), 0);
     }
     let mut pending = Vec::new();
     let mut passed = Vec::new();
@@ -505,9 +783,8 @@ fn unverified<'s, 'b>(
             pending.push(s);
         }
     }
-    counter!("sv.script_cache.hits").add(passed.len() as u64);
-    counter!("sv.script_cache.misses").add(pending.len() as u64);
-    (pending, passed)
+    let misses = pending.len();
+    (pending, passed, misses)
 }
 
 /// Total value of `outputs`, saturating so an (invalid) overflowing total
@@ -552,8 +829,7 @@ mod tests {
     }
 
     fn cached(node: &EbvNode) -> usize {
-        let cache = node.script_cache.lock().expect("script cache lock");
-        cache.young.len() + cache.old.len()
+        node.script_cache.lock().expect("script cache lock").len()
     }
 
     #[test]
@@ -593,7 +869,7 @@ mod tests {
         let inserts = 2 * SCRIPT_CACHE_CAPACITY as u64 + 7;
         for i in 0..inserts {
             cache.insert(key(i));
-            assert!(cache.young.len() + cache.old.len() <= SCRIPT_CACHE_CAPACITY);
+            assert!(cache.len() <= SCRIPT_CACHE_CAPACITY);
         }
         // The newest half always survives; the oldest entries went first.
         let newest = inserts - SCRIPT_CACHE_CAPACITY as u64 / 2;
@@ -664,7 +940,7 @@ mod tests {
     fn sv_chunks_balance_workers() {
         let sizes = |n: usize, workers| -> Vec<usize> {
             let items: Vec<usize> = (0..n).collect();
-            let chunks = sv_chunks(&items, workers);
+            let chunks = sv_chunks(items.clone(), workers);
             assert_eq!(chunks.concat(), items, "{n} items, {workers} workers");
             chunks.iter().map(|c| c.len()).collect()
         };

@@ -147,6 +147,14 @@ cargo test -q -p ebv-primitives --test batch_verify
 echo "==> cargo test --test batch_pipeline (worker-count tamper differential vs strict oracle)"
 cargo test -q --test batch_pipeline
 
+# The sync driver connects each batch as one window: blocks commit before
+# their SV settles on helper threads, and a window undoes every block from
+# its lowest SV failure on. Every window size and worker count on both
+# node types must return a per-block loop's result and leave its state. A
+# hang here is a queue or join bug, so the suite runs under a cap.
+echo "==> cargo test --test window_pipeline (window vs per-block differential, 120s cap)"
+timeout 120 cargo test -q --test window_pipeline
+
 # Exercise fig16's worker comparison and sweep end to end. Small smoke
 # into target/ — the committed BENCH_fig16.json comes from the full-scale
 # run (--sweep-workers 1,2,4).

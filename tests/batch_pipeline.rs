@@ -13,67 +13,20 @@
 //! key it already holds is refused at admission and in the block with the
 //! same error, and each node prepares each signer key once.
 
-use ebv_chain::transaction::spend_sighash;
-use ebv_core::tidy::{EbvBlock, InputBody};
-use ebv_core::{
-    BaselineConfig, BaselineError, BaselineNode, DigestChecker, EbvConfig, EbvError, EbvNode,
-    Intermediary, Mempool, MempoolError, PubkeyCache,
+mod common;
+
+use common::{
+    build_chains, fresh_utxos, inflate_baseline_output, inflate_output, strict_oracle,
+    tamper_baseline_signature, tamper_signature,
 };
-use ebv_script::{verify_spend, Script, ScriptError};
-use ebv_store::{KvStore, StoreConfig, UtxoSet};
-use ebv_workload::{ChainGenerator, GeneratorParams};
+use ebv_core::tidy::EbvBlock;
+use ebv_core::{
+    BaselineConfig, BaselineError, BaselineNode, EbvConfig, EbvError, EbvNode, Mempool,
+    MempoolError,
+};
+use ebv_script::{Script, ScriptError};
+use ebv_workload::GeneratorParams;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-fn build_chains(params: GeneratorParams) -> (Vec<ebv_chain::Block>, Vec<EbvBlock>) {
-    let blocks = ChainGenerator::new(params).generate();
-    let ebv_blocks = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("generated chains always convert");
-    (blocks, ebv_blocks)
-}
-
-/// Recompute the hash links after mutating transaction `tx`'s bodies.
-fn relink(block: &mut EbvBlock, tx: usize) {
-    let hashes: Vec<_> = block.transactions[tx]
-        .bodies
-        .iter()
-        .map(InputBody::hash)
-        .collect();
-    block.transactions[tx].tidy.input_hashes = hashes;
-    block.header.merkle_root = block.compute_merkle_root();
-}
-
-/// Corrupt one byte inside the signature push of input `(tx, input)`'s
-/// unlocking script — the tamper lands in the ECDSA check itself, which is
-/// exactly the work the batch settles differently from the strict path.
-fn tamper_signature(block: &EbvBlock, tx: usize, input: usize) -> EbvBlock {
-    let mut b = block.clone();
-    let mut bytes = b.transactions[tx].bodies[input].us.as_bytes().to_vec();
-    // Byte 0 is the push-length opcode; byte 1 starts the 64-byte compact
-    // signature. Flip mid-signature so both components stay in range and
-    // the failure is a clean equation mismatch, not a parse error.
-    bytes[20] ^= 0x01;
-    b.transactions[tx].bodies[input].us = Script::from_bytes(bytes);
-    relink(&mut b, tx);
-    b
-}
-
-/// Same corruption for a baseline block.
-fn tamper_baseline_signature(
-    block: &ebv_chain::Block,
-    tx: usize,
-    input: usize,
-) -> ebv_chain::Block {
-    let mut b = block.clone();
-    let mut bytes = b.transactions[tx].inputs[input]
-        .unlocking_script
-        .as_bytes()
-        .to_vec();
-    bytes[20] ^= 0x01;
-    b.transactions[tx].inputs[input].unlocking_script = Script::from_bytes(bytes);
-    b.header.merkle_root = b.compute_merkle_root();
-    b
-}
 
 /// Every worker count under test: inline, two and three threads (so even
 /// small blocks split their inputs across chunks), and the default.
@@ -103,40 +56,6 @@ fn baseline_nodes(genesis: &ebv_chain::Block) -> Vec<BaselineNode> {
             BaselineNode::new(genesis, fresh_utxos(), config).expect("genesis")
         })
         .collect()
-}
-
-/// The strict reference: each input's script run on its own through
-/// `verify_spend` with the strict `DigestChecker`, in `(tx, input)` order,
-/// reading the spent output from the input's proof. Returns the first
-/// failure as `(tx, input, err)`.
-fn strict_oracle(block: &EbvBlock) -> Option<(usize, usize, ScriptError)> {
-    let cache = PubkeyCache::new();
-    for (tx, t) in block.transactions.iter().enumerate().skip(1) {
-        let proofs: Vec<_> = t
-            .bodies
-            .iter()
-            .map(|body| body.proof.as_ref().expect("spending input carries a proof"))
-            .collect();
-        let coords: Vec<(u32, u32)> = proofs
-            .iter()
-            .map(|p| (p.height, p.absolute_position()))
-            .collect();
-        for (input, (body, proof)) in t.bodies.iter().zip(&proofs).enumerate() {
-            let spent = proof.spent_output().expect("honest proof inside ELs");
-            let digest = spend_sighash(
-                t.tidy.version,
-                &coords,
-                &t.tidy.outputs,
-                t.tidy.lock_time,
-                input as u32,
-            );
-            let checker = DigestChecker::with_context(digest, t.tidy.lock_time, &cache);
-            if let Err(err) = verify_spend(&body.us, &spent.locking_script, &checker) {
-                return Some((tx, input, err));
-            }
-        }
-    }
-    None
 }
 
 #[test]
@@ -215,26 +134,6 @@ fn baseline_batch_and_strict_agree() {
         assert_eq!(node.tip_hash(), nodes[0].tip_hash());
         assert_eq!(node.utxos().size().count, nodes[0].utxos().size().count);
     }
-}
-
-fn fresh_utxos() -> UtxoSet {
-    UtxoSet::new(KvStore::open(StoreConfig::with_budget(1 << 20)).expect("temp store opens"))
-}
-
-/// Raise output 0 of transaction `tx` far above any input value: the
-/// value phase must reject it before SV sees the (now stale) signatures.
-fn inflate_output(block: &EbvBlock, tx: usize) -> EbvBlock {
-    let mut b = block.clone();
-    b.transactions[tx].tidy.outputs[0].value = u64::MAX / 2;
-    b.header.merkle_root = b.compute_merkle_root();
-    b
-}
-
-fn inflate_baseline_output(block: &ebv_chain::Block, tx: usize) -> ebv_chain::Block {
-    let mut b = block.clone();
-    b.transactions[tx].outputs[0].value = u64::MAX / 2;
-    b.header.merkle_root = b.compute_merkle_root();
-    b
 }
 
 /// A rejection as both node types report it: `(tx, Some((input, err)))`

@@ -7,76 +7,15 @@
 //! * `disconnect_tip` restores the bit-vector set exactly (connect /
 //!   disconnect round trip).
 
-use ebv_core::tidy::{EbvBlock, InputBody};
-use ebv_core::{BlockBitVector, EbvConfig, EbvNode, Intermediary};
-use ebv_primitives::hash::sha256d;
-use ebv_script::Script;
-use ebv_workload::{ChainGenerator, GeneratorParams};
+mod common;
 
-/// Generate a chain and convert it to EBV form (genesis included).
-fn build_ebv_chain(params: GeneratorParams) -> Vec<EbvBlock> {
-    let blocks = ChainGenerator::new(params).generate();
-    Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("generated chains always convert")
-}
-
-/// Recompute the hash links after mutating transaction `tx`'s bodies.
-fn relink(block: &mut EbvBlock, tx: usize) {
-    let hashes: Vec<_> = block.transactions[tx]
-        .bodies
-        .iter()
-        .map(InputBody::hash)
-        .collect();
-    block.transactions[tx].tidy.input_hashes = hashes;
-    block.header.merkle_root = block.compute_merkle_root();
-}
-
-/// A deterministically corrupted copy of `block`; `mode` selects which
-/// validation phase the corruption targets.
-fn tamper(block: &EbvBlock, mode: usize) -> EbvBlock {
-    let mut b = block.clone();
-    let has_spend = b.transactions.len() > 1 && b.transactions[1].bodies[0].proof.is_some();
-    match if has_spend { mode % 6 } else { 5 } {
-        0 => {
-            // Proof claims a nonexistent height → BadHeight (EV).
-            b.transactions[1].bodies[0].proof.as_mut().unwrap().height = 1_000_000;
-            relink(&mut b, 1);
-        }
-        1 => {
-            // Forged ELs value → the leaf no longer folds to the stored
-            // root → EvFailed.
-            let p = b.transactions[1].bodies[0].proof.as_mut().unwrap();
-            let rel = p.relative_position as usize;
-            p.els.outputs[rel].value += 1;
-            relink(&mut b, 1);
-        }
-        2 => {
-            // Outputs worth more than the inputs → ValueImbalance.
-            b.transactions[1].tidy.outputs[0].value = u64::MAX / 2;
-            b.header.merkle_root = b.compute_merkle_root();
-        }
-        3 => {
-            // Unlocking script emptied → SvFailed.
-            b.transactions[1].bodies[0].us = Script::new();
-            relink(&mut b, 1);
-        }
-        4 => {
-            // Lying stake position → StakeMismatch.
-            b.transactions[1].tidy.stake_position += 1;
-            b.header.merkle_root = b.compute_merkle_root();
-        }
-        _ => {
-            // Bogus Merkle root → MerkleMismatch.
-            b.header.merkle_root = sha256d(b"bogus root");
-        }
-    }
-    b
-}
+use common::{build_chains, tamper};
+use ebv_core::{BlockBitVector, EbvConfig, EbvNode};
+use ebv_workload::GeneratorParams;
 
 #[test]
 fn sequential_and_parallel_pipelines_agree() {
-    let chain = build_ebv_chain(GeneratorParams::tiny(1000, 0xd1ff));
+    let (_, chain) = build_chains(GeneratorParams::tiny(1000, 0xd1ff));
     // One worker (everything inline), two, three, and the default.
     let mut nodes: Vec<EbvNode> = [Some(1), Some(2), Some(3), None]
         .into_iter()
@@ -129,7 +68,7 @@ fn sequential_and_parallel_pipelines_agree() {
 
 #[test]
 fn connect_disconnect_round_trip_restores_bitvectors() {
-    let chain = build_ebv_chain(GeneratorParams::mainnet_like(120, 0xabc));
+    let (_, chain) = build_chains(GeneratorParams::mainnet_like(120, 0xabc));
     let mut node = EbvNode::new(&chain[0], EbvConfig::default());
     let split = 80usize;
     for block in &chain[1..split] {

@@ -1,7 +1,7 @@
 //! Criterion microbenches for the cryptographic substrate: the per-input
 //! costs every figure is built from.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ebv_chain::merkle::{merkle_levels, merkle_root, MerkleBranch};
 use ebv_core::sighash::SV_BATCH_MAX;
 use ebv_core::sighash::{sign_input, DigestChecker, PubkeyCache};
@@ -80,14 +80,28 @@ fn bench_ecdsa(c: &mut Criterion) {
             ))
         })
     });
-    // Amortized path: each key's table is built once (what a node's pubkey
-    // cache does for repeated signers).
+    // Amortized path: each key's tables are built once (what a node's
+    // pubkey cache does for repeated signers), so after the warmup every
+    // verify runs on the half-depth ladder.
     let prepared: Vec<_> = public.iter().map(|pk| pk.prepare()).collect();
     c.bench_function("ecdsa/verify_prepared", |b| {
         b.iter(|| {
             let (digest, sig, k) = next.next().expect("a ring never ends");
             assert!(prepared[*k].verify(black_box(digest), black_box(sig)))
         })
+    });
+    // A freshly prepared key verified once (preparing it is untimed): a
+    // key's first verify runs the full-depth ladder and builds no shifted
+    // table, so this is what a signer seen only once costs.
+    c.bench_function("ecdsa/verify_prepared_fresh_key", |b| {
+        b.iter_batched(
+            || {
+                let (digest, sig, k) = next.next().expect("a ring never ends");
+                (digest, sig, public[*k].prepare())
+            },
+            |(digest, sig, key)| assert!(key.verify(black_box(digest), black_box(sig))),
+            BatchSize::SmallInput,
+        )
     });
 }
 

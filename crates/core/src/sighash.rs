@@ -33,10 +33,12 @@ pub const SIG_PUSH_LEN: usize = 65;
 /// per-batch fixed costs (transcript hashing, Montgomery inversions) well.
 pub const SV_BATCH_MAX: usize = 64;
 
-/// Upper bound on [`PubkeyCache`] entries: 4096 signer keys, about 3 MiB.
-/// Each costs ~760 bytes: a 648-byte [`PreparedPublicKey`] (the key and its
-/// eight affine odd multiples), a 16-byte `Arc` header, and a 48-byte map
-/// slot at most half full once a generation's table has grown.
+/// Upper bound on [`PubkeyCache`] entries: 4096 signer keys, ≈5.3 MiB at
+/// worst. Each costs up to ~1.3 KiB: a 1,240-byte [`PreparedPublicKey`]
+/// (the key, its eight affine odd multiples, and room for the eight of
+/// `2^64·Q` that its second single-signature verify builds), a 16-byte
+/// `Arc` header, and a 48-byte map slot at most half full once a
+/// generation's table has grown.
 const PUBKEY_CACHE_CAPACITY: usize = 1 << 12;
 
 /// Number of shards in [`PubkeyCache`]; must be a power of two.

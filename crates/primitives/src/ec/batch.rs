@@ -42,14 +42,14 @@
 //! every candidate at even parity. Signatures that break the convention
 //! (odd-parity `R`, or an `rᵢ` that does not lift) are still *valid
 //! signatures*: the equation simply fails for them, and the deterministic
-//! bisection walks down to [`super::ecdsa::verify_prepared`], whose
-//! verdict is parity-agnostic. Batching is a pure performance layer — the
+//! bisection walks down to [`PreparedPublicKey::verify`], whose verdict is
+//! parity-agnostic. Batching is a pure performance layer — the
 //! accept/reject decision per item is always exactly the individual
 //! verifier's.
 
 use std::collections::HashMap;
 
-use super::ecdsa::{self, Signature};
+use super::ecdsa::Signature;
 use super::field::{Fe, P};
 use super::keys::PreparedPublicKey;
 use super::point::{multi_scalar_mul, Affine, MsmTerm, PointTable};
@@ -110,7 +110,7 @@ pub struct BatchOutcome {
 /// randomized linear combination, bisecting deterministically on failure.
 ///
 /// Verdicts are guaranteed identical to calling
-/// [`ecdsa::verify_prepared`] per item — batching can never flip an
+/// [`PreparedPublicKey::verify`] per item — batching can never flip an
 /// accept/reject decision, only the work done to reach it.
 #[derive(Default)]
 pub struct BatchVerifier<'a> {
@@ -156,10 +156,17 @@ impl<'a> BatchVerifier<'a> {
     pub fn verify(&self) -> BatchOutcome {
         let mut stats = BatchStats::default();
         let mut verdicts = vec![false; self.items.len()];
-        if self.items.is_empty() {
+        if self.items.len() <= 1 {
+            // Nothing to share a ladder with: one item goes straight to
+            // the individual verifier, skipping the s-inversion, R's lift
+            // and R's table that the equation would need.
+            if !self.items.is_empty() {
+                stats.individual_checks = 1;
+                verdicts[0] = self.verify_one(0);
+            }
             return BatchOutcome {
+                all_valid: verdicts.iter().all(|&v| v),
                 verdicts,
-                all_valid: true,
                 stats,
             };
         }
@@ -214,13 +221,14 @@ impl<'a> BatchVerifier<'a> {
         }
     }
 
-    /// Individual (oracle) verification of item `i`.
+    /// Individual (oracle) verification of item `i`, through its key's
+    /// single-signature verify (half-depth from the key's second on).
     fn verify_one(&self, i: usize) -> bool {
         let item = &self.items[i];
         if item.sig.r.is_zero() || item.sig.s.is_zero() {
             return false;
         }
-        ecdsa::verify_prepared(&item.digest, &item.sig, self.keys[item.key].table())
+        self.keys[item.key].verify(&item.digest, &item.sig)
     }
 
     /// SHA-256 over the full batch transcript; binds the coefficients to
@@ -438,6 +446,49 @@ mod tests {
         // Bisection must have reached at least one oracle leaf.
         assert!(out.stats.individual_checks >= 1);
         assert!(out.stats.equation_checks >= 2);
+    }
+
+    #[test]
+    fn one_item_batch_is_verified_individually() {
+        let sk = PrivateKey::from_seed(41);
+        let key = sk.public_key().prepare();
+        let z = sha256(b"alone");
+        let good = sk.sign(&z);
+        let tampered = Signature {
+            r: good.r,
+            s: good.s.add(&Scalar::ONE),
+        };
+        for (sig, valid) in [(good, true), (tampered, false)] {
+            let mut batch = BatchVerifier::new();
+            batch.push(z, sig, &key);
+            let out = batch.verify();
+            assert_eq!(out.verdicts, vec![valid]);
+            assert_eq!(out.all_valid, valid);
+            let individual = BatchStats {
+                equation_checks: 0,
+                individual_checks: 1,
+            };
+            assert_eq!(out.stats, individual);
+        }
+    }
+
+    #[test]
+    fn equation_checks_build_no_shifted_tables() {
+        // Four signatures per key: verified one by one, each key would
+        // build its shifted table on its second verify.
+        let items = signed_items(12, &[1, 2, 3]);
+        let prepared: Vec<_> = [1, 2, 3]
+            .iter()
+            .map(|&seed| PrivateKey::from_seed(seed).public_key().prepare())
+            .collect();
+        let mut batch = BatchVerifier::new();
+        for (i, (z, sig, _)) in items.iter().enumerate() {
+            batch.push(*z, *sig, &prepared[i % 3]);
+        }
+        let out = batch.verify();
+        assert!(out.all_valid);
+        assert_eq!(out.stats.individual_checks, 0);
+        assert!(prepared.iter().all(|k| k.shifted_table().is_none()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! big-endian) with low-S canonicalization, matching what the script
 //! engine's `OP_CHECKSIG` consumes.
 
-use super::point::{lincomb_gen, Affine, PointTable};
+use super::point::{lincomb_gen, lincomb_gen_half_depth, Affine, PointTable};
 use super::rfc6979;
 use super::scalar::Scalar;
 
@@ -157,14 +157,29 @@ pub fn verify(z: &[u8; 32], sig: &Signature, q: &Affine) -> bool {
 /// ([`super::point::Jacobian::x_equals_scalar_mod_n`]), eliminating the
 /// field inversion the reference implementation spends on `to_affine`.
 pub fn verify_prepared(z: &[u8; 32], sig: &Signature, q_table: &PointTable) -> bool {
-    let z_scalar = Scalar::from_be_bytes_reduced(z);
-    let w = match sig.s.invert() {
-        Some(w) => w,
-        None => return false,
-    };
-    let u1 = z_scalar.mul(&w);
-    let u2 = sig.r.mul(&w);
-    lincomb_gen(&u1, q_table, &u2).x_equals_scalar_mod_n(&sig.r)
+    verify_scalars(z, sig)
+        .is_some_and(|(u1, u2)| lincomb_gen(&u1, q_table, &u2).x_equals_scalar_mod_n(&sig.r))
+}
+
+/// [`verify_prepared`] on the half-depth ladder
+/// ([`super::point::lincomb_gen_half_depth`]), which also reads the table
+/// of `2^64·Q` ([`PointTable::shifted`]). Same verdicts, about half the
+/// doublings.
+pub(crate) fn verify_prepared_half_depth(
+    z: &[u8; 32],
+    sig: &Signature,
+    q_table: &PointTable,
+    q_shifted: &PointTable,
+) -> bool {
+    verify_scalars(z, sig).is_some_and(|(u1, u2)| {
+        lincomb_gen_half_depth(&u1, q_table, q_shifted, &u2).x_equals_scalar_mod_n(&sig.r)
+    })
+}
+
+/// `(u1, u2) = (z·s⁻¹, r·s⁻¹)`, or `None` when `s` is zero.
+fn verify_scalars(z: &[u8; 32], sig: &Signature) -> Option<(Scalar, Scalar)> {
+    let w = sig.s.invert()?;
+    Some((Scalar::from_be_bytes_reduced(z).mul(&w), sig.r.mul(&w)))
 }
 
 /// Reference verifier: the pre-fast-path double-and-add implementation,

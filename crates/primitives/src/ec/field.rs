@@ -106,6 +106,7 @@ impl Fe {
         self.0.to_be_bytes()
     }
 
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.0.is_zero()
     }
@@ -116,6 +117,7 @@ impl Fe {
         self.0.limbs[0] & 1 == 1
     }
 
+    #[inline]
     pub fn add(&self, other: &Fe) -> Fe {
         let a = &self.0.limbs;
         let b = &other.0.limbs;
@@ -140,6 +142,7 @@ impl Fe {
         Fe(U256 { limbs: r })
     }
 
+    #[inline]
     pub fn sub(&self, other: &Fe) -> Fe {
         let a = &self.0.limbs;
         let b = &other.0.limbs;
@@ -175,6 +178,7 @@ impl Fe {
         Fe(U256 { limbs: r })
     }
 
+    #[inline]
     pub fn neg(&self) -> Fe {
         if self.is_zero() {
             *self
@@ -183,15 +187,18 @@ impl Fe {
         }
     }
 
+    #[inline]
     pub fn mul(&self, other: &Fe) -> Fe {
         reduce512(&self.0.widening_mul(&other.0))
     }
 
+    #[inline]
     pub fn square(&self) -> Fe {
         reduce512(&self.0.widening_sqr())
     }
 
     /// `2·self`.
+    #[inline]
     pub fn dbl(&self) -> Fe {
         self.add(self)
     }
@@ -239,13 +246,14 @@ impl Fe {
     /// field exponentiation in the codebase.
     pub fn sqrt(&self) -> Option<Fe> {
         // x_n denotes self^(2^n - 1).
-        let sq_n = |x: &Fe, n: usize| -> Fe {
+        #[inline(always)]
+        fn sq_n(x: &Fe, n: usize) -> Fe {
             let mut acc = *x;
             for _ in 0..n {
                 acc = acc.square();
             }
             acc
-        };
+        }
         let x2 = sq_n(self, 1).mul(self);
         let x3 = sq_n(&x2, 1).mul(self);
         let x6 = sq_n(&x3, 3).mul(&x3);

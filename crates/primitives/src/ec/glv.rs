@@ -33,7 +33,15 @@ use super::point::Affine;
 use super::scalar::{Scalar, HALF_N, N};
 use crate::u256::U256;
 
-/// One half of a GLV decomposition: a sign and a magnitude below ~`2^129`.
+/// Every half of a split is below `2^HALF_BITS`. `derive` asserts that
+/// each basis component is below `2^129`, and a half is the sum of two
+/// basis components weighted by at most `1/2 + 2^-129` each (the rounding
+/// error of `cᵢ`), so it stays below `2^129·(1 + 2^-128)`. The ladders size
+/// their digit streams by this bound.
+pub(crate) const HALF_BITS: usize = 130;
+
+/// One half of a GLV decomposition: a sign and a magnitude below
+/// `2^HALF_BITS`.
 pub(crate) struct SplitScalar {
     pub neg: bool,
     pub mag: Scalar,
@@ -231,6 +239,13 @@ impl Glv {
         } else {
             cand_hi
         };
+        // HALF_BITS rests on this bound.
+        assert!(
+            [&v1.0, &v1.1, &v2.0, &v2.1]
+                .iter()
+                .all(|c| c.mag.bits() < HALF_BITS),
+            "basis component exceeds 2^129"
+        );
 
         // d = a1·b2 − a2·b1 must be ±n (the lattice has index n in Z²).
         let p1 = v1.0.mag.widening_mul(&v2.1.mag);
@@ -430,7 +445,7 @@ mod tests {
     fn split_reconstructs_and_is_short() {
         let glv = params();
         let bound = U256 {
-            limbs: [0, 0, 4, 0], // 2^130: generous vs the theoretical ~2^129
+            limbs: [0, 0, 1 << (HALF_BITS - 128), 0],
         };
         let mut cases: Vec<Scalar> = (0u64..32)
             .map(|i| Scalar::from_be_bytes_reduced(&crate::hash::sha256(&i.to_le_bytes())))

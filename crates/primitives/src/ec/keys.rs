@@ -1,5 +1,8 @@
 //! Key types: private scalars and SEC1-compressed public keys.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+
 use super::ecdsa::{self, SigError, Signature};
 use super::field::Fe;
 use super::point::{Affine, PointTable};
@@ -138,6 +141,8 @@ impl PublicKey {
         PreparedPublicKey {
             key: *self,
             table: PointTable::new(&self.0),
+            verified: AtomicBool::new(false),
+            shifted: OnceLock::new(),
         }
     }
 }
@@ -146,12 +151,25 @@ impl PublicKey {
 ///
 /// Building the table costs one doubling, seven additions and a batch
 /// normalization — about a sixth of a verification — so it pays for itself
-/// as soon as a key verifies more than one signature. Block validation
-/// caches these per block because workloads reuse signer keys heavily.
-#[derive(Clone, Debug)]
+/// as soon as a key verifies more than one signature. Nodes keep these for
+/// their whole life because workloads reuse signer keys heavily.
+///
+/// A key that verifies single signatures repeatedly also gets the table of
+/// `2^64·Q` ([`PointTable::shifted`], 64 doublings plus a table build): its
+/// second single-signature verify builds it, and that verify and every
+/// later one run on the half-depth ladder
+/// ([`lincomb_gen_half_depth`](super::point::lincomb_gen_half_depth)).
+/// The first runs on the full-depth one, and a batch equation reads only
+/// the plain table, so a key verified once, or only in batches, costs what
+/// it did before the shifted table existed.
+#[derive(Debug)]
 pub struct PreparedPublicKey {
     key: PublicKey,
     table: PointTable,
+    /// Set by the first single-signature verify.
+    verified: AtomicBool,
+    /// Odd multiples of `2^64·Q`, built by the second.
+    shifted: OnceLock<PointTable>,
 }
 
 impl PreparedPublicKey {
@@ -166,9 +184,28 @@ impl PreparedPublicKey {
         &self.table
     }
 
-    /// Verify a signature over `digest` using the cached table.
+    /// The table of `2^64·Q`, once a second single-signature verify has
+    /// built it.
+    pub fn shifted_table(&self) -> Option<&PointTable> {
+        self.shifted.get()
+    }
+
+    /// Verify a signature over `digest` using the cached tables: on the
+    /// full-depth ladder the first time, on the half-depth one from the
+    /// second time on.
     pub fn verify(&self, digest: &[u8; 32], sig: &Signature) -> bool {
-        ecdsa::verify_prepared(digest, sig, &self.table)
+        let shifted = self.shifted.get().or_else(|| {
+            // `verified` guards no data (the `OnceLock` publishes the
+            // table), so it needs no ordering beyond its own.
+            self.verified.swap(true, Ordering::Relaxed).then(|| {
+                self.shifted
+                    .get_or_init(|| PointTable::shifted(self.key.point()))
+            })
+        });
+        match shifted {
+            Some(shifted) => ecdsa::verify_prepared_half_depth(digest, sig, &self.table, shifted),
+            None => ecdsa::verify_prepared(digest, sig, &self.table),
+        }
     }
 
     /// Verify a compact-encoded signature over `digest`.

@@ -19,5 +19,7 @@ pub mod scalar;
 pub use batch::{BatchOutcome, BatchStats, BatchVerifier};
 pub use ecdsa::{SigError, Signature};
 pub use keys::{PreparedPublicKey, PrivateKey, PubKeyError, PublicKey};
-pub use point::{lincomb_gen, multi_scalar_mul, Affine, Jacobian, MsmTerm, PointTable};
+pub use point::{
+    lincomb_gen, lincomb_gen_half_depth, multi_scalar_mul, Affine, Jacobian, MsmTerm, PointTable,
+};
 pub use scalar::Scalar;

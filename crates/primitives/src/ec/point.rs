@@ -10,10 +10,12 @@
 //!   [`Jacobian::add_jacobian`] formulas. It is kept byte-for-byte stable as
 //!   the differential-testing oracle.
 //! - The **fast path** — [`Affine::mul_gen`] (fixed-base comb over a
-//!   precomputed generator table) and [`lincomb_gen`] (interleaved-wNAF
-//!   Strauss pass over the generator table and a per-key [`PointTable`]),
-//!   built on the cheaper [`Jacobian::dbl`] / [`Jacobian::add_mixed`]
-//!   formulas and [`Jacobian::batch_to_affine`] normalization.
+//!   precomputed generator table), and [`lincomb_gen`],
+//!   [`lincomb_gen_half_depth`] and [`multi_scalar_mul`]: interleaved-wNAF
+//!   Strauss passes over static generator tables and per-key
+//!   [`PointTable`]s that share one ladder loop. They are built on the
+//!   cheaper [`Jacobian::dbl`] / [`Jacobian::add_mixed`] formulas and
+//!   [`Jacobian::batch_to_affine`] normalization.
 //!
 //! The fast path is still "honest work" in the paper's sense — Script
 //! Validation cost drives the Fig. 16b/17b breakdowns — it just removes the
@@ -183,6 +185,7 @@ impl Jacobian {
     }
 
     /// Point doubling (curve has `a = 0`).
+    #[inline]
     pub fn double(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
             return Jacobian::infinity();
@@ -285,6 +288,7 @@ impl Jacobian {
     /// Fast-path doubling: `dbl-2009-l` (2M + 5S since `a = 0`), versus the
     /// 4M + 4S-plus-small-multiples shape of the reference
     /// [`Jacobian::double`].
+    #[inline]
     pub fn dbl(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
             return Jacobian::infinity();
@@ -310,6 +314,7 @@ impl Jacobian {
     /// Fast-path mixed addition of an affine point: `madd-2007-bl`
     /// (7M + 4S), versus 12M + 4S for the general [`Jacobian::add_jacobian`].
     /// This is what makes precomputed *affine* tables pay off.
+    #[inline]
     pub fn add_mixed(&self, other: &Affine) -> Jacobian {
         let (x2, y2) = match other {
             Affine::Infinity => return *self,
@@ -404,30 +409,45 @@ impl Jacobian {
 const COMB_WINDOWS: usize = 64;
 const COMB_TEETH: usize = 15;
 
-/// wNAF window width for the generator half of [`lincomb_gen`]; the table
-/// holds the 64 odd multiples `1·G, 3·G, …, 127·G`.
+/// wNAF window width for the ladders' generator streams; each static table
+/// holds the 64 odd multiples `1·B, 3·B, …, 127·B` of its base `B`.
 const GEN_WNAF_W: u32 = 8;
 const GEN_WNAF_ENTRIES: usize = 1 << (GEN_WNAF_W - 2);
+
+/// Where [`lincomb_gen_half_depth`] cuts each GLV half, `h = h₀ + 2^64·h₁`:
+/// the shifted tables hold odd multiples of `2^64·G` and `2^64·Q`.
+pub const SHIFT_BITS: usize = 64;
+
+/// Digit capacity of a half-depth stream. GLV halves stay below `2^130`
+/// ([`glv`]), so a piece has at most 66 bits, and a width-`w` NAF is at most
+/// one digit longer than its scalar: this is also the half-depth ladder's
+/// longest doubling run.
+pub const HALF_DEPTH_DIGITS: usize = glv::HALF_BITS - SHIFT_BITS + 1;
+
+/// Digit capacity of a full-depth stream: a GLV half (below `2^130`) or an
+/// unsplit [`multi_scalar_mul`] scalar (at most [`MSM_SPLIT_BITS`] bits).
+const FULL_DEPTH_DIGITS: usize = MSM_SPLIT_BITS + 1;
+const _: () = assert!(FULL_DEPTH_DIGITS > glv::HALF_BITS);
 
 /// Precomputed generator tables, built once per process.
 struct GenTables {
     /// `comb[w][d-1] = d·16^w·G`.
     comb: Vec<[Affine; COMB_TEETH]>,
-    /// Odd multiples `(2i+1)·G` for the wNAF pass.
-    wnaf: [Affine; GEN_WNAF_ENTRIES],
-    /// `φ` applied to `wnaf`: odd multiples of `λ·G`, used by the GLV halves.
-    wnaf_lambda: [Affine; GEN_WNAF_ENTRIES],
+    /// Odd multiples `(2i+1)·B` for the ladders' generator streams, one
+    /// table per base `B` in [`half_depth_pieces`]' order: `G`, `2^64·G`,
+    /// `λ·G`, `λ·2^64·G`. The full-depth ladders use the first and third.
+    wnaf: [[Affine; GEN_WNAF_ENTRIES]; 4],
 }
 
 static GEN_TABLES: OnceLock<GenTables> = OnceLock::new();
 
-/// Build both generator tables with the reference arithmetic (the tables are
+/// Build the generator tables with the reference arithmetic (the tables are
 /// an input to the fast path, so they must not depend on it) and normalize
 /// everything with a single shared inversion.
 fn gen_tables() -> &'static GenTables {
     GEN_TABLES.get_or_init(|| {
         let g = Affine::G.to_jacobian();
-        let mut jac = Vec::with_capacity(COMB_WINDOWS * COMB_TEETH + GEN_WNAF_ENTRIES);
+        let mut jac = Vec::with_capacity(COMB_WINDOWS * COMB_TEETH + 2 * GEN_WNAF_ENTRIES);
         let mut base = g;
         for _ in 0..COMB_WINDOWS {
             let mut acc = base;
@@ -437,32 +457,51 @@ fn gen_tables() -> &'static GenTables {
             }
             base = acc; // acc has walked to 16·base: the next window's base
         }
-        let two_g = g.double();
-        let mut odd = g;
-        for _ in 0..GEN_WNAF_ENTRIES {
-            jac.push(odd);
-            odd = odd.add_jacobian(&two_g);
+        let mut g_shifted = g;
+        for _ in 0..SHIFT_BITS {
+            g_shifted = g_shifted.double();
+        }
+        for base in [g, g_shifted] {
+            let two = base.double();
+            let mut odd = base;
+            for _ in 0..GEN_WNAF_ENTRIES {
+                jac.push(odd);
+                odd = odd.add_jacobian(&two);
+            }
         }
         let affine = Jacobian::batch_to_affine(&jac);
-        let mut comb = Vec::with_capacity(COMB_WINDOWS);
-        for w in 0..COMB_WINDOWS {
-            let mut row = [Affine::Infinity; COMB_TEETH];
-            row.copy_from_slice(&affine[w * COMB_TEETH..(w + 1) * COMB_TEETH]);
-            comb.push(row);
-        }
-        let mut wnaf = [Affine::Infinity; GEN_WNAF_ENTRIES];
-        wnaf.copy_from_slice(&affine[COMB_WINDOWS * COMB_TEETH..]);
+        let (comb_points, wnaf_points) = affine.split_at(COMB_WINDOWS * COMB_TEETH);
+        let comb = comb_points
+            .chunks_exact(COMB_TEETH)
+            .map(|row| row.try_into().expect("COMB_TEETH entries"))
+            .collect();
+        let odd_multiples = |base: usize| -> [Affine; GEN_WNAF_ENTRIES] {
+            wnaf_points[base * GEN_WNAF_ENTRIES..(base + 1) * GEN_WNAF_ENTRIES]
+                .try_into()
+                .expect("GEN_WNAF_ENTRIES entries")
+        };
+        let (plain, shifted) = (odd_multiples(0), odd_multiples(1));
         let beta = &glv::params().beta;
-        let wnaf_lambda = wnaf.map(|e| e.endo(beta));
         GenTables {
             comb,
-            wnaf,
-            wnaf_lambda,
+            wnaf: [
+                plain,
+                shifted,
+                plain.map(|e| e.endo(beta)),
+                shifted.map(|e| e.endo(beta)),
+            ],
         }
     })
 }
 
-/// wNAF window width for the variable point in [`lincomb_gen`]; a
+/// The static odd-multiples tables of the ladders' generator streams, in
+/// [`half_depth_pieces`]' base order (`G`, `2^64·G`, `λ·G`, `λ·2^64·G`):
+/// entry `i` of each is `(2i+1)` times its base.
+pub fn generator_wnaf_tables() -> &'static [[Affine; GEN_WNAF_ENTRIES]; 4] {
+    &gen_tables().wnaf
+}
+
+/// wNAF window width for the variable points of the ladders; a
 /// [`PointTable`] holds the 8 odd multiples `1·Q, 3·Q, …, 15·Q`.
 pub const POINT_TABLE_W: u32 = 5;
 const POINT_TABLE_ENTRIES: usize = 1 << (POINT_TABLE_W - 2);
@@ -479,23 +518,35 @@ pub struct PointTable {
 
 impl PointTable {
     pub fn new(q: &Affine) -> PointTable {
+        PointTable::odd_multiples(q.to_jacobian())
+    }
+
+    /// The table of `2^64·Q`, the shifted base of
+    /// [`lincomb_gen_half_depth`]: 64 doublings of `Q`, then the same build
+    /// as [`PointTable::new`].
+    pub fn shifted(q: &Affine) -> PointTable {
+        let mut p = q.to_jacobian();
+        for _ in 0..SHIFT_BITS {
+            p = p.dbl();
+        }
+        PointTable::odd_multiples(p)
+    }
+
+    fn odd_multiples(q: Jacobian) -> PointTable {
         if q.is_infinity() {
             return PointTable {
                 entries: [Affine::Infinity; POINT_TABLE_ENTRIES],
             };
         }
-        let qj = q.to_jacobian();
-        let two_q = qj.dbl();
-        let mut jac = Vec::with_capacity(POINT_TABLE_ENTRIES);
-        let mut acc = qj;
-        for _ in 0..POINT_TABLE_ENTRIES {
-            jac.push(acc);
-            acc = acc.add_jacobian(&two_q);
+        let two_q = q.dbl();
+        let mut jac = [q; POINT_TABLE_ENTRIES];
+        for i in 1..POINT_TABLE_ENTRIES {
+            jac[i] = jac[i - 1].add_jacobian(&two_q);
         }
         let affine = Jacobian::batch_to_affine(&jac);
-        let mut entries = [Affine::Infinity; POINT_TABLE_ENTRIES];
-        entries.copy_from_slice(&affine);
-        PointTable { entries }
+        PointTable {
+            entries: affine.try_into().expect("POINT_TABLE_ENTRIES entries"),
+        }
     }
 
     /// Tables for many points with **one** shared field inversion across
@@ -520,24 +571,15 @@ impl PointTable {
         let affine = Jacobian::batch_to_affine(&jac);
         affine
             .chunks_exact(POINT_TABLE_ENTRIES)
-            .map(|chunk| {
-                let mut entries = [Affine::Infinity; POINT_TABLE_ENTRIES];
-                entries.copy_from_slice(chunk);
-                PointTable { entries }
+            .map(|chunk| PointTable {
+                entries: chunk.try_into().expect("POINT_TABLE_ENTRIES entries"),
             })
             .collect()
     }
 
-    /// Look up a wNAF digit: `d` must be odd with `|d| < 2^(w-1)`; negative
-    /// digits return the negated table entry.
-    fn get(&self, d: i32) -> Affine {
-        debug_assert!(d != 0 && d % 2 != 0 && d.unsigned_abs() < (1 << (POINT_TABLE_W - 1)));
-        let e = self.entries[(d.unsigned_abs() as usize - 1) / 2];
-        if d < 0 {
-            e.neg()
-        } else {
-            e
-        }
+    /// The odd multiples `1·Q, 3·Q, …, 15·Q`.
+    pub fn entries(&self) -> &[Affine] {
+        &self.entries
     }
 
     /// The table for `λ·Q`, by applying the endomorphism entrywise: eight
@@ -550,6 +592,95 @@ impl PointTable {
     }
 }
 
+/// One digit stream of a Strauss ladder: a scalar piece recoded in width-`w`
+/// NAF (least significant digit first, its sign folded in, zero from `len`
+/// on) and the odd multiples `1·B, 3·B, …` of the base its digits index. The
+/// table's length, `2^(w-2)`, fixes `w`.
+struct Stream<'a, const D: usize> {
+    digits: [i8; D],
+    len: usize,
+    table: &'a [Affine],
+}
+
+impl<'a, const D: usize> Stream<'a, D> {
+    /// Recode `±k` for `table`. Each window is read straight from `k`'s limbs
+    /// at its bit position, so a digit costs O(1) and nothing is allocated;
+    /// the digits are [`Scalar::wnaf`]'s, the reference recoding.
+    fn new(k: &U256, neg: bool, table: &'a [Affine]) -> Stream<'a, D> {
+        let w = table.len().trailing_zeros() + 2;
+        let bits = k.bits();
+        assert!(bits < D, "a {bits}-bit piece overflows a {D}-digit stream");
+        let mut digits = [0i8; D];
+        let mut len = 0;
+        // Invariant: what is left to recode at position i is ⌊k/2^i⌋ + carry.
+        let mut carry = 0;
+        let mut i = 0;
+        while i <= bits {
+            if u64::from(k.bit(i)) == carry {
+                i += 1; // even: a zero digit, and the carry stays
+                continue;
+            }
+            // Odd, so the window is below 2^w; from 2^(w-1) up it takes the
+            // negative digit and carries one into position i + w.
+            let window = window_bits(k, i, w) + carry;
+            carry = window >> (w - 1);
+            let d = window as i32 - ((carry as i32) << w);
+            let d = if neg { -d } else { d };
+            digits[i] = d as i8;
+            len = i + 1;
+            i += w as usize;
+        }
+        Stream { digits, len, table }
+    }
+}
+
+/// `w` bits of `k` from bit `i` up; bits past 255 read as zero.
+fn window_bits(k: &U256, i: usize, w: u32) -> u64 {
+    let (limb, offset) = (i / 64, i % 64);
+    let mut v = k.limbs[limb] >> offset;
+    if offset + w as usize > 64 && limb + 1 < k.limbs.len() {
+        v |= k.limbs[limb + 1] << (64 - offset);
+    }
+    v & ((1 << w) - 1)
+}
+
+/// The one interleaved-wNAF Strauss ladder under every fast-path
+/// multi-scalar product: a doubling per digit position, shared by all
+/// streams, and a mixed addition (affine table entries) per nonzero digit.
+/// Its depth — the doubling count, the dominant cost — is the longest
+/// stream's length.
+fn ladder<const D: usize>(streams: &[Stream<'_, D>]) -> Jacobian {
+    let depth = streams.iter().map(|s| s.len).max().unwrap_or(0);
+    let mut acc = Jacobian::infinity();
+    for i in (0..depth).rev() {
+        acc = acc.dbl();
+        for s in streams {
+            let d = s.digits[i];
+            if d != 0 {
+                // Odd |d| indexes entry (|d| − 1)/2 = |d| >> 1.
+                let e = s.table[usize::from(d.unsigned_abs() >> 1)];
+                acc = acc.add_mixed(&if d < 0 { e.neg() } else { e });
+            }
+        }
+    }
+    acc
+}
+
+/// `k`'s GLV halves ([`glv`]), each cut at bit [`SHIFT_BITS`]: four signed
+/// pieces `(negative, magnitude)` with `k ≡ Σ ±pieceⱼ·bⱼ (mod n)` over the
+/// bases `b = [1, 2^64, λ, λ·2^64]`. The low pieces are below `2^64` and the
+/// high ones below `2^66`, because the halves are below `2^130`.
+pub fn half_depth_pieces(k: &Scalar) -> [(bool, U256); 4] {
+    let (lo, hi) = glv::params().split(k);
+    let cut = |h: &glv::SplitScalar| {
+        let [l0, l1, l2, l3] = h.mag.0.limbs;
+        let piece = |limbs| (h.neg, U256 { limbs });
+        [piece([l0, 0, 0, 0]), piece([l1, l2, l3, 0])]
+    };
+    let ([p0, p1], [p2, p3]) = (cut(&lo), cut(&hi));
+    [p0, p1, p2, p3]
+}
+
 /// `u1·G + u2·Q` by a GLV-split interleaved-wNAF Strauss pass. Both scalars
 /// are decomposed as `k₁ + λ·k₂` with ~128-bit halves ([`glv`]), so the
 /// shared doubling ladder is ~130 long instead of 256 — doublings dominate
@@ -558,39 +689,55 @@ impl PointTable {
 /// served from the static `G`/`λG` tables, the `Q` halves (width 5) from
 /// `q_table` and its endomorphism image. Nonzero digits are sparse and every
 /// addition is mixed (affine table entries). This replaces
-/// [`Jacobian::shamir_mul`] on the ECDSA verification hot path.
+/// [`Jacobian::shamir_mul`] on a key's first verification;
+/// [`lincomb_gen_half_depth`] serves the later ones.
 pub fn lincomb_gen(u1: &Scalar, q_table: &PointTable, u2: &Scalar) -> Jacobian {
     let t = gen_tables();
     let glv = glv::params();
     let (g_lo, g_hi) = glv.split(u1);
     let (q_lo, q_hi) = glv.split(u2);
     let q_lambda = q_table.endo(&glv.beta);
+    ladder::<FULL_DEPTH_DIGITS>(&[
+        Stream::new(&g_lo.mag.0, g_lo.neg, &t.wnaf[0]),
+        Stream::new(&g_hi.mag.0, g_hi.neg, &t.wnaf[2]),
+        Stream::new(&q_lo.mag.0, q_lo.neg, &q_table.entries),
+        Stream::new(&q_hi.mag.0, q_hi.neg, &q_lambda.entries),
+    ])
+}
 
-    let gen_table = |entries: &'static [Affine; GEN_WNAF_ENTRIES]| PointTableRef::Gen(entries);
-    let streams = [
-        (g_lo, gen_table(&t.wnaf), GEN_WNAF_W),
-        (g_hi, gen_table(&t.wnaf_lambda), GEN_WNAF_W),
-        (q_lo, PointTableRef::Var(q_table), POINT_TABLE_W),
-        (q_hi, PointTableRef::Var(&q_lambda), POINT_TABLE_W),
+/// `u1·G + u2·Q` on the half-depth ladder: each GLV half of both scalars is
+/// cut once more, at bit 64 ([`half_depth_pieces`]), so the sum runs as
+/// eight streams of at most [`HALF_DEPTH_DIGITS`] digits instead of four of
+/// ~130. `G`'s pieces read the static width-8 tables of `G`, `2^64·G`,
+/// `λ·G` and `λ·2^64·G`; `Q`'s read `q_table`, `q_shifted` (built by
+/// [`PointTable::shifted`]) and their endomorphism images. The additions
+/// stay as many as [`lincomb_gen`]'s and the doublings halve, for the price
+/// of the shifted table, which a key builds once.
+pub fn lincomb_gen_half_depth(
+    u1: &Scalar,
+    q_table: &PointTable,
+    q_shifted: &PointTable,
+    u2: &Scalar,
+) -> Jacobian {
+    let t = gen_tables();
+    let beta = &glv::params().beta;
+    let (q_lambda, q_shifted_lambda) = (q_table.endo(beta), q_shifted.endo(beta));
+    let q_tables: [&[Affine]; 4] = [
+        &q_table.entries,
+        &q_shifted.entries,
+        &q_lambda.entries,
+        &q_shifted_lambda.entries,
     ];
-    let streams: Vec<(Vec<i32>, PointTableRef, bool)> = streams
-        .into_iter()
-        .map(|(half, table, w)| (half.mag.wnaf(w), table, half.neg))
-        .collect();
-
-    let len = streams.iter().map(|(d, _, _)| d.len()).max().unwrap_or(0);
-    let mut acc = Jacobian::infinity();
-    for i in (0..len).rev() {
-        acc = acc.dbl();
-        for (digits, table, neg) in &streams {
-            if let Some(&d) = digits.get(i) {
-                if d != 0 {
-                    acc = acc.add_mixed(&table.get(if *neg { -d } else { d }));
-                }
-            }
-        }
-    }
-    acc
+    let (g, q) = (half_depth_pieces(u1), half_depth_pieces(u2));
+    let streams: [Stream<'_, HALF_DEPTH_DIGITS>; 8] = std::array::from_fn(|i| {
+        let ((neg, piece), table) = if i < 4 {
+            (g[i], &t.wnaf[i][..])
+        } else {
+            (q[i - 4], q_tables[i - 4])
+        };
+        Stream::new(&piece, neg, table)
+    });
+    ladder(&streams)
 }
 
 /// One variable-point term of [`multi_scalar_mul`]: contributes
@@ -619,95 +766,51 @@ const MSM_SPLIT_BITS: usize = 132;
 /// the `λ` stream from an entrywise endomorphism of the table), while
 /// short scalars ride a single unsplit stream. All streams share one
 /// doubling ladder, so doublings — the dominant cost — are paid once for
-/// the whole sum instead of once per term.
+/// the whole sum instead of once per term. The halves are not cut again as
+/// in [`lincomb_gen_half_depth`]: a batch's ~130 doublings are already
+/// shared by all its signatures, and a cut would add a stream per half.
 pub fn multi_scalar_mul(gen_scalar: &Scalar, terms: &[MsmTerm<'_>]) -> Jacobian {
     let t = gen_tables();
     let glv = glv::params();
     let (g_lo, g_hi) = glv.split(gen_scalar);
 
-    // Endomorphism images for the split terms, materialized before the
-    // stream list so the streams can borrow them.
-    let split: Vec<bool> = terms
+    // Halves and endomorphism images of the split terms, materialized
+    // before the stream list so the streams can borrow the images.
+    let splits: Vec<Option<(glv::SplitScalar, glv::SplitScalar, PointTable)>> = terms
         .iter()
-        .map(|term| term.scalar.0.bits() > MSM_SPLIT_BITS)
-        .collect();
-    let endo_tables: Vec<Option<PointTable>> = terms
-        .iter()
-        .zip(&split)
-        .map(|(term, &s)| s.then(|| term.table.endo(&glv.beta)))
+        .map(|term| {
+            (term.scalar.0.bits() > MSM_SPLIT_BITS).then(|| {
+                let (lo, hi) = glv.split(&term.scalar);
+                (lo, hi, term.table.endo(&glv.beta))
+            })
+        })
         .collect();
 
-    let mut streams: Vec<(Vec<i32>, PointTableRef<'_>, bool)> =
-        Vec::with_capacity(2 + 2 * terms.len());
-    streams.push((
-        g_lo.mag.wnaf(GEN_WNAF_W),
-        PointTableRef::Gen(&t.wnaf),
-        g_lo.neg,
-    ));
-    streams.push((
-        g_hi.mag.wnaf(GEN_WNAF_W),
-        PointTableRef::Gen(&t.wnaf_lambda),
-        g_hi.neg,
-    ));
-    for ((term, &split_term), endo_table) in terms.iter().zip(&split).zip(&endo_tables) {
-        if split_term {
-            let (lo, hi) = glv.split(&term.scalar);
-            streams.push((
-                lo.mag.wnaf(POINT_TABLE_W),
-                PointTableRef::Var(term.table),
-                lo.neg ^ term.negate,
-            ));
-            streams.push((
-                hi.mag.wnaf(POINT_TABLE_W),
-                PointTableRef::Var(endo_table.as_ref().expect("built for split terms")),
-                hi.neg ^ term.negate,
-            ));
-        } else {
-            streams.push((
-                term.scalar.wnaf(POINT_TABLE_W),
-                PointTableRef::Var(term.table),
+    let mut streams: Vec<Stream<'_, FULL_DEPTH_DIGITS>> = Vec::with_capacity(2 + 2 * terms.len());
+    streams.push(Stream::new(&g_lo.mag.0, g_lo.neg, &t.wnaf[0]));
+    streams.push(Stream::new(&g_hi.mag.0, g_hi.neg, &t.wnaf[2]));
+    for (term, split) in terms.iter().zip(&splits) {
+        match split {
+            Some((lo, hi, endo_table)) => {
+                streams.push(Stream::new(
+                    &lo.mag.0,
+                    lo.neg ^ term.negate,
+                    &term.table.entries,
+                ));
+                streams.push(Stream::new(
+                    &hi.mag.0,
+                    hi.neg ^ term.negate,
+                    &endo_table.entries,
+                ));
+            }
+            None => streams.push(Stream::new(
+                &term.scalar.0,
                 term.negate,
-            ));
+                &term.table.entries,
+            )),
         }
     }
-
-    let len = streams.iter().map(|(d, _, _)| d.len()).max().unwrap_or(0);
-    let mut acc = Jacobian::infinity();
-    for i in (0..len).rev() {
-        acc = acc.dbl();
-        for (digits, table, neg) in &streams {
-            if let Some(&d) = digits.get(i) {
-                if d != 0 {
-                    acc = acc.add_mixed(&table.get(if *neg { -d } else { d }));
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Either the static generator wNAF tables (width 8) or a per-point
-/// [`PointTable`] (width 5); unifies digit lookup across the four streams.
-enum PointTableRef<'a> {
-    Gen(&'static [Affine; GEN_WNAF_ENTRIES]),
-    Var(&'a PointTable),
-}
-
-impl PointTableRef<'_> {
-    fn get(&self, d: i32) -> Affine {
-        match self {
-            PointTableRef::Gen(entries) => {
-                debug_assert!(d != 0 && d % 2 != 0 && d.unsigned_abs() < (1 << (GEN_WNAF_W - 1)));
-                let e = entries[(d.unsigned_abs() as usize - 1) / 2];
-                if d < 0 {
-                    e.neg()
-                } else {
-                    e
-                }
-            }
-            PointTableRef::Var(t) => t.get(d),
-        }
-    }
+    ladder(&streams)
 }
 
 #[cfg(test)]
@@ -1007,6 +1110,45 @@ mod tests {
             negate: true,
         }];
         assert!(multi_scalar_mul(&k, &terms).is_infinity());
+    }
+
+    #[test]
+    fn stream_digits_are_the_reference_wnaf() {
+        use super::super::scalar::N;
+        let table = [Affine::G; GEN_WNAF_ENTRIES];
+        let mut values = vec![U256::ZERO, U256::ONE, U256::from_u64(u64::MAX)];
+        for k in [63usize, 64, 65, 127, 128, 129, 131] {
+            let mut limbs = [0u64; 4];
+            limbs[k / 64] = 1 << (k % 64);
+            let p = U256 { limbs };
+            values.push(p);
+            values.push(p.overflowing_sub(&U256::ONE).0);
+            values.push(p.overflowing_add(&U256::ONE).0);
+        }
+        let mut state = crate::hash::sha256(b"stream recoding");
+        for _ in 0..64 {
+            // Random 132-bit values: the widest a full-depth stream takes.
+            let mut v = U256::from_be_bytes(&state);
+            v.limbs[2] &= 0xf;
+            v.limbs[3] = 0;
+            values.push(v);
+            state = crate::hash::sha256(&state);
+        }
+        for v in &values {
+            assert!(*v < N);
+            for w in 2..=GEN_WNAF_W {
+                let reference = Scalar(*v).wnaf(w);
+                let entries = &table[..1 << (w - 2)];
+                for neg in [false, true] {
+                    let s = Stream::<FULL_DEPTH_DIGITS>::new(v, neg, entries);
+                    assert_eq!(s.len, reference.len(), "{v:?} at width {w}");
+                    for (i, &d) in s.digits.iter().enumerate() {
+                        let r = reference.get(i).copied().unwrap_or(0);
+                        assert_eq!(i32::from(d), if neg { -r } else { r });
+                    }
+                }
+            }
+        }
     }
 
     #[test]

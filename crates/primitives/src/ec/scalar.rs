@@ -182,8 +182,10 @@ impl Scalar {
     /// each either zero or odd with `|d| < 2^(w-1)`, and any two nonzero
     /// digits separated by at least `w - 1` zeros. Reconstruction:
     /// `self = Σ digits[i]·2^i`. The sparse signed digits are what let the
-    /// Strauss pass in [`super::point::lincomb_gen`] skip ~`w/(w+1)` of the
-    /// additions a plain double-and-add ladder performs.
+    /// Strauss ladders in [`super::point`] skip ~`w/(w+1)` of the additions
+    /// a plain double-and-add ladder performs. This is the reference
+    /// recoding: the ladders recode into fixed-size digit arrays, and their
+    /// unit tests pin those digits to these.
     pub fn wnaf(&self, w: u32) -> Vec<i32> {
         debug_assert!((2..=16).contains(&w), "window width out of range");
         let mut k = self.0;

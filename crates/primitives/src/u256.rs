@@ -50,6 +50,7 @@ impl U256 {
         out
     }
 
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.limbs == [0; 4]
     }
@@ -71,6 +72,7 @@ impl U256 {
     }
 
     /// `self + other`, returning the sum and the carry-out.
+    #[inline]
     pub fn overflowing_add(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut carry = 0u64;
@@ -84,6 +86,7 @@ impl U256 {
     }
 
     /// `self - other`, returning the difference and the borrow-out.
+    #[inline]
     pub fn overflowing_sub(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut borrow = 0u64;
@@ -103,6 +106,7 @@ impl U256 {
     /// obvious `out[i + j]` loop (the array round-trips through memory).
     /// Every `lo + aᵢ·bⱼ + carry` sum fits in `u128`:
     /// (2⁶⁴−1) + (2⁶⁴−1)² + (2⁶⁴−1) = 2¹²⁸ − 1.
+    #[inline]
     pub fn widening_mul(&self, other: &U256) -> [u64; 8] {
         let [a0, a1, a2, a3] = self.limbs;
         let [b0, b1, b2, b3] = other.limbs;
@@ -160,6 +164,7 @@ impl U256 {
     /// but computes each cross product `aᵢ·aⱼ` (i ≠ j) once and doubles the
     /// sum, so squaring costs ~10 limb products instead of 16 — squarings
     /// dominate the point-doubling ladder, so this matters.
+    #[inline]
     pub fn widening_sqr(&self) -> [u64; 8] {
         let [a0, a1, a2, a3] = self.limbs;
         let (a0, a1, a2, a3) = (a0 as u128, a1 as u128, a2 as u128, a3 as u128);

@@ -1,18 +1,25 @@
 //! Differential tests: the EC fast path (comb/wNAF tables, batch
-//! normalization, eGCD inversion, projective x-comparison) against the
-//! reference double-and-add ladder that predates it.
+//! normalization, eGCD inversion, projective x-comparison, the full- and
+//! half-depth verify ladders) against the reference double-and-add ladder
+//! that predates it.
 //!
 //! The reference implementations (`Jacobian::mul`, `Jacobian::shamir_mul`,
-//! `ecdsa::verify_reference`, `Fe::invert_fermat`, `Scalar::invert_fermat`)
-//! are kept byte-for-byte stable precisely so these tests pin the fast path
-//! to known-good behavior over adversarial scalar shapes: zero, one, powers
-//! of two straddling limb boundaries, the group order's neighborhood, and a
+//! `ecdsa::verify_reference`, `Fe::invert_fermat`, `Scalar::invert_fermat`,
+//! `Scalar::wnaf`) are kept byte-for-byte stable precisely so these tests
+//! pin the fast path to known-good behavior over adversarial scalar shapes:
+//! zero, one, powers of two straddling limb boundaries, the group order's
+//! neighborhood, GLV halves cut at the half-depth split, and a
 //! deterministic pseudo-random sweep.
+
+use std::sync::Barrier;
 
 use ebv_primitives::ec::ecdsa::{self, Signature};
 use ebv_primitives::ec::field::Fe;
-use ebv_primitives::ec::keys::{PrivateKey, PublicKey};
-use ebv_primitives::ec::point::{lincomb_gen, Affine, Jacobian, PointTable};
+use ebv_primitives::ec::keys::{PreparedPublicKey, PrivateKey, PublicKey};
+use ebv_primitives::ec::point::{
+    generator_wnaf_tables, half_depth_pieces, lincomb_gen, lincomb_gen_half_depth, Affine,
+    Jacobian, PointTable, HALF_DEPTH_DIGITS, POINT_TABLE_W, SHIFT_BITS,
+};
 use ebv_primitives::ec::scalar::{Scalar, HALF_N, N};
 use ebv_primitives::hash::sha256;
 use ebv_primitives::u256::U256;
@@ -310,6 +317,360 @@ fn key_derivation_matches_reference_ladder() {
         assert_eq!(
             PublicKey::from_compressed(&encoded).unwrap(),
             sk.public_key()
+        );
+    }
+}
+
+/// secp256k1's endomorphism constants as published (SEC 2 / libsecp256k1):
+/// `λ·P = (β·x, y)`. Transcribed here, independently of the derivation in
+/// the crate, so the half-depth tests have their own oracle for the bases.
+const LAMBDA: U256 = U256::from_be_limbs([
+    0x5363AD4CC05C30E0,
+    0xA5261C028812645A,
+    0x122E22EA20816678,
+    0xDF02967C1B23BD72,
+]);
+const BETA: U256 = U256::from_be_limbs([
+    0x7AE96A2B657C0710,
+    0x6E64479EAC3434E9,
+    0x9CF0497512F58995,
+    0xC1396C28719501EE,
+]);
+
+fn lambda() -> Scalar {
+    Scalar(LAMBDA)
+}
+
+#[test]
+fn published_lambda_acts_as_beta() {
+    let (x, y) = Affine::G.coords().unwrap();
+    let phi_g = Affine::Point {
+        x: x.mul(&Fe(BETA)),
+        y,
+    };
+    assert_eq!(Affine::G.mul(&lambda()), phi_g);
+}
+
+/// `2^64` as a scalar.
+fn shift() -> Scalar {
+    Scalar(pow2(SHIFT_BITS))
+}
+
+/// `±(lo + 2^64·hi)` as a scalar.
+fn half(neg: bool, lo: u64, hi: u64) -> Scalar {
+    let h = Scalar(U256 {
+        limbs: [lo, hi, 0, 0],
+    });
+    if neg {
+        h.neg()
+    } else {
+        h
+    }
+}
+
+/// Scalars `k = k₁ + λ·k₂` whose GLV halves are cut at the half-depth
+/// split into pieces of 0, 1 and 2^64 − 1 in every combination and sign:
+/// halves at, just below and just above the split bound `2^64`, and at
+/// `2^128 − 1`. Returned with the halves that built them.
+fn crafted_halves() -> Vec<(Scalar, Scalar, Scalar)> {
+    let pieces = [0u64, 1, u64::MAX];
+    let mut halves = Vec::new();
+    for &lo in &pieces {
+        for &hi in &pieces {
+            for neg in [false, true] {
+                halves.push(half(neg, lo, hi));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (i, k1) in halves.iter().enumerate() {
+        // Every first half against a rotating second half keeps the list
+        // linear in size while each half meets both roles.
+        for k2 in [halves[i], halves[(i * 7 + 3) % halves.len()]] {
+            out.push((k1.add(&k2.mul(&lambda())), *k1, k2));
+        }
+    }
+    out
+}
+
+/// Recombine `half_depth_pieces(k)` over the bases `1, 2^64, λ, λ·2^64`.
+fn recombine(pieces: &[(bool, U256); 4]) -> Scalar {
+    let bases = [Scalar::ONE, shift(), lambda(), lambda().mul(&shift())];
+    pieces
+        .iter()
+        .zip(bases)
+        .fold(Scalar::ZERO, |acc, (&(neg, piece), base)| {
+            let term = Scalar(piece).mul(&base);
+            acc.add(&if neg { term.neg() } else { term })
+        })
+}
+
+#[test]
+fn half_depth_pieces_recombine_and_fit_the_ladder() {
+    let mut scalars = edge_scalars();
+    scalars.extend(sweep_scalars(b"half-depth pieces", 256));
+    scalars.extend(crafted_halves().into_iter().map(|(k, _, _)| k));
+    for k in &scalars {
+        let pieces = half_depth_pieces(k);
+        assert_eq!(recombine(&pieces), *k, "pieces of {k:?}");
+        for (j, (_, piece)) in pieces.iter().enumerate() {
+            let bound = if j % 2 == 0 { 64 } else { 66 };
+            assert!(piece.bits() <= bound, "piece {j} of {k:?}");
+            // The reference recoding, at both ladder widths: no stream of
+            // the half-depth ladder is longer than its digit capacity.
+            for w in [POINT_TABLE_W, 8] {
+                let digits = Scalar(*piece).wnaf(w).len();
+                assert!(digits <= HALF_DEPTH_DIGITS, "{digits} digits: {k:?}");
+            }
+        }
+    }
+    assert_eq!(HALF_DEPTH_DIGITS, 67);
+}
+
+#[test]
+fn crafted_halves_reach_the_ladder_as_built() {
+    // Halves below 2^65 sit deep inside the GLV rounding's fundamental
+    // domain, so the split returns exactly the halves that built them: the
+    // edge pieces (0, 1, 2^64 − 1 at the split bound) really reach the
+    // ladder.
+    let mut exact = 0;
+    for (k, k1, k2) in crafted_halves() {
+        let short = |h: &Scalar| h.0.bits() <= 65 || h.neg().0.bits() <= 65;
+        if !(short(&k1) && short(&k2)) {
+            continue;
+        }
+        let p = half_depth_pieces(&k);
+        let rebuild = |lo: &(bool, U256), hi: &(bool, U256)| {
+            let h = Scalar(lo.1).add(&Scalar(hi.1).mul(&shift()));
+            if lo.0 {
+                h.neg()
+            } else {
+                h
+            }
+        };
+        assert_eq!(rebuild(&p[0], &p[1]), k1, "{k:?}");
+        assert_eq!(rebuild(&p[2], &p[3]), k2, "{k:?}");
+        exact += 1;
+    }
+    assert!(exact >= 18, "{exact} crafted scalars split as built");
+}
+
+#[test]
+fn half_depth_lincomb_matches_shamir_over_edge_scalars() {
+    let g = Affine::G.to_jacobian();
+    let q = g.mul(&Scalar::from_u64(0x5eed));
+    let qa = q.to_affine();
+    let (table, shifted) = (PointTable::new(&qa), PointTable::shifted(&qa));
+    let mut scalars = edge_scalars();
+    scalars.extend(crafted_halves().into_iter().map(|(k, _, _)| k));
+    for (i, u1) in scalars.iter().enumerate() {
+        // u2 walks the list at another stride; zero on either side is in
+        // the list, and each is also paired with zero explicitly.
+        let u2 = scalars[(i * 5 + 11) % scalars.len()];
+        for (a, b) in [(*u1, u2), (*u1, Scalar::ZERO), (Scalar::ZERO, *u1)] {
+            let expected = g.shamir_mul(&a, &q, &b).to_affine();
+            assert_eq!(
+                lincomb_gen_half_depth(&a, &table, &shifted, &b).to_affine(),
+                expected,
+                "u1 = {a:?}, u2 = {b:?}"
+            );
+            assert_eq!(lincomb_gen(&a, &table, &b).to_affine(), expected);
+        }
+    }
+}
+
+#[test]
+fn shifted_tables_match_reference_ladder() {
+    let two64 = shift();
+    let tables = generator_wnaf_tables();
+    let bases = [Scalar::ONE, two64, lambda(), lambda().mul(&two64)];
+    for (table, base) in tables.iter().zip(bases) {
+        for (i, entry) in table.iter().enumerate() {
+            let k = base.mul(&Scalar::from_u64(2 * i as u64 + 1));
+            assert_eq!(*entry, Affine::G.mul(&k), "generator entry {i}");
+        }
+    }
+    for seed in 0..3u64 {
+        let pk = PrivateKey::from_seed(seed).public_key();
+        let q = pk.point();
+        let expected: Vec<Affine> = (0..8u64)
+            .map(|i| q.mul(&two64.mul(&Scalar::from_u64(2 * i + 1))))
+            .collect();
+        assert_eq!(PointTable::shifted(q).entries(), &expected[..]);
+        // The prepared key's lazily built table is the same.
+        let prepared = pk.prepare();
+        let sk = PrivateKey::from_seed(seed);
+        let z = sha256(b"shifted");
+        let sig = sk.sign(&z);
+        assert!(prepared.verify(&z, &sig));
+        assert!(prepared.shifted_table().is_none(), "built on first verify");
+        assert!(prepared.verify(&z, &sig));
+        let built = prepared.shifted_table().expect("built on second verify");
+        assert_eq!(built.entries(), &expected[..]);
+    }
+}
+
+/// A valid signature whose verify equation uses exactly `(u1, u2)` under
+/// `q`: `R = u1·G + u2·Q` by the reference ladder, `r = R.x mod n`,
+/// `s = r/u2`, `z = u1·s`. `None` when `R` is infinity or `r` is zero.
+fn signature_for(u1: &Scalar, u2: &Scalar, q: &Affine) -> Option<([u8; 32], Signature)> {
+    let g = Affine::G.to_jacobian();
+    let (x, _) = g
+        .shamir_mul(u1, &q.to_jacobian(), u2)
+        .to_affine()
+        .coords()?;
+    let r = Scalar::from_be_bytes_reduced(&x.to_be_bytes());
+    let s = r.mul(&u2.invert()?);
+    if r.is_zero() {
+        return None;
+    }
+    Some((u1.mul(&s).to_be_bytes(), Signature { r, s }))
+}
+
+/// Every verifier's verdict on `(z, sig)` under `key` — the prepared key's
+/// (first or later), the one-shot and the reference — must agree.
+fn assert_verifiers_agree(z: &[u8; 32], sig: &Signature, key: &PreparedPublicKey) -> bool {
+    let q = key.public_key().point();
+    let reference = ecdsa::verify_reference(z, sig, q);
+    assert_eq!(ecdsa::verify(z, sig, q), reference, "one-shot: {sig:?}");
+    assert_eq!(key.verify(z, sig), reference, "prepared: {sig:?}");
+    reference
+}
+
+#[test]
+fn verify_matches_reference_on_crafted_edge_scalars() {
+    let crafted = crafted_halves();
+    let full_width = sweep_scalars(b"u2", 1)[0];
+    let mut valid = 0;
+    for (n, (u1, _, _)) in crafted.iter().enumerate() {
+        let sk = PrivateKey::from_seed(n as u64 % 4);
+        let key = sk.public_key().prepare();
+        // u2 from the crafted list too, and a plain full-width one.
+        for u2 in [crafted[(n * 3 + 1) % crafted.len()].0, full_width] {
+            let Some((z, sig)) = signature_for(u1, &u2, key.public_key().point()) else {
+                continue;
+            };
+            // Twice: the key's first verify, then the half-depth ones.
+            for _ in 0..2 {
+                assert!(assert_verifiers_agree(&z, &sig, &key), "u1 = {u1:?}");
+            }
+            let tampered = Signature {
+                r: sig.r,
+                s: sig.s.add(&Scalar::ONE),
+            };
+            assert!(!assert_verifiers_agree(&z, &tampered, &key));
+            valid += 1;
+        }
+        // u1 = 0: a zero digest.
+        let Some((z, sig)) = signature_for(&Scalar::ZERO, u1, key.public_key().point()) else {
+            continue;
+        };
+        assert_eq!(z, [0u8; 32]);
+        assert!(assert_verifiers_agree(&z, &sig, &key));
+        // u2 = 0 needs r = 0, which every verifier rejects.
+        let zero_r = Signature {
+            r: Scalar::ZERO,
+            s: sig.s,
+        };
+        assert!(!assert_verifiers_agree(&z, &zero_r, &key));
+    }
+    assert!(valid >= 60, "{valid} valid crafted signatures");
+}
+
+/// Deterministic 64-bit values for picking mutations: a sha256 chain.
+struct ChainRng([u8; 32]);
+
+impl ChainRng {
+    fn next(&mut self) -> u64 {
+        self.0 = sha256(&self.0);
+        u64::from_le_bytes(self.0[..8].try_into().unwrap())
+    }
+}
+
+fn flip_bit(bytes: [u8; 32], bit: u64) -> [u8; 32] {
+    let mut out = bytes;
+    out[(bit / 8 % 32) as usize] ^= 1 << (bit % 8);
+    out
+}
+
+#[test]
+fn seeded_mutants_agree_with_reference_on_first_and_later_verifies() {
+    const KEYS: u64 = 6;
+    const MUTANTS: usize = 1200;
+    let signers: Vec<PrivateKey> = (0..KEYS).map(|i| PrivateKey::from_seed(100 + i)).collect();
+    let mut keys: Vec<PreparedPublicKey> = Vec::new();
+    let mut rng = ChainRng(sha256(b"ecdsa mutants"));
+    let (mut accepted, mut first_verifies) = (0, 0);
+    for i in 0..MUTANTS {
+        // Fresh keys every 40 mutants, so first verifies recur throughout.
+        if i % 40 == 0 {
+            keys = signers.iter().map(|k| k.public_key().prepare()).collect();
+        }
+        let k = (rng.next() % KEYS) as usize;
+        let z = sha256(&(i as u64).to_le_bytes());
+        let sig = signers[k].sign(&z);
+        if keys[k].shifted_table().is_none() {
+            first_verifies += 1;
+        }
+        accepted += usize::from(assert_verifiers_agree(&z, &sig, &keys[k]));
+        let bit = rng.next();
+        let (z2, sig2, k2) = match rng.next() % 4 {
+            0 => {
+                let r = Scalar::from_be_bytes_reduced(&flip_bit(sig.r.to_be_bytes(), bit));
+                (z, Signature { r, s: sig.s }, k)
+            }
+            1 => {
+                let s = Scalar::from_be_bytes_reduced(&flip_bit(sig.s.to_be_bytes(), bit));
+                (z, Signature { r: sig.r, s }, k)
+            }
+            2 => (flip_bit(z, bit), sig, k),
+            _ => (
+                z,
+                sig,
+                (k + 1 + (bit % (KEYS - 1)) as usize) % KEYS as usize,
+            ),
+        };
+        assert!(
+            !assert_verifiers_agree(&z2, &sig2, &keys[k2]),
+            "mutant {i} accepted"
+        );
+    }
+    assert_eq!(accepted, MUTANTS);
+    assert!(first_verifies >= 100, "{first_verifies} first verifies");
+}
+
+#[test]
+fn racing_second_verifies_agree() {
+    for seed in 0..8u64 {
+        let sk = PrivateKey::from_seed(seed);
+        let key = sk.public_key().prepare();
+        let z = sha256(&seed.to_le_bytes());
+        let sig = sk.sign(&z);
+        let bad = Signature {
+            r: sig.r,
+            s: sig.s.add(&Scalar::ONE),
+        };
+        assert!(key.verify(&z, &sig));
+        let start = Barrier::new(2);
+        let verdicts: Vec<(bool, bool)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (key.verify(&z, &sig), key.verify(&z, &bad))
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer"))
+                .collect()
+        });
+        assert_eq!(verdicts, vec![(true, false); 2], "seed {seed}");
+        let expected = PointTable::shifted(key.public_key().point());
+        assert_eq!(
+            key.shifted_table().expect("built").entries(),
+            expected.entries()
         );
     }
 }

@@ -144,6 +144,14 @@ timeout 180 ./target/release/netsimbench --prop-nodes 200 --prop-runs 1 \
 echo "==> cargo test -p ebv-primitives --test batch_verify (batch ECDSA differential)"
 cargo test -q -p ebv-primitives --test batch_verify
 
+# The single-signature verify runs on two stream decompositions: four
+# ~130-digit streams on a key's first verify, eight ≤67-digit streams on
+# the half-depth ladder from its second on. Both must return the reference
+# ladder's verdicts (edge pieces, seeded mutants, shifted tables, racing
+# second verifies); run by name so a regression is attributed directly.
+echo "==> cargo test -p ebv-primitives --test ec_differential (full- and half-depth verify vs reference)"
+cargo test -q -p ebv-primitives --test ec_differential
+
 echo "==> cargo test --test batch_pipeline (worker-count tamper differential vs strict oracle)"
 cargo test -q --test batch_pipeline
 

@@ -1,4 +1,4 @@
-//! Ledger substrate: transactions, blocks, Merkle trees and chain storage.
+//! Ledger substrate: transactions, blocks and Merkle trees.
 //!
 //! This crate defines the *baseline* (Bitcoin-format) data model the paper
 //! compares against. The EBV-format structures (tidy transactions, input
@@ -7,12 +7,10 @@
 
 pub mod block;
 pub mod builder;
-pub mod chainstore;
 pub mod merkle;
 pub mod transaction;
 
 pub use block::{Block, BlockHeader, BlockStructureError};
 pub use builder::{build_block, coinbase_tx, genesis_block, BLOCK_SUBSIDY};
-pub use chainstore::{ChainError, ChainStore};
 pub use merkle::{merkle_root, MerkleBranch};
 pub use transaction::{OutPoint, Transaction, TxIn, TxOut, SIGHASH_ALL};

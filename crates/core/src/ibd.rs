@@ -11,13 +11,12 @@
 use crate::bitvec::{BitVectorSet, BitVectorSnapshot, UvError};
 use crate::ebv_node::{EbvConfig, EbvError, EbvNode, SnapshotError};
 use crate::metrics::Breakdown;
-use crate::sync::{sync_multi, PeerHandle, SyncConfig, SyncError, SyncReport, ValidatingNode};
+use crate::par::feed;
+use crate::sync::SYNC_BATCH;
 use crate::tidy::EbvBlock;
 use crate::validate::{InputState, Node};
 use ebv_primitives::encode::Encodable;
 use ebv_telemetry::{counter, histogram, trace_event, Stopwatch};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A failed IBD run with everything measured before the failure.
@@ -72,8 +71,11 @@ pub struct Period {
 }
 
 /// Replay `blocks` (heights `1..`) into a freshly booted node of either
-/// type, reporting one entry per `period_len` blocks. On a validation
-/// failure the periods measured so far are returned inside the error.
+/// type, reporting one entry per `period_len` blocks. Each period connects
+/// in windows of at most [`SYNC_BATCH`] blocks, the batch `sync_multi`
+/// validates, and sums the kept blocks' breakdowns. On a validation
+/// failure the periods measured so far are returned inside the error, the
+/// partial one ending below the rejected block.
 pub fn replay_ibd<S: InputState>(
     node: &mut Node<S>,
     blocks: &[S::Block],
@@ -84,11 +86,7 @@ pub fn replay_ibd<S: InputState>(
     for chunk in blocks.chunks(period_len) {
         let start_height = node.tip_height() + 1;
         let wall_start = Stopwatch::start();
-        let mut breakdown = Breakdown::default();
-        let failure = chunk
-            .iter()
-            .try_for_each(|block| node.process_block(block).map(|b| breakdown += b))
-            .err();
+        let (breakdown, result) = connect_windows(node, chunk);
         if node.tip_height() >= start_height {
             periods.push(Period {
                 start_height,
@@ -97,7 +95,7 @@ pub fn replay_ibd<S: InputState>(
                 wall: wall_start.elapsed(),
             });
         }
-        if let Some(error) = failure {
+        if let Err(error) = result {
             return Err(IbdFailure {
                 completed: periods,
                 failed_at: node.tip_height() + 1,
@@ -109,36 +107,22 @@ pub fn replay_ibd<S: InputState>(
     Ok(periods)
 }
 
-/// What a sync-driven IBD run did and cost.
-#[derive(Debug)]
-pub struct SyncedIbd {
-    /// Blocks connected (reorg reconnects included).
-    pub blocks_connected: u32,
-    /// Wall-clock time for the whole download, decode and validation
-    /// included — the paper's two-machine measurement, with peer hand-off
-    /// on real threads.
-    pub wall: Duration,
-    /// The driver's accounting: per-peer stats, reorgs, rounds.
-    pub report: SyncReport,
-}
-
-/// Run IBD through the fault-tolerant sync subsystem instead of the
-/// in-process replay loop: blocks arrive serialized over peer channels
-/// from one or more (possibly faulty) peers, and the driver's scoring,
-/// failover and reorg machinery is on the measured path. Works for either
-/// node type via [`ValidatingNode`].
-pub fn synced_ibd<N: ValidatingNode>(
-    node: &mut N,
-    peers: Vec<PeerHandle>,
-    cfg: &SyncConfig,
-) -> Result<SyncedIbd, SyncError<N::Error>> {
-    let wall_start = Stopwatch::start();
-    let report = sync_multi(node, peers, cfg)?;
-    Ok(SyncedIbd {
-        blocks_connected: report.blocks_connected,
-        wall: wall_start.elapsed(),
-        report,
-    })
+/// Connect `blocks` in windows of at most [`SYNC_BATCH`] blocks, stopping
+/// at the first rejected block. Returns the kept blocks' summed breakdown
+/// and the rejection.
+fn connect_windows<S: InputState>(
+    node: &mut Node<S>,
+    blocks: &[S::Block],
+) -> (Breakdown, Result<(), S::Error>) {
+    let mut breakdown = Breakdown::default();
+    for window in blocks.chunks(SYNC_BATCH as usize) {
+        let (kept, result) = node.connect_window(window);
+        kept.into_iter().for_each(|b| breakdown += b);
+        if result.is_err() {
+            return (breakdown, result);
+        }
+    }
+    (breakdown, Ok(()))
 }
 
 // ---------------------------------------------------------------------
@@ -322,6 +306,28 @@ pub fn parallel_ibd(
     headers.push(genesis.header);
     headers.extend(blocks.iter().map(|b| b.header));
 
+    // Replay blocks `(from, to]` onto `node` through windows, as interval
+    // `index`, whose wall clock started at `wall`.
+    let replay = |node: &mut EbvNode, index: usize, from: u32, to: u32, wall: Stopwatch| {
+        let (_, result) = connect_windows(node, &blocks[from as usize..to as usize]);
+        result.map_err(|error| {
+            let height = node.tip_height() + 1;
+            let interval = bounds.partition_point(|&b| b < height) - 1;
+            ParallelIbdError::Validation {
+                interval,
+                height,
+                error,
+            }
+        })?;
+        let stat = IntervalStat {
+            index,
+            start_height: from + 1,
+            end_height: to,
+            wall: wall.elapsed(),
+        };
+        histogram!("ibd.interval.wall").record(stat.wall.as_nanos() as u64);
+        Ok::<_, ParallelIbdError>(stat)
+    };
     type IntervalOutcome = Result<(EbvNode, IntervalStat), ParallelIbdError>;
     let run_interval = |i: usize| -> IntervalOutcome {
         let _interval_span = match parent_ctx {
@@ -338,63 +344,29 @@ pub fn parallel_ibd(
             EbvNode::from_snapshot(cp, headers[..=cp.height() as usize].to_vec(), config)
                 .map_err(|error| ParallelIbdError::Snapshot { interval: i, error })?
         };
-        for block in &blocks[bounds[i] as usize..bounds[i + 1] as usize] {
-            node.process_block(block)
-                .map_err(|error| ParallelIbdError::Validation {
-                    interval: i,
-                    height: node.tip_height() + 1,
-                    error,
-                })?;
-        }
-        let stat = IntervalStat {
-            index: i,
-            start_height: bounds[i] + 1,
-            end_height: bounds[i + 1],
-            wall: wall.elapsed(),
-        };
-        histogram!("ibd.interval.wall").record(stat.wall.as_nanos() as u64);
+        let stat = replay(&mut node, i, bounds[i], bounds[i + 1], wall)?;
         // Liveness heartbeat: each finished interval proves the fan-out is
         // making progress; the stall watchdog flags a hung worker pool.
         ebv_telemetry::health::heartbeat("ibd.interval.progress");
         Ok((node, stat))
     };
 
-    // Fan the intervals out: an atomic claim counter over scoped threads.
-    // Slots are per-interval mutexes so completion order doesn't matter.
-    let slots: Vec<Mutex<Option<IntervalOutcome>>> =
-        (0..n_intervals).map(|_| Mutex::new(None)).collect();
-    let threads = workers.clamp(1, n_intervals);
-    if threads == 1 {
-        for (i, slot) in slots.iter().enumerate() {
-            *slot.lock().expect("unshared") = Some(run_interval(i));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_intervals {
-                        break;
-                    }
-                    let outcome = run_interval(i);
-                    *slots[i].lock().expect("one writer per slot") = Some(outcome);
-                });
-            }
-        });
-    }
+    // Fan the intervals out through one work queue, so a worker that
+    // finishes a short interval claims the next; the caller is a worker.
+    let (_, mut outcomes) = feed(
+        workers.clamp(1, n_intervals),
+        |i| Some((i, run_interval(i))),
+        |feed| (0..n_intervals).for_each(|i| feed.push(i)),
+    );
+    outcomes.sort_unstable_by_key(|(i, _)| *i);
 
     // Stitch in interval order. When this loop reaches interval i, every
     // earlier stitch has matched, so interval i's boot state is verified.
     let mut intervals = Vec::with_capacity(n_intervals);
     let mut stitch_mismatch = None;
     let mut assembled: Option<EbvNode> = None;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let outcome = slot
-            .into_inner()
-            .expect("scope joined all workers")
-            .expect("every interval was claimed");
-        let (node, stat) = outcome?;
+    for (i, outcome) in outcomes {
+        let (mut node, stat) = outcome?;
         intervals.push(stat);
         if i + 1 < n_intervals && node.snapshot().to_bytes() != checkpoints[i].to_bytes() {
             // Checkpoint i lied. Interval i's end state is the last
@@ -420,29 +392,7 @@ pub fn parallel_ibd(
                 );
             }
             stitch_mismatch = Some(i);
-            let wall = Stopwatch::start();
-            let mut node = node;
-            for block in &blocks[bounds[i + 1] as usize..] {
-                node.process_block(block).map_err(|error| {
-                    let height = node.tip_height() + 1;
-                    let interval = bounds
-                        .windows(2)
-                        .position(|w| w[0] < height && height <= w[1])
-                        .unwrap_or(i);
-                    ParallelIbdError::Validation {
-                        interval,
-                        height,
-                        error,
-                    }
-                })?;
-            }
-            let stat = IntervalStat {
-                index: i + 1,
-                start_height: bounds[i + 1] + 1,
-                end_height: tip,
-                wall: wall.elapsed(),
-            };
-            histogram!("ibd.interval.wall").record(stat.wall.as_nanos() as u64);
+            let stat = replay(&mut node, i + 1, bounds[i + 1], tip, Stopwatch::start())?;
             intervals.push(stat);
             assembled = Some(node);
             break;
@@ -464,29 +414,16 @@ mod tests {
     use crate::baseline_node::{BaselineConfig, BaselineNode};
     use crate::ebv_node::EbvConfig;
     use crate::intermediary::Intermediary;
-    use ebv_chain::{build_block, coinbase_tx, Block};
-    use ebv_primitives::hash::Hash256;
+    use ebv_chain::{build_block, coinbase_tx, genesis_block, Block};
     use ebv_script::Script;
     use ebv_store::{KvStore, StoreConfig, UtxoSet};
 
-    fn empty_chain(n: usize) -> Vec<Block> {
-        let genesis = build_block(
-            Hash256::ZERO,
-            coinbase_tx(0, Script::new(), Vec::new()),
-            Vec::new(),
-            0,
-            0,
-        );
-        let mut blocks = vec![genesis];
-        for h in 1..=n as u32 {
-            let prev = blocks.last().expect("genesis").header.hash();
-            blocks.push(build_block(
-                prev,
-                coinbase_tx(h, Script::new(), Vec::new()),
-                Vec::new(),
-                h,
-                0,
-            ));
+    fn empty_chain(n: u32) -> Vec<Block> {
+        let mut blocks = vec![genesis_block()];
+        for h in 1..=n {
+            let prev = blocks[blocks.len() - 1].header.hash();
+            let coinbase = coinbase_tx(h, Script::new(), Vec::new());
+            blocks.push(build_block(prev, coinbase, Vec::new(), h, 0));
         }
         blocks
     }
@@ -502,21 +439,6 @@ mod tests {
         assert_eq!(periods[0].end_height, 4);
         assert_eq!(periods[2].end_height, 10);
         assert_eq!(node.tip_height(), 10);
-    }
-
-    #[test]
-    fn synced_ibd_reaches_tip_and_reports() {
-        let chain = empty_chain(8);
-        let mut inter = Intermediary::new(0);
-        let ebv_chain = inter.convert_chain(&chain).unwrap();
-        let tip = ebv_chain.len() as u32 - 1;
-        let mut node = EbvNode::new(&ebv_chain[0], EbvConfig::default());
-        let peers = vec![crate::sync::spawn_source(ebv_chain)];
-        let run = synced_ibd(&mut node, peers, &SyncConfig::default()).unwrap();
-        assert_eq!(run.blocks_connected, tip);
-        assert_eq!(node.tip_height(), tip);
-        assert!(run.wall > Duration::ZERO);
-        assert_eq!(run.report.peers[0].blocks_accepted, tip);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 pub mod baseline_node;
 pub mod bitvec;
 pub mod ebv_node;
+mod generations;
 pub mod ibd;
 pub mod intermediary;
 pub mod mempool;
@@ -46,8 +47,8 @@ pub use baseline_node::{BaselineConfig, BaselineError, BaselineNode};
 pub use bitvec::{BitVectorSet, BitVectorSetSize, BitVectorSnapshot, BlockBitVector, UvError};
 pub use ebv_node::{EbvConfig, EbvError, EbvNode, SnapshotError};
 pub use ibd::{
-    build_checkpoints, parallel_ibd, replay_ibd, synced_ibd, CheckpointError, IbdFailure,
-    IntervalStat, ParallelIbd, ParallelIbdError, Period, SyncedIbd,
+    build_checkpoints, parallel_ibd, replay_ibd, CheckpointError, IbdFailure, IntervalStat,
+    ParallelIbd, ParallelIbdError, Period,
 };
 pub use intermediary::{ConvertError, Intermediary};
 pub use mempool::{Mempool, MempoolError};

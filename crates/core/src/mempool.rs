@@ -17,7 +17,7 @@ use crate::tidy::{EbvBlock, EbvTransaction, TxIntegrityError};
 use crate::validate::{script_key, tx_digest, Spend, TxFields};
 use ebv_primitives::hash::Hash256;
 use ebv_script::{verify_spend, ScriptError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Why a transaction was refused admission.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,6 +28,9 @@ pub enum MempoolError {
     Coinbase,
     /// Body/hash integrity failure.
     Integrity(TxIntegrityError),
+    /// Input `input` spends the same output as an earlier input of the
+    /// transaction.
+    DuplicateInput { input: usize },
     /// Input references an unknown or future block.
     BadHeight { input: usize, height: u32 },
     /// Merkle branch does not fold to the stored header root.
@@ -97,8 +100,17 @@ impl Mempool {
             return Err(MempoolError::Duplicate);
         }
 
+        // Each output may be spent once per transaction, as Bitcoin's
+        // `bad-txns-inputs-duplicate`: the pool-conflict check below sees
+        // only other transactions' spends.
+        let coords = tx.spent_coords().expect("non-coinbase integrity checked");
+        let mut seen = HashSet::with_capacity(coords.len());
+        if let Some(input) = coords.iter().position(|c| !seen.insert(*c)) {
+            return Err(MempoolError::DuplicateInput { input });
+        }
+
         let mut spends = Vec::with_capacity(tx.bodies.len());
-        for (j, body) in tx.bodies.iter().enumerate() {
+        for ((j, body), coord) in tx.bodies.iter().enumerate().zip(coords) {
             let proof = body.proof.as_ref().expect("non-coinbase integrity checked");
             // EV, exactly as a block's inputs get it.
             let output = existence(node.headers(), proof, 0, j).map_err(|e| match e {
@@ -107,7 +119,6 @@ impl Mempool {
                 _ => MempoolError::PositionOutOfEls { input: j },
             })?;
             // UV against chain state…
-            let coord = (proof.height, proof.absolute_position());
             if node.bitvecs().check_unspent(coord.0, coord.1).is_err() {
                 return Err(MempoolError::SpentOnChain { input: j });
             }
@@ -290,6 +301,44 @@ mod tests {
             pool.accept(&node, other),
             Err(MempoolError::ConflictsWithPool { input: 0, .. })
         ));
+    }
+
+    #[test]
+    fn rejects_a_transaction_that_spends_one_output_twice() {
+        let (mut node, archive, alice) = world();
+        let proof = archive.make_proof(0, 0).expect("coin");
+        let coords = [(0, 0), (0, 0)];
+        let outputs = vec![TxOut::new(
+            2 * BLOCK_SUBSIDY,
+            p2pkh_lock(&alice.public_key().address_hash()),
+        )];
+        let bodies = (0..2)
+            .map(|input| {
+                let digest = spend_sighash(1, &coords, &outputs, 0, input);
+                InputBody {
+                    us: p2pkh_unlock(
+                        &sign_input(&alice, &digest),
+                        &alice.public_key().to_compressed(),
+                    ),
+                    proof: Some(proof.clone()),
+                }
+            })
+            .collect();
+        let tx = EbvTransaction::from_parts(1, bodies, outputs, 0);
+        assert_eq!(
+            Mempool::new().accept(&node, tx.clone()),
+            Err(MempoolError::DuplicateInput { input: 1 })
+        );
+        // The block path refuses the same transaction in UV.
+        let lock = p2pkh_lock(&alice.public_key().address_hash());
+        let block = pack_ebv_block(node.tip_hash(), vec![ebv_coinbase(1, lock), tx], 1, 0);
+        assert_eq!(
+            node.process_block(&block),
+            Err(EbvError::DuplicateSpend {
+                height: 0,
+                position: 0
+            })
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! window's staging on the calling thread while the SV chunks it queues
 //! are settled by helper threads, spawned as chunks appear; once staging
 //! ends, the caller settles what is left alongside them. There is no pool:
-//! one scope per window.
+//! one scope per window. `parallel_ibd` fans its intervals out through the
+//! same queue.
 
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{self, Sender};

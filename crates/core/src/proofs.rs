@@ -93,11 +93,6 @@ impl ProofArchive {
         })
     }
 
-    /// The tidy transaction at `(height, tx_index)` (for tests/tools).
-    pub fn tidy_at(&self, height: u32, tx_index: usize) -> Option<&TidyTransaction> {
-        self.blocks.get(height as usize)?.tidies.get(tx_index)
-    }
-
     /// Total archive footprint in bytes: the serialized tidy transactions
     /// plus 32 bytes per stored Merkle node, every level of every tree
     /// (about `2n` nodes for a block of `n` transactions). This is

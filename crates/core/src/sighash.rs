@@ -14,9 +14,9 @@
 //! keep their error-selection logic unchanged.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock, TryLockError};
 
+use crate::generations::Generations;
 use ebv_primitives::ec::{BatchVerifier, PreparedPublicKey, PublicKey, Signature};
 use ebv_primitives::hash::Hash256;
 use ebv_script::{verify_spend, Script, ScriptError, SignatureChecker};
@@ -67,50 +67,17 @@ const PUBKEY_GENERATION: usize = PUBKEY_CACHE_CAPACITY / PUBKEY_CACHE_SHARDS / 2
 /// workers racing on one new key prepare it once: a key costs one
 /// preparation for as long as it stays cached.
 ///
-/// Each shard is bounded in two generations: inserts go to `young`; once
-/// it holds `PUBKEY_GENERATION` entries it becomes `old` and the previous
-/// `old` is dropped, so the cache never holds more than
-/// `PUBKEY_CACHE_CAPACITY` keys, each shard keeps at least its newest
-/// `PUBKEY_GENERATION`, and eviction is O(1) per insert.
+/// Each shard is bounded in two [`Generations`] of `PUBKEY_GENERATION`
+/// entries, so the cache never holds more than `PUBKEY_CACHE_CAPACITY`
+/// keys, each shard keeps at least its newest `PUBKEY_GENERATION`, and
+/// eviction is O(1) per insert.
 pub struct PubkeyCache {
     shards: [RwLock<PubkeyShard>; PUBKEY_CACHE_SHARDS],
 }
 
-/// Compressed key bytes → prepared key, or `None` for a memoized parse
-/// failure.
-type KeyMap = HashMap<[u8; 33], Option<Arc<PreparedPublicKey>>>;
-
-/// One shard's two generations.
-#[derive(Default)]
-struct PubkeyShard {
-    young: KeyMap,
-    old: KeyMap,
-}
-
-impl PubkeyShard {
-    fn get(&self, key: &[u8; 33]) -> Option<&Option<Arc<PreparedPublicKey>>> {
-        self.young.get(key).or_else(|| self.old.get(key))
-    }
-
-    fn len(&self) -> usize {
-        self.young.len() + self.old.len()
-    }
-
-    /// Cache `value` under `key`, which is absent. Returns how many entries
-    /// aged out.
-    fn insert(&mut self, key: [u8; 33], value: Option<Arc<PreparedPublicKey>>) -> usize {
-        let mut evicted = 0;
-        if self.young.len() == PUBKEY_GENERATION {
-            // The young map becomes old; the old one is cleared and reused
-            // as the new young map, keeping its allocation.
-            std::mem::swap(&mut self.young, &mut self.old);
-            evicted = self.young.len();
-            self.young.clear();
-        }
-        self.young.insert(key, value);
-        evicted
-    }
-}
+/// One shard: compressed key bytes → prepared key, or `None` for a
+/// memoized parse failure.
+type PubkeyShard = Generations<[u8; 33], Option<Arc<PreparedPublicKey>>, PUBKEY_GENERATION>;
 
 impl Default for PubkeyCache {
     fn default() -> PubkeyCache {

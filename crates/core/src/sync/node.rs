@@ -1,12 +1,11 @@
 //! The [`ValidatingNode`] abstraction the sync drivers operate over.
 //!
 //! `EbvNode` and `BaselineNode` expose the same chain-manipulation surface
-//! — connect a block or a batch to the tip, disconnect the tip, look up a
-//! header hash — differing only in block format and error type. The trait captures
-//! exactly that surface, so the multi-peer driver and the reorg engine
-//! have a single implementation instead of the copy-paste twins the old
-//! flat `sync.rs` carried. Both node types are one [`Node`], so one impl
-//! covers them.
+//! — connect a batch of blocks to the tip, disconnect the tip, look up a
+//! header hash — differing only in block format and error type. The trait
+//! captures exactly that surface, so the multi-peer driver and the reorg
+//! engine have a single implementation. Both node types are one [`Node`],
+//! so one impl covers them.
 
 use crate::validate::{InputState, Node};
 use ebv_primitives::encode::{Decodable, DecodeError};
@@ -35,11 +34,19 @@ pub trait ValidatingNode {
     fn header_hash_at(&self, height: u32) -> Option<Hash256>;
 
     /// Validate `block` and, if valid, connect it to the tip.
+    ///
+    /// Every caller in the workspace connects through [`connect_blocks`]
+    /// (a relay's block is a window of one), which runs this per block by
+    /// default. The method stays because a node that validates one block
+    /// at a time, such as the benchmark's span-tracing wrapper or netsim's
+    /// modeled node, implements this and inherits the window.
+    ///
+    /// [`connect_blocks`]: ValidatingNode::connect_blocks
     fn connect_block(&mut self, block: &Self::Block) -> Result<(), Self::Error>;
     /// Validate `blocks` in order and connect the longest valid prefix.
     /// Returns how many connected and the first rejected block's error,
     /// exactly as `connect_block` on each block in turn would. That is the
-    /// default; a node may validate the batch as one window.
+    /// default; a [`Node`] validates the batch as one window.
     fn connect_blocks(&mut self, blocks: &[Self::Block]) -> (usize, Result<(), Self::Error>) {
         for (connected, block) in blocks.iter().enumerate() {
             if let Err(err) = self.connect_block(block) {

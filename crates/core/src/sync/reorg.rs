@@ -144,25 +144,20 @@ pub fn reorg_to<N: ValidatingNode>(
 
     unwind_to(node, fork_height).map_err(ReorgError::Unwind)?;
 
-    for block in branch {
-        if let Err(err) = node.connect_block(block) {
-            let failed_height = node.tip_height() + 1;
-            // Roll the partial branch back off and reconnect the original
-            // chain, if the caller gave us its blocks.
-            unwind_to(node, fork_height).map_err(ReorgError::Unwind)?;
-            let mut restored = !old_branch.is_empty() || current_len == 0;
-            for old in old_branch {
-                if node.connect_block(old).is_err() {
-                    restored = false;
-                    break;
-                }
-            }
-            return Err(ReorgError::InvalidBranch {
-                height: failed_height,
-                err,
-                restored,
-            });
-        }
+    // The branch connects as one window, which keeps exactly the blocks
+    // below the first rejected one.
+    if let (_, Err(err)) = node.connect_blocks(branch) {
+        let failed_height = node.tip_height() + 1;
+        // Roll the partial branch back off and reconnect the original
+        // chain, also as one window, if the caller gave us its blocks.
+        unwind_to(node, fork_height).map_err(ReorgError::Unwind)?;
+        let restored = (!old_branch.is_empty() || current_len == 0)
+            && node.connect_blocks(old_branch).1.is_ok();
+        return Err(ReorgError::InvalidBranch {
+            height: failed_height,
+            err,
+            restored,
+        });
     }
     Ok(node.tip_height())
 }

@@ -30,6 +30,7 @@
 //! that does run — a block's on either node type, and the mempool's —
 //! prepares signer keys through the node's one bounded [`PubkeyCache`].
 
+use crate::generations::Generations;
 use crate::metrics::Breakdown;
 use crate::par::{feed, worker_count};
 use crate::sighash::{sv_chunk_batched, PubkeyCache, SvJob, SV_BATCH_MAX};
@@ -40,7 +41,6 @@ use ebv_primitives::hash::{Hash256, Sha256};
 use ebv_script::{Script, ScriptError};
 use ebv_telemetry::context::SpanGuard;
 use ebv_telemetry::{counter, trace_event, Counter, Histogram, Span, Stopwatch};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -258,7 +258,7 @@ impl<S: InputState> Node<S> {
     pub(crate) fn remember_passed_scripts(&self, keys: impl IntoIterator<Item = Hash256>) {
         let mut cache = self.script_cache.lock().expect("script cache lock");
         for key in keys {
-            cache.insert(key);
+            cache.insert(key, ());
         }
     }
 
@@ -285,7 +285,10 @@ impl<S: InputState> Node<S> {
     /// chunks settle on helpers, then keep the blocks below the first
     /// rejected one and undo the rest. Returns the kept blocks' breakdowns
     /// and the rejected block's error.
-    fn connect_window(&mut self, blocks: &[S::Block]) -> (Vec<Breakdown>, Result<(), S::Error>) {
+    pub(crate) fn connect_window(
+        &mut self,
+        blocks: &[S::Block],
+    ) -> (Vec<Breakdown>, Result<(), S::Error>) {
         // Helper threads borrow the pubkey cache and their own chunks;
         // this thread keeps `&mut` access to the chain, the state and the
         // undo stack.
@@ -702,41 +705,9 @@ fn sv_chunks<T>(mut items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
 /// few blocks to be mined or are never mined at all.
 const SCRIPT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// The inputs that passed SV outside a block, by [`script_key`].
-///
-/// Bounded in two generations: inserts go to `young`; once it holds half
-/// the capacity it becomes `old` and the previous `old` is dropped, so the
-/// oldest entries go first, at O(1) per operation.
-#[derive(Default)]
-struct ScriptCache {
-    young: HashSet<Hash256>,
-    old: HashSet<Hash256>,
-}
-
-impl ScriptCache {
-    fn len(&self) -> usize {
-        self.young.len() + self.old.len()
-    }
-
-    fn contains(&self, key: &Hash256) -> bool {
-        self.young.contains(key) || self.old.contains(key)
-    }
-
-    /// Insert `key` into the young generation, keeping each key in one
-    /// generation only.
-    fn insert(&mut self, key: Hash256) {
-        self.old.remove(&key);
-        if self.young.len() == SCRIPT_CACHE_CAPACITY / 2 {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(key);
-    }
-
-    fn remove(&mut self, key: &Hash256) {
-        self.young.remove(key);
-        self.old.remove(key);
-    }
-}
+/// The inputs that passed SV outside a block, by [`script_key`], the
+/// oldest aging out first.
+type ScriptCache = Generations<Hash256, (), { SCRIPT_CACHE_CAPACITY / 2 }>;
 
 /// The script-execution cache key of an SV job: SHA-256 over exactly what
 /// `verify_spend` reads — the spend digest, the lock time (for
@@ -777,7 +748,7 @@ fn unverified<'s, 'b>(
     let mut passed = Vec::new();
     for s in spends {
         let key = script_key(&sv_job(s, digests, txs));
-        if cache.contains(&key) {
+        if cache.get(&key).is_some() {
             passed.push(key);
         } else {
             pending.push(s);
@@ -820,6 +791,7 @@ mod tests {
     use crate::pack::{ebv_coinbase, pack_ebv_block};
     use crate::tidy::EbvBlock;
     use ebv_workload::{ChainGenerator, GeneratorParams};
+    use std::collections::HashSet;
 
     fn chain(n: u32, seed: u64) -> Vec<EbvBlock> {
         let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
@@ -868,15 +840,15 @@ mod tests {
         let mut cache = ScriptCache::default();
         let inserts = 2 * SCRIPT_CACHE_CAPACITY as u64 + 7;
         for i in 0..inserts {
-            cache.insert(key(i));
+            cache.insert(key(i), ());
             assert!(cache.len() <= SCRIPT_CACHE_CAPACITY);
         }
         // The newest half always survives; the oldest entries went first.
         let newest = inserts - SCRIPT_CACHE_CAPACITY as u64 / 2;
-        assert!((newest..inserts).all(|i| cache.contains(&key(i))));
-        assert!(!cache.contains(&key(0)));
+        assert!((newest..inserts).all(|i| cache.get(&key(i)).is_some()));
+        assert!(cache.get(&key(0)).is_none());
         cache.remove(&key(inserts - 1));
-        assert!(!cache.contains(&key(inserts - 1)));
+        assert!(cache.get(&key(inserts - 1)).is_none());
     }
 
     #[test]

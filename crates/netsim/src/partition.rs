@@ -141,11 +141,10 @@ fn extend(base: &[Block], ext: u32, time_base: u32) -> Vec<Block> {
 /// Connect `chain[from+1..=to]` onto `peer`, keeping its position fields
 /// in sync.
 fn advance(peer: &mut SimPeer, chain: &[Block], to: u32, on: OnBranch, prefix: u32) {
-    for h in (peer.height + 1)..=to {
-        peer.node
-            .connect_block(&chain[h as usize])
-            .expect("same-branch extension must connect");
-    }
+    let (_, result) = peer
+        .node
+        .connect_blocks(&chain[(peer.height + 1) as usize..=to as usize]);
+    result.expect("same-branch extension must connect");
     peer.height = to;
     peer.on = if to > prefix { on } else { OnBranch::Prefix };
 }

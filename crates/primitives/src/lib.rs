@@ -16,10 +16,7 @@
 //!   transactions, blocks, proofs and status data. Serialized sizes feed the
 //!   paper's memory-requirement experiments (Figs. 1 and 14).
 //! * [`hex`] — minimal hex encoding/decoding for display and test vectors.
-//! * [`base58`] — Base58Check address encoding (display-level sugar for
-//!   examples and tools).
 
-pub mod base58;
 pub mod ec;
 pub mod encode;
 pub mod hash;

@@ -173,19 +173,9 @@ impl KvStore {
         self.stats
     }
 
-    /// Bytes currently charged against the cache budget.
-    pub fn cache_used(&self) -> usize {
-        self.cache.used_bytes()
-    }
-
     /// Live keys on disk plus resident dirty inserts. Exact when flushed.
     pub fn disk_len(&self) -> usize {
         self.disk.len()
-    }
-
-    /// Live value bytes on disk (exact after [`KvStore::flush`]).
-    pub fn disk_live_bytes(&self) -> u64 {
-        self.disk.live_bytes()
     }
 
     /// Compact the disk log, returning reclaimed bytes.

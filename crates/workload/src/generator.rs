@@ -14,7 +14,7 @@
 use crate::keys::KeyPool;
 use crate::params::GeneratorParams;
 use ebv_chain::transaction::{spend_sighash, Transaction, TxIn, TxOut};
-use ebv_chain::{build_block, coinbase_tx, Block, OutPoint, BLOCK_SUBSIDY};
+use ebv_chain::{build_block, coinbase_tx, Block, OutPoint};
 use ebv_primitives::hash::Hash256;
 use ebv_script::standard::p2pkh_unlock;
 use rand::rngs::SmallRng;
@@ -250,11 +250,6 @@ impl ChainGenerator {
             }
         }
         unreachable!("generator only pays pool keys");
-    }
-
-    /// The total block-subsidy value injected so far (for tests).
-    pub fn subsidy_per_block() -> u64 {
-        BLOCK_SUBSIDY
     }
 }
 

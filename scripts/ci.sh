@@ -3,8 +3,8 @@
 #
 #   scripts/ci.sh
 #
-# Mirrors .github/workflows/ci.yml exactly so a green local run implies a
-# green CI run.
+# The CI workflow (.github/workflows/ci.yml) installs the toolchain, restores
+# the cargo cache and runs this script: it is the one list of gate steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

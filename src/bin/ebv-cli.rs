@@ -29,6 +29,7 @@
 //! EBV), a varint block count, then serialized blocks.
 
 use ebv::chain::Block;
+use ebv::core::sync::{ValidatingNode, SYNC_BATCH};
 use ebv::core::{BaselineConfig, BaselineNode, EbvBlock, EbvConfig, EbvNode, Intermediary};
 use ebv::primitives::encode::{write_varint, Decodable, Encodable, Reader};
 use ebv::store::{KvStore, LatencyModel, StoreConfig, UtxoSet};
@@ -241,10 +242,7 @@ fn validate_chain(flags: &HashMap<String, String>, report: bool) {
     if is_ebv {
         let chain: Vec<EbvBlock> = read_chain(&bytes);
         let mut node = EbvNode::new(&chain[0], EbvConfig::default());
-        for (h, block) in chain.iter().enumerate().skip(1) {
-            node.process_block(block)
-                .unwrap_or_else(die(&format!("block {h} invalid")));
-        }
+        connect_chain(&mut node, &chain);
         if !report {
             return;
         }
@@ -275,10 +273,7 @@ fn validate_chain(flags: &HashMap<String, String>, report: bool) {
         .unwrap_or_else(die("opening store"));
         let mut node = BaselineNode::new(&chain[0], UtxoSet::new(store), BaselineConfig::default())
             .unwrap_or_else(die("booting node"));
-        for (h, block) in chain.iter().enumerate().skip(1) {
-            node.process_block(block)
-                .unwrap_or_else(die(&format!("block {h} invalid")));
-        }
+        connect_chain(&mut node, &chain);
         if !report {
             return;
         }
@@ -298,6 +293,16 @@ fn validate_chain(flags: &HashMap<String, String>, report: bool) {
             b.others.as_secs_f64(),
             started.elapsed().as_secs_f64()
         );
+    }
+}
+
+/// Connect `chain` after its genesis in windows of one sync batch, as
+/// `sync_multi` validates a download; exit on the first invalid block.
+fn connect_chain<N: ValidatingNode>(node: &mut N, chain: &[N::Block]) {
+    for window in chain[1..].chunks(SYNC_BATCH as usize) {
+        if let (_, Err(err)) = node.connect_blocks(window) {
+            die(&format!("block {} invalid", node.tip_height() + 1))(err)
+        }
     }
 }
 

@@ -3,8 +3,12 @@
 #![allow(dead_code)]
 
 use ebv_chain::transaction::spend_sighash;
+use ebv_chain::{build_block, coinbase_tx, Block};
 use ebv_core::tidy::{EbvBlock, InputBody};
-use ebv_core::{DigestChecker, Intermediary, PubkeyCache};
+use ebv_core::{
+    BaselineConfig, BaselineNode, BitVectorSnapshot, DigestChecker, EbvNode, Intermediary,
+    PubkeyCache,
+};
 use ebv_primitives::hash::sha256d;
 use ebv_script::{verify_spend, Script, ScriptError};
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
@@ -19,8 +23,53 @@ pub fn build_chains(params: GeneratorParams) -> (Vec<ebv_chain::Block>, Vec<EbvB
     (blocks, ebv_blocks)
 }
 
+/// A tiny generated chain in both formats.
+pub fn chain_pair(n: u32, seed: u64) -> (Vec<Block>, Vec<EbvBlock>) {
+    build_chains(GeneratorParams::tiny(n, seed))
+}
+
+/// A tiny generated chain in EBV format.
+pub fn ebv_chain(n: u32, seed: u64) -> Vec<EbvBlock> {
+    chain_pair(n, seed).1
+}
+
+/// `base[..=fork]` plus `ext` fresh empty blocks (distinct `time` keeps the
+/// branch's hashes off the main chain).
+pub fn fork_chain(base: &[Block], fork: u32, ext: usize, time: u32) -> Vec<Block> {
+    let mut chain: Vec<Block> = base[..=fork as usize].to_vec();
+    for h in fork + 1..=fork + ext as u32 {
+        let prev = chain.last().expect("prefix nonempty").header.hash();
+        let coinbase = coinbase_tx(h, Script::new(), Vec::new());
+        chain.push(build_block(prev, coinbase, Vec::new(), time, 0));
+    }
+    chain
+}
+
 pub fn fresh_utxos() -> UtxoSet {
     UtxoSet::new(KvStore::open(StoreConfig::with_budget(1 << 20)).expect("temp store opens"))
+}
+
+/// A baseline node on `genesis` whose cache holds 8 MiB.
+pub fn fresh_baseline(genesis: &Block) -> BaselineNode {
+    let utxos = UtxoSet::new(KvStore::open(StoreConfig::with_budget(8 << 20)).expect("store"));
+    BaselineNode::new(genesis, utxos, BaselineConfig::default()).expect("boot")
+}
+
+/// `checkpoint` with one more output spent: one that is still unspent at
+/// `tip`'s height, so every later block still replays cleanly and only the
+/// stitch can notice.
+pub fn corrupt_checkpoint(checkpoint: &BitVectorSnapshot, tip: &EbvNode) -> BitVectorSnapshot {
+    let (h, pos) = (0..=checkpoint.height())
+        .find_map(|h| {
+            let v = tip.bitvecs().vector(h)?;
+            (0..v.len())
+                .find(|&p| v.is_unspent(p) == Some(true))
+                .map(|p| (h, p))
+        })
+        .expect("some output survives the whole chain");
+    let mut set = checkpoint.restore();
+    set.spend(h, pos).expect("picked an unspent bit");
+    set.snapshot(checkpoint.height(), checkpoint.tip_hash())
 }
 
 /// Recompute the hash links after mutating transaction `tx`'s bodies.

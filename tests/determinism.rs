@@ -1,17 +1,16 @@
 //! Cross-component determinism: every pipeline stage is a pure function
 //! of the seed, so experiment runs are exactly reproducible.
 
-use ebv::core::{EbvConfig, EbvNode, Intermediary};
+mod common;
+
+use ebv::core::{EbvConfig, EbvNode};
 use ebv::primitives::encode::Encodable;
 use ebv::workload::{ChainGenerator, ChainProfile, GeneratorParams};
 
 #[test]
 fn identical_seeds_produce_identical_everything() {
     let run = |seed: u64| {
-        let blocks = ChainGenerator::new(GeneratorParams::tiny(10, seed)).generate();
-        let ebv_blocks = Intermediary::new(0)
-            .convert_chain(&blocks)
-            .expect("conversion");
+        let (blocks, ebv_blocks) = common::chain_pair(10, seed);
         let mut node = EbvNode::new(&ebv_blocks[0], EbvConfig::default());
         for b in &ebv_blocks[1..] {
             node.process_block(b).expect("valid");

@@ -5,12 +5,13 @@
 //! hardened campaign must still reach the honest tip when it syncs
 //! through its (partially poisoned) tables via `sync_managed`.
 
+mod common;
+
+use common::ebv_chain;
 use ebv::core::{
-    sync_managed, DefensePolicy, EbvBlock, EbvConfig, EbvNode, Intermediary, ManagedConfig,
-    PeerAddr, PeerHandle,
+    sync_managed, DefensePolicy, EbvBlock, EbvConfig, EbvNode, ManagedConfig, PeerAddr, PeerHandle,
 };
 use ebv::netsim::{eclipse_probability, run_eclipse_campaign, EclipseParams, HONEST_GROUP_BASE};
-use ebv::workload::{ChainGenerator, GeneratorParams};
 
 const SEEDS: u64 = 24;
 
@@ -30,13 +31,6 @@ fn defenses_on_eclipse_probability_is_zero() {
         p, 0.0,
         "hardened defenses must win every one of {SEEDS} seeds; P(eclipse) = {p}"
     );
-}
-
-fn ebv_chain(n: u32, seed: u64) -> Vec<EbvBlock> {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
-    Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion")
 }
 
 #[test]

@@ -2,7 +2,10 @@
 //! the intermediary → EBV node. Both must accept the chain and agree on
 //! the resulting state.
 
-use ebv::core::{replay_ibd, BaselineConfig, BaselineNode, Intermediary};
+mod common;
+
+use common::{build_chains, chain_pair, ebv_chain};
+use ebv::core::{replay_ibd, BaselineConfig, BaselineNode};
 use ebv::store::{KvStore, LatencyModel, StoreConfig, UtxoSet};
 use ebv::workload::{ChainGenerator, GeneratorParams};
 use ebv_core::{EbvConfig, EbvNode};
@@ -13,10 +16,7 @@ fn utxo_set(budget: usize) -> UtxoSet {
 
 #[test]
 fn generated_chain_validates_on_both_nodes() {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(15, 21)).generate();
-    let ebv_blocks = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
+    let (blocks, ebv_blocks) = chain_pair(15, 21);
 
     let mut baseline =
         BaselineNode::new(&blocks[0], utxo_set(8 << 20), BaselineConfig::default()).expect("boot");
@@ -74,10 +74,7 @@ fn tight_budget_changes_performance_not_results() {
 
 #[test]
 fn ibd_drivers_cover_whole_chain() {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(20, 8)).generate();
-    let ebv_blocks = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
+    let (blocks, ebv_blocks) = chain_pair(20, 8);
 
     let mut baseline =
         BaselineNode::new(&blocks[0], utxo_set(8 << 20), BaselineConfig::default()).expect("boot");
@@ -98,10 +95,7 @@ fn ibd_drivers_cover_whole_chain() {
 fn proof_overhead_is_logarithmic_in_block_size() {
     // The EBV proof carries ~32·log2(n_tx) bytes of Merkle branch; check
     // branches in converted blocks have the expected length.
-    let blocks = ChainGenerator::new(GeneratorParams::mainnet_like(30, 13)).generate();
-    let ebv_blocks = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
+    let (_, ebv_blocks) = build_chains(GeneratorParams::mainnet_like(30, 13));
     for eb in &ebv_blocks {
         let n_tx = eb.transactions.len();
         let max_height = (n_tx as f64).log2().ceil() as usize;
@@ -123,10 +117,7 @@ fn proof_overhead_is_logarithmic_in_block_size() {
 #[test]
 fn ebv_blocks_round_trip_through_wire_format() {
     use ebv::primitives::encode::{Decodable, Encodable};
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(6, 2)).generate();
-    let ebv_blocks = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
+    let ebv_blocks = ebv_chain(6, 2);
     for eb in &ebv_blocks {
         let bytes = eb.to_bytes();
         let decoded = ebv_core::EbvBlock::from_bytes(&bytes).expect("decodes");

@@ -16,48 +16,15 @@
 //! driven through the `ValidatingNode` interface with invariants checked
 //! at every step.
 
-use ebv::chain::{build_block, coinbase_tx, Block};
+mod common;
+
+use common::{chain_pair, fork_chain, fresh_baseline};
 use ebv::core::sync::node::ValidatingNode;
 use ebv::core::{
-    reorg_to, sync_multi, BaselineConfig, BaselineNode, EbvBlock, EbvConfig, EbvNode, Fault,
-    FaultSchedule, FaultyPeer, Intermediary, PeerHandle, ReorgError, SyncConfig,
+    reorg_to, sync_multi, EbvBlock, EbvConfig, EbvNode, Fault, FaultSchedule, FaultyPeer,
+    Intermediary, PeerHandle, ReorgError, SyncConfig,
 };
-use ebv::script::Script;
-use ebv::store::{KvStore, StoreConfig, UtxoSet};
-use ebv::workload::{ChainGenerator, GeneratorParams};
 use std::time::Duration;
-
-/// A baseline chain and its EBV conversion.
-fn chain_pair(n: u32, seed: u64) -> (Vec<Block>, Vec<EbvBlock>) {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
-    let ebv = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
-    (blocks, ebv)
-}
-
-/// `base[..=fork]` plus `ext` fresh empty blocks (distinct `time` keeps the
-/// branch's hashes off the main chain).
-fn fork_chain(base: &[Block], fork: u32, ext: usize, time: u32) -> Vec<Block> {
-    let mut chain: Vec<Block> = base[..=fork as usize].to_vec();
-    for k in 0..ext {
-        let h = fork + 1 + k as u32;
-        let prev = chain.last().expect("prefix nonempty").header.hash();
-        chain.push(build_block(
-            prev,
-            coinbase_tx(h, Script::new(), Vec::new()),
-            Vec::new(),
-            time,
-            0,
-        ));
-    }
-    chain
-}
-
-fn fresh_baseline(genesis: &Block) -> BaselineNode {
-    let utxos = UtxoSet::new(KvStore::open(StoreConfig::with_budget(8 << 20)).expect("store"));
-    BaselineNode::new(genesis, utxos, BaselineConfig::default()).expect("boot")
-}
 
 /// Three faulty peers + one honest peer, all serving `chain`, faults from
 /// a deterministic cyclic schedule (fault on every other request).

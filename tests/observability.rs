@@ -5,12 +5,14 @@
 //! process-global, so every test here serializes on one lock and clears
 //! the rings it reads before producing events.
 
+mod common;
+
+use common::ebv_chain;
 use ebv::core::{
     build_checkpoints, parallel_ibd, sync_multi, EbvBlock, EbvConfig, EbvNode, Fault,
-    FaultSchedule, FaultyPeer, Intermediary, PeerHandle, SyncConfig,
+    FaultSchedule, FaultyPeer, PeerHandle, SyncConfig,
 };
 use ebv::telemetry::json::{parse, Value};
-use ebv::workload::{ChainGenerator, GeneratorParams};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -24,13 +26,6 @@ fn telemetry_session() -> MutexGuard<'static, ()> {
     ebv::telemetry::trace_clear();
     ebv::telemetry::flight::clear();
     guard
-}
-
-fn ebv_chain(n: u32, seed: u64) -> Vec<EbvBlock> {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
-    Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion")
 }
 
 /// One peer that corrupts every batch: three 40-point penalties, a ban,

@@ -9,22 +9,17 @@
 //! * `replay_ibd` must return the periods completed before a mid-chunk
 //!   validation failure, on either node type, instead of discarding them.
 
+mod common;
+
+use common::{corrupt_checkpoint, ebv_chain};
 use ebv_core::baseline_node::BaselineConfig;
 use ebv_core::{
-    build_checkpoints, parallel_ibd, replay_ibd, BaselineNode, EbvConfig, EbvNode, Intermediary,
-    ParallelIbdError,
+    build_checkpoints, parallel_ibd, replay_ibd, BaselineNode, EbvConfig, EbvNode, ParallelIbdError,
 };
 use ebv_primitives::encode::Encodable;
 use ebv_primitives::hash::sha256d;
 use ebv_store::{KvStore, StoreConfig, UtxoSet};
 use ebv_workload::{ChainGenerator, GeneratorParams};
-
-fn ebv_chain(n: u32, seed: u64) -> Vec<ebv_core::EbvBlock> {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
-    Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("generated chains always convert")
-}
 
 /// Replay the whole chain sequentially — the ground truth.
 fn sequential_node(chain: &[ebv_core::EbvBlock]) -> EbvNode {
@@ -113,18 +108,7 @@ fn corrupted_checkpoint_is_caught_at_the_stitch() {
     // Corrupt checkpoint 1 *plausibly*: flip one surviving output to spent,
     // picking a coordinate still unspent at the chain tip so every later
     // block still replays cleanly — only the stitch can notice.
-    let victim = &checkpoints[1];
-    let (h, pos) = (0..=victim.height())
-        .find_map(|h| {
-            let v = want.bitvecs().vector(h)?;
-            (0..v.len())
-                .find(|&p| v.is_unspent(p) == Some(true))
-                .map(|p| (h, p))
-        })
-        .expect("some output survives the whole chain");
-    let mut set = victim.restore();
-    set.spend(h, pos).expect("picked an unspent bit");
-    checkpoints[1] = set.snapshot(victim.height(), victim.tip_hash());
+    checkpoints[1] = corrupt_checkpoint(&checkpoints[1], &want);
 
     let run = parallel_ibd(
         &chain[0],

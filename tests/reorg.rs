@@ -1,16 +1,13 @@
 //! Reorg primitives: connecting then disconnecting blocks must restore
 //! state exactly, on both node types, and re-connecting must succeed.
 
-use ebv::core::{BaselineConfig, BaselineNode, EbvConfig, EbvNode, Intermediary};
+mod common;
+
+use ebv::core::{BaselineConfig, BaselineNode, EbvConfig, EbvNode};
 use ebv::store::{KvStore, StoreConfig, UtxoSet};
-use ebv::workload::{ChainGenerator, GeneratorParams};
 
 fn chain_pair() -> (Vec<ebv::chain::Block>, Vec<ebv_core::EbvBlock>) {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(12, 31)).generate();
-    let ebv_blocks = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
-    (blocks, ebv_blocks)
+    common::chain_pair(12, 31)
 }
 
 #[test]

@@ -7,9 +7,10 @@
 //! switch is process-global, and toggling it here must not race tests
 //! that rely on telemetry staying enabled.
 
-use ebv::core::{EbvBlock, EbvConfig, EbvNode, Intermediary};
+mod common;
+
+use ebv::core::{EbvBlock, EbvConfig, EbvNode};
 use ebv::telemetry::Stopwatch;
-use ebv::workload::{ChainGenerator, GeneratorParams};
 use std::time::Duration;
 
 /// Validate the whole chain on a fresh node and return the wall time.
@@ -34,10 +35,7 @@ fn validate_run(chain: &[EbvBlock]) -> Duration {
 
 #[test]
 fn telemetry_overhead_is_under_five_percent() {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(1000, 0xd1ff)).generate();
-    let chain = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("generated chains always convert");
+    let chain = common::ebv_chain(1000, 0xd1ff);
 
     // One warm-up run populates caches and the page tables.
     ebv::telemetry::set_enabled(false);

@@ -16,20 +16,27 @@
 //! two of them in the lower block. A warm
 //! node, whose mempool admitted the transactions first, must leave the
 //! script cache's hit and miss totals where the per-block path leaves them.
+//!
+//! The callers that connect through windows must return what the same
+//! per-block loop returns: `replay_ibd` its periods, failure height, error
+//! and state; `parallel_ibd` its state, also past a corrupted checkpoint;
+//! `reorg_to` its result and state on a valid branch and on a branch with
+//! an SV failure mid-branch, whose old chain it must restore.
 
 mod common;
 
 use common::{
-    build_chains, fresh_utxos, inflate_baseline_output, inflate_output, relink, strict_oracle,
-    tamper, tamper_baseline_signature, tamper_signature,
+    build_chains, corrupt_checkpoint, fork_chain, fresh_utxos, inflate_baseline_output,
+    inflate_output, relink, strict_oracle, tamper, tamper_baseline_signature, tamper_signature,
 };
 use ebv_chain::Block;
 use ebv_core::tidy::EbvBlock;
+use ebv_core::validate::{InputState, Node};
 use ebv_core::{
-    BaselineConfig, BaselineError, BaselineNode, EbvConfig, EbvError, EbvNode, Mempool,
-    ValidatingNode,
+    build_checkpoints, parallel_ibd, reorg_to, replay_ibd, BaselineConfig, BaselineError,
+    BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary, Mempool, ReorgError, ValidatingNode,
 };
-use ebv_primitives::hash::sha256d;
+use ebv_primitives::hash::{sha256d, Hash256};
 use ebv_script::ScriptError;
 use ebv_workload::{GeneratorParams, Ramp};
 
@@ -199,6 +206,8 @@ struct Subject<'c, N: ValidatingNode> {
     /// The state a window must leave, beyond the tip.
     state: fn(&N) -> String,
     sv_failure: fn(&N::Error) -> SvFailure,
+    /// Point a block's `prev_block_hash` at the given hash.
+    relink: fn(&mut N::Block, Hash256),
 }
 
 /// Walk the chain in windows of every size, two tampered attempts and
@@ -277,11 +286,9 @@ fn baseline_sv_failure(e: &BaselineError) -> SvFailure {
     }
 }
 
-#[test]
-fn ebv_windows_match_per_block_connects() {
-    let (_, chain) = build_chains(params(160, 0x71d0));
-    let subject = Subject {
-        chain: &chain,
+fn ebv_subject(chain: &[EbvBlock]) -> Subject<'_, EbvNode> {
+    Subject {
+        chain,
         node: Box::new(|workers| {
             EbvNode::new(
                 &chain[0],
@@ -294,19 +301,13 @@ fn ebv_windows_match_per_block_connects() {
         tamper: tamper_ebv,
         state: |node: &EbvNode| format!("{:?}", node.state_digest()),
         sv_failure: ebv_sv_failure,
-    };
-    let [sv, other] = differential(&subject, &chain);
-    assert!(
-        sv >= 20 && other >= 20,
-        "too few rejections: {sv} SV, {other} other"
-    );
+        relink: |block, prev| block.header.prev_block_hash = prev,
+    }
 }
 
-#[test]
-fn baseline_windows_match_per_block_connects() {
-    let (blocks, chain) = build_chains(params(160, 0xba5e));
-    let subject = Subject {
-        chain: &blocks,
+fn baseline_subject(blocks: &[Block]) -> Subject<'_, BaselineNode> {
+    Subject {
+        chain: blocks,
         node: Box::new(|workers| {
             let config = BaselineConfig {
                 workers,
@@ -321,8 +322,24 @@ fn baseline_windows_match_per_block_connects() {
             format!("{} outputs, {} bytes", size.count, size.bytes)
         },
         sv_failure: baseline_sv_failure,
-    };
-    let [sv, other] = differential(&subject, &chain);
+        relink: |block, prev| block.header.prev_block_hash = prev,
+    }
+}
+
+#[test]
+fn ebv_windows_match_per_block_connects() {
+    let (_, chain) = build_chains(params(160, 0x71d0));
+    let [sv, other] = differential(&ebv_subject(&chain), &chain);
+    assert!(
+        sv >= 20 && other >= 20,
+        "too few rejections: {sv} SV, {other} other"
+    );
+}
+
+#[test]
+fn baseline_windows_match_per_block_connects() {
+    let (blocks, chain) = build_chains(params(160, 0xba5e));
+    let [sv, other] = differential(&baseline_subject(&blocks), &chain);
     assert!(
         sv >= 20 && other >= 20,
         "too few rejections: {sv} SV, {other} other"
@@ -390,4 +407,211 @@ fn warm_windows_count_the_script_cache_as_per_block_connects() {
         hit_in_rejected > 40,
         "too few hits in rejected windows: {hit_in_rejected}"
     );
+}
+
+/// The subject's chain with each `(height, tamper)` applied, and the blocks
+/// above relinked onto it, so they stage and only validation stops them.
+fn tampered<N: ValidatingNode>(
+    subject: &Subject<'_, N>,
+    tampers: &[(usize, Tamper)],
+) -> Vec<N::Block>
+where
+    N::Block: Clone,
+{
+    let mut chain = subject.chain.to_vec();
+    for &(height, kind) in tampers {
+        chain[height] = (subject.tamper)(subject.chain, height, kind).expect("a spending block");
+    }
+    for h in 1..chain.len() {
+        let prev = N::block_hash(&chain[h - 1]);
+        (subject.relink)(&mut chain[h], prev);
+    }
+    chain
+}
+
+/// The first height from `from` on whose block has a spending transaction.
+fn spending_height(chain: &[EbvBlock], from: usize) -> usize {
+    (from..chain.len())
+        .find(|&h| chain[h].transactions.len() > 1)
+        .expect("a block with a spending transaction")
+}
+
+/// Blocks per `replay_ibd` period: more than one window, so a period holds
+/// a full window and a short one.
+const PERIOD: usize = 150;
+
+/// Replay the tampered chain with `replay_ibd` and with a per-block loop cut
+/// into the same periods: the periods' heights, the failure height, the
+/// error, the tip and the state must agree.
+fn replay_matches_per_block<S: InputState>(
+    subject: &Subject<'_, Node<S>>,
+    tampers: &[(usize, Tamper)],
+) where
+    S::Block: Clone,
+{
+    let chain = tampered(subject, tampers);
+    let mut reference = (subject.node)(None);
+    let mut want = (Vec::new(), None);
+    for period in chain[1..].chunks(PERIOD) {
+        let start = reference.tip_height() + 1;
+        let (_, result) = per_block(&mut reference, period);
+        if reference.tip_height() >= start {
+            want.0.push((start, reference.tip_height()));
+        }
+        if let Err(err) = result {
+            want.1 = Some((reference.tip_height() + 1, format!("{err:?}")));
+            break;
+        }
+    }
+    let mut windowed = (subject.node)(None);
+    let (periods, failure) = match replay_ibd(&mut windowed, &chain[1..], PERIOD) {
+        Ok(periods) => (periods, None),
+        Err(f) => (f.completed, Some((f.failed_at, format!("{:?}", f.error)))),
+    };
+    let heights: Vec<_> = periods
+        .iter()
+        .map(|p| (p.start_height, p.end_height))
+        .collect();
+    assert_eq!((heights, failure), want, "{tampers:?}");
+    assert_eq!(windowed.tip_hash(), reference.tip_hash());
+    assert_eq!((subject.state)(&windowed), (subject.state)(&reference));
+    windowed.check_invariants().expect("invariants hold");
+}
+
+#[test]
+fn replay_ibd_matches_per_block_replay() {
+    let (blocks, chain) = build_chains(params(160, 0x1bd));
+    // An SV failure in a period's second window, which undoes the blocks
+    // it staged above it; a value failure that stops staging; an SV
+    // failure in the last, short period; both of the first two; none.
+    let (sv, value, late) = (
+        spending_height(&chain, 140),
+        spending_height(&chain, 100),
+        spending_height(&chain, 155),
+    );
+    let cases = [
+        vec![(sv, Sv)],
+        vec![(value, Value)],
+        vec![(late, Sv)],
+        vec![(sv, Sv), (value, Value)],
+        vec![],
+    ];
+    for tampers in &cases {
+        replay_matches_per_block(&ebv_subject(&chain), tampers);
+        replay_matches_per_block(&baseline_subject(&blocks), tampers);
+    }
+}
+
+#[test]
+fn parallel_ibd_reaches_the_per_block_state() {
+    let (_, chain) = build_chains(params(160, 0x9a1));
+    let mut reference = EbvNode::new(&chain[0], EbvConfig::default());
+    assert_eq!(per_block(&mut reference, &chain[1..]).0, chain.len() - 1);
+    let run = |checkpoints: &[_], workers| {
+        let run = parallel_ibd(
+            &chain[0],
+            &chain[1..],
+            checkpoints,
+            workers,
+            EbvConfig::default(),
+        )
+        .expect("a valid chain replays");
+        assert_eq!(run.node.tip_hash(), reference.tip_hash());
+        assert_eq!(run.node.state_digest(), reference.state_digest());
+        run.stitch_mismatch
+    };
+    for every in [60, 97] {
+        let checkpoints = build_checkpoints(&chain[0], &chain[1..], every).expect("consistent");
+        for workers in [1, 2] {
+            assert_eq!(
+                run(&checkpoints, workers),
+                None,
+                "K={every}, {workers} workers"
+            );
+        }
+    }
+    // Only the stitch can tell a checkpoint that spends an output the chain
+    // never spends; the fallback replays the rest through windows.
+    let mut checkpoints = build_checkpoints(&chain[0], &chain[1..], 60).expect("consistent");
+    checkpoints[1] = corrupt_checkpoint(&checkpoints[1], &reference);
+    assert_eq!(run(&checkpoints, 2), Some(1));
+}
+
+/// Put a node on `old` above `fork`, then reorg onto `branch` with
+/// `reorg_to` and with a per-block reorg: unwind, connect the branch a block
+/// at a time and, if a block fails, unwind again and reconnect `old`.
+/// Results and states must agree. Returns the failed height and whether
+/// the old chain was restored.
+fn reorg_matches_per_block<N: ValidatingNode>(
+    subject: &Subject<'_, N>,
+    fork: usize,
+    old: &[N::Block],
+    branch: &[N::Block],
+) -> Result<u32, (u32, bool)> {
+    let [mut windowed, mut reference] = [(subject.node)(None), (subject.node)(None)];
+    for node in [&mut windowed, &mut reference] {
+        assert_eq!(per_block(node, &subject.chain[1..=fork]).0, fork);
+        assert_eq!(per_block(node, old).0, old.len());
+    }
+    let got = match reorg_to(&mut windowed, fork as u32, branch, old) {
+        Ok(tip) => Ok(tip),
+        Err(ReorgError::InvalidBranch {
+            height,
+            err,
+            restored,
+        }) => Err((height, format!("{err:?}"), restored)),
+        Err(other) => panic!("unexpected reorg failure: {other}"),
+    };
+    let unwind = |node: &mut N| {
+        while node.tip_height() > fork as u32 {
+            node.disconnect_tip_block().expect("unwinds");
+        }
+    };
+    unwind(&mut reference);
+    let want = match per_block(&mut reference, branch) {
+        (_, Ok(())) => Ok(reference.tip_height()),
+        (_, Err(err)) => {
+            let height = reference.tip_height() + 1;
+            unwind(&mut reference);
+            Err((
+                height,
+                format!("{err:?}"),
+                per_block(&mut reference, old).1.is_ok(),
+            ))
+        }
+    };
+    assert_eq!(got, want);
+    assert_eq!(windowed.tip_hash(), reference.tip_hash());
+    assert_eq!((subject.state)(&windowed), (subject.state)(&reference));
+    windowed.check_invariants().expect("invariants hold");
+    got.map_err(|(height, _, restored)| (height, restored))
+}
+
+#[test]
+fn reorgs_match_per_block_reorgs() {
+    const FORK: usize = 30;
+    let (blocks, chain) = build_chains(params(FORK as u32 + 20, 0x4e0));
+    let side = fork_chain(&blocks, FORK as u32, 5, 7_000_000);
+    let side_ebv = Intermediary::new(0).convert_chain(&side).expect("converts");
+    let (ebv, baseline) = (ebv_subject(&chain), baseline_subject(&blocks));
+    // An SV failure mid-branch: the window stages the blocks above it, then
+    // undoes them with the branch.
+    let bad = spending_height(&chain, FORK + 10);
+    for tampers in [vec![], vec![(bad, Sv)]] {
+        let want = if tampers.is_empty() {
+            Ok(chain.len() as u32 - 1)
+        } else {
+            Err((bad as u32, true))
+        };
+        let branch = tampered(&ebv, &tampers);
+        assert_eq!(
+            reorg_matches_per_block(&ebv, FORK, &side_ebv[FORK + 1..], &branch[FORK + 1..]),
+            want
+        );
+        let branch = tampered(&baseline, &tampers);
+        assert_eq!(
+            reorg_matches_per_block(&baseline, FORK, &side[FORK + 1..], &branch[FORK + 1..]),
+            want
+        );
+    }
 }

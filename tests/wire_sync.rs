@@ -13,34 +13,22 @@
 //! within a bounded time and score budget, and the converged state is
 //! identical to the in-process run's.
 
+mod common;
+
+use common::{chain_pair, fresh_baseline};
 use ebv::core::sync::wire::{decode_frame, encode_frame};
 use ebv::core::sync::{WireError, WireMessage, DEFAULT_MAX_FRAME};
 use ebv::core::{
-    serve_adversary, serve_blocks, sync_multi, BaselineNode, BlockSource, EbvBlock, EbvConfig,
-    EbvNode, Fault, FaultSchedule, FaultyPeer, Intermediary, PeerHandle, SyncConfig, TcpPeer,
-    TcpServer, WireAdversary, WireConfig,
+    serve_adversary, serve_blocks, sync_multi, BlockSource, EbvBlock, EbvConfig, EbvNode, Fault,
+    FaultSchedule, FaultyPeer, Intermediary, PeerHandle, SyncConfig, TcpPeer, TcpServer,
+    WireAdversary, WireConfig,
 };
 use ebv::primitives::hash::Hash256;
-use ebv::store::{KvStore, StoreConfig, UtxoSet};
 use ebv::workload::{ChainGenerator, GeneratorParams};
 use ebv_chain::Block;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-/// A baseline chain and its EBV conversion.
-fn chain_pair(n: u32, seed: u64) -> (Vec<Block>, Vec<EbvBlock>) {
-    let blocks = ChainGenerator::new(GeneratorParams::tiny(n, seed)).generate();
-    let ebv = Intermediary::new(0)
-        .convert_chain(&blocks)
-        .expect("conversion");
-    (blocks, ebv)
-}
-
-fn fresh_baseline(genesis: &Block) -> BaselineNode {
-    let utxos = UtxoSet::new(KvStore::open(StoreConfig::with_budget(8 << 20)).expect("store"));
-    BaselineNode::new(genesis, utxos, ebv::core::BaselineConfig::default()).expect("boot")
-}
 
 /// Three content-faulty TCP servers + one honest, mirroring the in-process
 /// `peer_lineup`: the servers speak the wire protocol perfectly but their

@@ -5,8 +5,9 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use ebv_chain::merkle::{merkle_levels, merkle_root, MerkleBranch};
 use ebv_core::sighash::SV_BATCH_MAX;
 use ebv_core::sighash::{sign_input, DigestChecker, PubkeyCache};
+use ebv_primitives::ec::field::Fe;
 use ebv_primitives::ec::{
-    ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey, Signature,
+    ecdsa, lincomb_gen, Affine, BatchVerifier, PointTable, PrivateKey, Scalar, Signature,
 };
 use ebv_primitives::hash::{sha256, sha256d, Hash256};
 use ebv_script::standard::{p2pkh_lock, p2pkh_unlock};
@@ -130,31 +131,102 @@ fn bench_batch_verify(c: &mut Criterion) {
     });
 }
 
+/// Distinct operands per ring for the EC and field benches.
+const OPERAND_RING: usize = 1024;
+
+/// `len` scalars from a sha256 chain seeded by `seed`.
+fn scalar_ring(seed: &str, len: usize) -> Vec<Scalar> {
+    let mut state = sha256(seed.as_bytes());
+    (0..len)
+        .map(|_| {
+            let k = Scalar::from_be_bytes_reduced(&state);
+            state = sha256(&state);
+            k
+        })
+        .collect()
+}
+
+/// `len` field elements from a sha256 chain, skipping values ≥ p.
+fn field_ring(seed: &str, len: usize) -> Vec<Fe> {
+    let mut state = sha256(seed.as_bytes());
+    let mut ring = Vec::with_capacity(len);
+    while ring.len() < len {
+        ring.extend(Fe::from_be_bytes(&state));
+        state = sha256(&state);
+    }
+    ring
+}
+
+/// Each sample takes the next input of a ring, as the `ecdsa/*` benches
+/// do: one fixed input in a loop lets the branch predictor learn every
+/// branch of the call, which a node's random inputs never allow.
 fn bench_ec_ops(c: &mut Criterion) {
-    let k = *PrivateKey::from_seed(3).scalar();
-    let u1 = *PrivateKey::from_seed(4).scalar();
-    let u2 = *PrivateKey::from_seed(5).scalar();
-    let q = *PrivateKey::from_seed(6).public_key().point();
+    let scalars = scalar_ring("ec ops", OPERAND_RING);
+    let mut next = scalars.iter().cycle();
     c.bench_function("ec/mul_gen", |b| {
-        b.iter(|| Affine::mul_gen(black_box(&k)).to_affine())
+        b.iter(|| Affine::mul_gen(black_box(next.next().expect("a ring never ends"))).to_affine())
     });
     c.bench_function("ec/mul_reference", |b| {
-        b.iter(|| Affine::generator().mul(black_box(&k)))
+        b.iter(|| Affine::generator().mul(black_box(next.next().expect("a ring never ends"))))
     });
+    // The ledgers' key pool, one table per key.
+    let points: Vec<Affine> = (0..RING_KEYS as u64)
+        .map(|seed| *PrivateKey::from_seed(seed).public_key().point())
+        .collect();
+    let mut next_point = points.iter().cycle();
     c.bench_function("ec/point_table_build", |b| {
-        b.iter(|| PointTable::new(black_box(&q)))
+        b.iter(|| PointTable::new(black_box(next_point.next().expect("a ring never ends"))))
     });
-    let table = PointTable::new(&q);
+    let tables: Vec<PointTable> = points.iter().map(PointTable::new).collect();
+    let mut next_lincomb = scalars
+        .chunks_exact(2)
+        .zip(tables.iter().zip(&points).cycle())
+        .cycle();
     c.bench_function("ec/lincomb_gen", |b| {
-        b.iter(|| lincomb_gen(black_box(&u1), black_box(&table), black_box(&u2)).to_affine())
+        b.iter(|| {
+            let (u, (table, _)) = next_lincomb.next().expect("a ring never ends");
+            lincomb_gen(black_box(&u[0]), black_box(table), black_box(&u[1])).to_affine()
+        })
     });
-    let qj = q.to_jacobian();
     let gj = Affine::generator().to_jacobian();
     c.bench_function("ec/shamir_reference", |b| {
         b.iter(|| {
-            gj.shamir_mul(black_box(&u1), black_box(&qj), black_box(&u2))
+            let (u, (_, q)) = next_lincomb.next().expect("a ring never ends");
+            let qj = q.to_jacobian();
+            gj.shamir_mul(black_box(&u[0]), black_box(&qj), black_box(&u[1]))
                 .to_affine()
         })
+    });
+}
+
+/// The field and scalar kernels over rings of random operands: an add
+/// carries, and a sub borrows, on about half of them.
+fn bench_field(c: &mut Criterion) {
+    let elements = field_ring("field ops", OPERAND_RING);
+    // One call adds each ring element into a running sum and subtracts it
+    // from a running difference: 1,024 dependent steps on each chain, as
+    // in the point formulas (one step alone is below the timer's
+    // resolution). Both carry on across calls, so no call repeats another's
+    // carry pattern; a pass of independent sums over the fixed ring lets
+    // the predictor learn it.
+    let (mut sum, mut diff) = (Fe::ZERO, Fe::ZERO);
+    c.bench_function("field/add_sub", |b| {
+        b.iter(|| {
+            for x in black_box(&elements) {
+                sum = sum.add(x);
+                diff = diff.sub(x);
+            }
+            (sum, diff)
+        })
+    });
+    let mut next = elements.iter().cycle();
+    c.bench_function("field/invert", |b| {
+        b.iter(|| black_box(next.next().expect("a ring never ends")).invert())
+    });
+    let scalars = scalar_ring("scalar ops", OPERAND_RING);
+    let mut next = scalars.iter().cycle();
+    c.bench_function("scalar/invert", |b| {
+        b.iter(|| black_box(next.next().expect("a ring never ends")).invert())
     });
 }
 
@@ -234,6 +306,7 @@ fn bench_script(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_hashing, bench_ecdsa, bench_batch_verify, bench_ec_ops, bench_merkle, bench_script
+    targets = bench_hashing, bench_ecdsa, bench_batch_verify, bench_ec_ops, bench_field, bench_merkle,
+        bench_script
 }
 criterion_main!(benches);

@@ -171,8 +171,8 @@ impl<'a> BatchVerifier<'a> {
             };
         }
 
-        // s-inverses via Montgomery batch inversion: one eGCD for the
-        // whole batch instead of one per item.
+        // s-inverses via Montgomery batch inversion: one inversion for
+        // the whole batch instead of one per item.
         let s_values: Vec<Scalar> = self.items.iter().map(|i| i.sig.s).collect();
         let s_inverses = batch_invert(&s_values);
 
@@ -360,7 +360,7 @@ fn coefficient(seed: &[u8; 32], first: u64, count: u64, j: u64) -> Scalar {
     }
 }
 
-/// Montgomery batch inversion over scalars: one eGCD plus `3(k-1)`
+/// Montgomery batch inversion over scalars: one inversion plus `3(k-1)`
 /// multiplications for `k` nonzero inputs. Zero inputs yield `None` and
 /// are skipped in the product chain (mirrors
 /// [`super::point::Jacobian::batch_to_affine`]).

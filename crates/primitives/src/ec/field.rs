@@ -22,10 +22,11 @@ const C: u64 = 0x1000003D1;
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct Fe(pub U256);
 
-/// Branch-light test for `r ≥ p`, exploiting p's shape: every limb above
-/// the lowest is all-ones, so `r ≥ p` iff limbs 1–3 are saturated and limb 0
-/// reaches p's low limb. One AND-chain instead of a lexicographic compare
-/// loop — this runs after every field addition.
+/// Test for `r ≥ p`, exploiting p's shape: every limb above the lowest is
+/// all-ones, so `r ≥ p` iff limbs 1–3 are saturated and limb 0 reaches p's
+/// low limb. One AND-chain instead of a lexicographic compare loop. Only
+/// [`reduce512`] uses it, where a folded product lands in `[p, 2²⁵⁶)` with
+/// probability ~2⁻²²⁴, so its branch is never taken in practice.
 #[inline(always)]
 fn ge_p(r: &[u64; 4]) -> bool {
     (r[1] & r[2] & r[3]) == u64::MAX && r[0] >= P.limbs[0]
@@ -40,6 +41,28 @@ fn sub_p(r: &mut [u64; 4]) {
     r[1] = 0;
     r[2] = 0;
     r[3] = 0;
+}
+
+/// `a − b − borrow`, returning the difference and the borrow-out.
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: bool) -> (u64, bool) {
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow as u64);
+    (d, b1 | b2)
+}
+
+/// `r − c` for a 33-bit `c` (zero or `C`) that the caller guarantees
+/// cannot borrow out of the top limb.
+#[inline(always)]
+fn sub_c(r: [u64; 4], c: u64) -> U256 {
+    let (r0, bw) = sbb(r[0], c, false);
+    let (r1, bw) = sbb(r[1], 0, bw);
+    let (r2, bw) = sbb(r[2], 0, bw);
+    let (r3, bw) = sbb(r[3], 0, bw);
+    debug_assert!(!bw, "C correction borrowed out of the top limb");
+    U256 {
+        limbs: [r0, r1, r2, r3],
+    }
 }
 
 /// Reduce a 512-bit little-endian product modulo `p`, fully unrolled.
@@ -117,65 +140,39 @@ impl Fe {
         self.0.limbs[0] & 1 == 1
     }
 
+    /// `self + other`, with no branch on the operands: the sum is formed
+    /// as `a + b + C`, which carries past 2²⁵⁶ exactly when `a + b ≥ p`,
+    /// and then `a + b + C − 2²⁵⁶ = a + b − p` is the reduced sum. Without
+    /// the carry, `C` is taken back off under a mask.
     #[inline]
     pub fn add(&self, other: &Fe) -> Fe {
         let a = &self.0.limbs;
         let b = &other.0.limbs;
-        let t0 = a[0] as u128 + b[0] as u128;
+        let t0 = a[0] as u128 + b[0] as u128 + C as u128;
         let t1 = a[1] as u128 + b[1] as u128 + (t0 >> 64);
         let t2 = a[2] as u128 + b[2] as u128 + (t1 >> 64);
         let t3 = a[3] as u128 + b[3] as u128 + (t2 >> 64);
-        let mut r = [t0 as u64, t1 as u64, t2 as u64, t3 as u64];
-        if (t3 >> 64) != 0 {
-            // a + b − 2^256 < 2p − 2^256 = p − C, so adding C (≡ 2^256)
-            // cannot wrap and needs no second reduction.
-            let v0 = r[0] as u128 + C as u128;
-            r[0] = v0 as u64;
-            let v1 = r[1] as u128 + (v0 >> 64);
-            r[1] = v1 as u64;
-            let v2 = r[2] as u128 + (v1 >> 64);
-            r[2] = v2 as u64;
-            r[3] += (v2 >> 64) as u64;
-        } else if ge_p(&r) {
-            sub_p(&mut r);
-        }
-        Fe(U256 { limbs: r })
+        // All-ones when nothing carried; the sum is then at least C, so
+        // taking C off cannot borrow out of the top limb.
+        let keep = ((t3 >> 64) as u64).wrapping_sub(1);
+        let sum = [t0 as u64, t1 as u64, t2 as u64, t3 as u64];
+        Fe(sub_c(sum, C & keep))
     }
 
+    /// `self − other`, with no branch on the operands: on a borrow the
+    /// wrapped difference is `a − b + 2²⁵⁶`, and subtracting `C` under the
+    /// borrow mask gives `a − b + p`.
     #[inline]
     pub fn sub(&self, other: &Fe) -> Fe {
         let a = &self.0.limbs;
         let b = &other.0.limbs;
-        let (d0, bw0) = a[0].overflowing_sub(b[0]);
-        let (d1, bw1) = {
-            let (x, c1) = a[1].overflowing_sub(b[1]);
-            let (x, c2) = x.overflowing_sub(bw0 as u64);
-            (x, c1 | c2)
-        };
-        let (d2, bw2) = {
-            let (x, c1) = a[2].overflowing_sub(b[2]);
-            let (x, c2) = x.overflowing_sub(bw1 as u64);
-            (x, c1 | c2)
-        };
-        let (d3, bw3) = {
-            let (x, c1) = a[3].overflowing_sub(b[3]);
-            let (x, c2) = x.overflowing_sub(bw2 as u64);
-            (x, c1 | c2)
-        };
-        let mut r = [d0, d1, d2, d3];
-        if bw3 {
-            // r = a − b + 2^256; the canonical value is a − b + p = r − C.
-            // a − b ≥ −(p − 1) gives r > C, so subtracting C cannot
-            // underflow, and the result is below p.
-            let (v0, c0) = r[0].overflowing_sub(C);
-            r[0] = v0;
-            let (v1, c1) = r[1].overflowing_sub(c0 as u64);
-            r[1] = v1;
-            let (v2, c2) = r[2].overflowing_sub(c1 as u64);
-            r[2] = v2;
-            r[3] -= c2 as u64;
-        }
-        Fe(U256 { limbs: r })
+        let (d0, bw) = sbb(a[0], b[0], false);
+        let (d1, bw) = sbb(a[1], b[1], bw);
+        let (d2, bw) = sbb(a[2], b[2], bw);
+        let (d3, bw) = sbb(a[3], b[3], bw);
+        // a − b ≥ −(p − 1) makes the wrapped difference exceed C, so the
+        // correction cannot borrow either.
+        Fe(sub_c([d0, d1, d2, d3], C & (bw as u64).wrapping_neg()))
     }
 
     #[inline]
@@ -216,10 +213,9 @@ impl Fe {
         acc
     }
 
-    /// Multiplicative inverse by binary extended GCD; `None` for zero.
-    /// ~20× cheaper than the Fermat exponentiation ([`Fe::invert_fermat`]),
-    /// which is kept as the reference implementation and differentially
-    /// tested against this.
+    /// Multiplicative inverse by divsteps ([`U256::inv_mod`]); `None` for
+    /// zero. The Fermat exponentiation ([`Fe::invert_fermat`]) is kept as
+    /// the reference implementation and differentially tested against this.
     pub fn invert(&self) -> Option<Fe> {
         self.0.inv_mod(&P).map(Fe)
     }

@@ -160,8 +160,8 @@ impl Scalar {
         acc
     }
 
-    /// Multiplicative inverse by binary extended GCD; `None` for zero.
-    /// Replaces the Fermat exponentiation on the ECDSA hot path (one
+    /// Multiplicative inverse by divsteps ([`U256::inv_mod`]); `None` for
+    /// zero. Replaces the Fermat exponentiation on the ECDSA hot path (one
     /// inversion per sign and per verify); [`Scalar::invert_fermat`] stays
     /// as the differential reference.
     pub fn invert(&self) -> Option<Scalar> {

@@ -279,11 +279,14 @@ impl U256 {
         }
     }
 
-    /// Modular inverse of `self` modulo the odd modulus `m`, by binary
-    /// extended GCD (HAC 14.61). Returns `None` for zero or when
-    /// `gcd(self, m) ≠ 1`. Orders of magnitude cheaper than the Fermat
-    /// `a^(m-2)` exponentiation the EC code used historically; the Fermat
-    /// paths are kept as references and pinned by differential tests.
+    /// Modular inverse of `self` modulo the odd modulus `m`, by Bernstein
+    /// and Yang's divsteps ("Fast constant-time gcd computation and modular
+    /// inversion", TCHES 2019) in the variable-time form: batches of 62
+    /// divsteps on the low limbs give a 2×2 transition matrix, which then
+    /// updates the full-width `f, g` (exact division by 2⁶²) and their
+    /// coefficients `d, e` (mod `m`). Returns `None` for zero or when
+    /// `gcd(self, m) ≠ 1`. The Fermat inverses (`a^(m-2)`) are kept as
+    /// references and pinned by differential tests.
     ///
     /// Requires `self < m`.
     pub fn inv_mod(&self, m: &U256) -> Option<U256> {
@@ -292,63 +295,243 @@ impl U256 {
         if self.is_zero() {
             return None;
         }
-        let mut u = *self;
-        let mut v = *m;
-        let mut x1 = U256::ONE;
-        let mut x2 = U256::ZERO;
+        let modulus = to_signed62(m);
+        let m_inv62 = inv_mod_2_62(m.limbs[0]);
+        // Invariants: f ≡ d·self and g ≡ e·self (mod m), d and e in
+        // (−2m, m). Divsteps keep gcd(f, g) = gcd(m, self) and end at g = 0.
+        let mut d: Signed62 = [0; 5];
+        let mut e: Signed62 = [1, 0, 0, 0, 0];
+        let mut f = modulus;
+        let mut g = to_signed62(self);
+        let mut len = 5;
+        // η = −δ; δ starts at 1.
+        let mut eta = -1;
         loop {
-            while u.limbs[0] & 1 == 0 {
-                u = u.shr1();
-                x1 = half_mod(&x1, m);
+            let t;
+            (eta, t) = divsteps_62_var(eta, f[0] as u64, g[0] as u64);
+            update_de(&mut d, &mut e, &t, &modulus, m_inv62);
+            update_fg(&mut f[..len], &mut g[..len], &t);
+            if g[..len].iter().all(|&l| l == 0) {
+                break;
             }
-            while v.limbs[0] & 1 == 0 {
-                v = v.shr1();
-                x2 = half_mod(&x2, m);
-            }
-            if u == U256::ONE {
-                return Some(x1);
-            }
-            if v == U256::ONE {
-                return Some(x2);
-            }
-            if u >= v {
-                u = u.overflowing_sub(&v).0;
-                x1 = sub_mod(&x1, &x2, m);
-                if u.is_zero() {
-                    // gcd(self, m) = v > 1.
-                    return None;
-                }
-            } else {
-                v = v.overflowing_sub(&u).0;
-                x2 = sub_mod(&x2, &x1, m);
+            // Drop the top limb once it holds only the sign of both f and
+            // g, folding the sign into the limb below.
+            let (fn_, gn) = (f[len - 1], g[len - 1]);
+            if len > 1 && ((fn_ ^ (fn_ >> 63)) | (gn ^ (gn >> 63))) == 0 {
+                f[len - 2] |= fn_ << 62;
+                g[len - 2] |= gn << 62;
+                len -= 1;
             }
         }
+        // Now f = ±gcd(m, self), and f ≡ d·self gives self⁻¹ = ±d.
+        if !is_unit(&f[..len]) {
+            return None;
+        }
+        Some(normalize(d, f[len - 1] < 0, &modulus))
     }
 }
 
-/// `x / 2 mod m` for odd `m`: shift if even, else add `m` first (making it
-/// even) and shift the 257-bit sum.
-fn half_mod(x: &U256, m: &U256) -> U256 {
-    if x.limbs[0] & 1 == 0 {
-        x.shr1()
-    } else {
-        let (s, carry) = x.overflowing_add(m);
-        let mut h = s.shr1();
-        if carry {
-            h.limbs[3] |= 1 << 63;
-        }
-        h
+/// Signed 62-bit limbs, least significant first: `Σ v[i]·2^(62·i)`. Limbs
+/// below the top are in `[0, 2⁶²)`; the top limb carries the sign.
+type Signed62 = [i64; 5];
+
+const M62: u64 = u64::MAX >> 2;
+
+/// The transition matrix of 62 divsteps, scaled by 2⁶²:
+/// `[f', g'] = [[u, v], [q, r]]·[f, g] / 2⁶²`.
+struct Trans {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+fn to_signed62(x: &U256) -> Signed62 {
+    let l = &x.limbs;
+    [
+        (l[0] & M62) as i64,
+        ((l[0] >> 62 | l[1] << 2) & M62) as i64,
+        ((l[1] >> 60 | l[2] << 4) & M62) as i64,
+        ((l[2] >> 58 | l[3] << 6) & M62) as i64,
+        (l[3] >> 56) as i64,
+    ]
+}
+
+/// Inverse of [`to_signed62`] for a value in `[0, 2²⁵⁶)`.
+fn from_signed62(x: &Signed62) -> U256 {
+    let v = x.map(|l| l as u64);
+    U256 {
+        limbs: [
+            v[0] | v[1] << 62,
+            v[1] >> 2 | v[2] << 60,
+            v[2] >> 4 | v[3] << 58,
+            v[3] >> 6 | v[4] << 56,
+        ],
     }
 }
 
-/// `a - b mod m` for `a, b < m`.
-fn sub_mod(a: &U256, b: &U256, m: &U256) -> U256 {
-    let (d, borrow) = a.overflowing_sub(b);
-    if borrow {
-        d.overflowing_add(m).0
-    } else {
-        d
+/// `m⁻¹ mod 2⁶²` for odd `m` by Newton's iteration: `m·m ≡ 1 (mod 8)`
+/// starts it with 3 correct bits, and each step doubles them.
+fn inv_mod_2_62(m: u64) -> u64 {
+    let mut inv = m;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
     }
+    debug_assert_eq!(m.wrapping_mul(inv) & M62, 1);
+    inv & M62
+}
+
+/// 62 divsteps on the low bits of `f` (odd) and `g`, starting from `η`;
+/// returns the new `η` and the transition matrix. A run of trailing zeros
+/// in `g` is one shift, and an odd `g` cancels up to 4 (6 right after a
+/// swap) low bits at once by adding the multiple of `f` that clears them.
+fn divsteps_62_var(mut eta: i64, f0: u64, g0: u64) -> (i64, Trans) {
+    // u·f0 + v·g0 = f·2^(62−i) and q·f0 + r·g0 = g·2^(62−i).
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut i = 62u32;
+    loop {
+        // A sentinel bit at i stops the count at the steps left.
+        let zeros = (g | (u64::MAX << i)).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        i -= zeros;
+        if i == 0 {
+            break;
+        }
+        debug_assert!(f & 1 == 1 && g & 1 == 1);
+        // Each step with η ≥ 0 adds f to an odd g and halves, so up to
+        // η + 1 of them (and no more than the i left) fold into one
+        // g += w·f with w = −g/f modulo a power of two.
+        let w = if eta < 0 {
+            // Swap: (f, g) becomes (g, −f), and η becomes −η.
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+            // Up to 6 bits: f·(f² − 2) ≡ −f⁻¹ (mod 64) for odd f.
+            let mask = low_mask(eta, i) & 63;
+            f.wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                & mask
+        } else {
+            // Up to 4 bits: f + (((f + 1) & 4) << 1) ≡ f⁻¹ (mod 16).
+            let mask = low_mask(eta, i) & 15;
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            f_inv.wrapping_neg().wrapping_mul(g) & mask
+        };
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    let t = Trans {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    (eta, t)
+}
+
+/// A mask of the low `min(η + 1, i)` bits (`η ≥ 0`, `1 ≤ i ≤ 62`).
+#[inline(always)]
+fn low_mask(eta: i64, i: u32) -> u64 {
+    let limit = (eta + 1).min(i64::from(i)) as u32;
+    u64::MAX >> (64 - limit)
+}
+
+/// `[d, e] ← t·[d, e] / 2⁶² (mod m)`. Before the product, each of `d, e`
+/// that is negative gets `m` added, and then the multiple of `m` that
+/// clears the low 62 bits (found through `m⁻¹ mod 2⁶²`) makes the division
+/// exact. Both stay in `(−2m, m)`.
+fn update_de(d: &mut Signed62, e: &mut Signed62, t: &Trans, m: &Signed62, m_inv62: u64) {
+    let Trans { u, v, q, r } = *t;
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (u & sd) + (v & se);
+    let mut me = (q & sd) + (r & se);
+    let mut cd = i128::from(u) * i128::from(d[0]) + i128::from(v) * i128::from(e[0]);
+    let mut ce = i128::from(q) * i128::from(d[0]) + i128::from(r) * i128::from(e[0]);
+    md -= (m_inv62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (m_inv62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += i128::from(m[0]) * i128::from(md);
+    ce += i128::from(m[0]) * i128::from(me);
+    debug_assert!(cd as u64 & M62 == 0 && ce as u64 & M62 == 0);
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += i128::from(u) * i128::from(d[i])
+            + i128::from(v) * i128::from(e[i])
+            + i128::from(m[i]) * i128::from(md);
+        ce += i128::from(q) * i128::from(d[i])
+            + i128::from(r) * i128::from(e[i])
+            + i128::from(m[i]) * i128::from(me);
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `[f, g] ← t·[f, g] / 2⁶²` over the `len` limbs in use; the division
+/// is exact by construction of `t`.
+fn update_fg(f: &mut [i64], g: &mut [i64], t: &Trans) {
+    let Trans { u, v, q, r } = *t;
+    let len = f.len();
+    let mut cf = i128::from(u) * i128::from(f[0]) + i128::from(v) * i128::from(g[0]);
+    let mut cg = i128::from(q) * i128::from(f[0]) + i128::from(r) * i128::from(g[0]);
+    debug_assert!(cf as u64 & M62 == 0 && cg as u64 & M62 == 0);
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..len {
+        cf += i128::from(u) * i128::from(f[i]) + i128::from(v) * i128::from(g[i]);
+        cg += i128::from(q) * i128::from(f[i]) + i128::from(r) * i128::from(g[i]);
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[len - 1] = cf as i64;
+    g[len - 1] = cg as i64;
+}
+
+/// Whether the signed-62 value in `x` (its top limb signed) is ±1.
+fn is_unit(x: &[i64]) -> bool {
+    let (&top, low) = x.split_last().expect("at least one limb");
+    match (top, low.split_first()) {
+        (1 | -1, None) => true,
+        (0, Some((&l0, rest))) => l0 == 1 && rest.iter().all(|&l| l == 0),
+        (-1, Some(_)) => low.iter().all(|&l| l as u64 == M62),
+        _ => false,
+    }
+}
+
+/// Bring `d ∈ (−2m, m)`, negated if `negate`, into `[0, m)`.
+fn normalize(mut d: Signed62, negate: bool, m: &Signed62) -> U256 {
+    let add_m = |d: &mut Signed62| d.iter_mut().zip(m).for_each(|(l, &ml)| *l += ml);
+    // Limbs below the top back into [0, 2⁶²), the excess carried up.
+    let carry = |d: &mut Signed62| {
+        for i in 0..4 {
+            d[i + 1] += d[i] >> 62;
+            d[i] &= M62 as i64;
+        }
+    };
+    if d[4] < 0 {
+        add_m(&mut d);
+    }
+    if negate {
+        d.iter_mut().for_each(|l| *l = -*l);
+    }
+    carry(&mut d);
+    if d[4] < 0 {
+        add_m(&mut d);
+        carry(&mut d);
+    }
+    debug_assert!(d[4] >= 0);
+    from_signed62(&d)
 }
 
 impl PartialOrd for U256 {

@@ -1,7 +1,8 @@
 //! Differential tests: the EC fast path (comb/wNAF tables, batch
-//! normalization, eGCD inversion, projective x-comparison, the full- and
-//! half-depth verify ladders) against the reference double-and-add ladder
-//! that predates it.
+//! normalization, divstep inversion, mask-selected field add/sub,
+//! projective x-comparison, the full- and half-depth verify ladders)
+//! against the reference double-and-add ladder that predates it, and the
+//! field kernels against long division.
 //!
 //! The reference implementations (`Jacobian::mul`, `Jacobian::shamir_mul`,
 //! `ecdsa::verify_reference`, `Fe::invert_fermat`, `Scalar::invert_fermat`,
@@ -14,7 +15,7 @@
 use std::sync::Barrier;
 
 use ebv_primitives::ec::ecdsa::{self, Signature};
-use ebv_primitives::ec::field::Fe;
+use ebv_primitives::ec::field::{Fe, P};
 use ebv_primitives::ec::keys::{PreparedPublicKey, PrivateKey, PublicKey};
 use ebv_primitives::ec::point::{
     generator_wnaf_tables, half_depth_pieces, lincomb_gen, lincomb_gen_half_depth, Affine,
@@ -173,15 +174,37 @@ fn batch_to_affine_matches_individual_projection() {
         .all(|p| p.is_infinity()));
 }
 
+/// Operands for the inverse: 1, 2, m − 1, m − 2, and every 2ᵏ and 2ᵏ ± 1
+/// below the modulus (zero included, as 2⁰ − 1).
+fn edge_inverse_operands(m: &U256) -> Vec<U256> {
+    let mut out = vec![
+        U256::ONE,
+        U256::from_u64(2),
+        m.overflowing_sub(&U256::ONE).0,
+        m.overflowing_sub(&U256::from_u64(2)).0,
+    ];
+    for k in 0..256 {
+        let p = pow2(k);
+        out.push(p.overflowing_sub(&U256::ONE).0);
+        out.push(p);
+        out.push(p.overflowing_add(&U256::ONE).0);
+    }
+    out.retain(|v| v < m);
+    out
+}
+
+/// The divstep inverse against the Fermat reference on edge operands and
+/// a seeded sweep of 10,000.
 #[test]
 fn scalar_inversion_matches_fermat_reference() {
-    for k in edge_scalars() {
+    let edges = edge_inverse_operands(&N).into_iter().map(Scalar);
+    for k in edge_scalars().into_iter().chain(edges) {
         assert_eq!(k.invert(), k.invert_fermat(), "k = {k:?}");
         if let Some(inv) = k.invert() {
             assert_eq!(k.mul(&inv), Scalar::ONE);
         }
     }
-    for k in sweep_scalars(b"scalar inv", 16) {
+    for k in sweep_scalars(b"scalar inv", 10_000) {
         assert_eq!(k.invert(), k.invert_fermat(), "k = {k:?}");
     }
 }
@@ -197,10 +220,223 @@ fn field_inversion_matches_fermat_reference() {
         values.push(Fe::from_be_bytes(&b).expect("below p"));
         state = sha256(&state);
     }
+    values.extend(edge_inverse_operands(&P).into_iter().map(Fe));
+    values.extend(sweep_field_elements(b"field inv sweep", 10_000));
     for v in values {
         assert_eq!(v.invert(), v.invert_fermat(), "v = {v:?}");
         if let Some(inv) = v.invert() {
             assert_eq!(v.mul(&inv), Fe::ONE);
+        }
+    }
+}
+
+/// `x mod m` for the 257-bit `carry·2²⁵⁶ + x`, by long division only:
+/// `2²⁵⁶ mod m` comes from `(2²⁵⁶ − 1) mod m`, not from the field's
+/// constant.
+fn reduce257(carry: bool, x: &U256, m: &U256) -> U256 {
+    let r = x.div_rem(m).1;
+    if !carry {
+        return r;
+    }
+    let max = U256 {
+        limbs: [u64::MAX; 4],
+    };
+    let two256 = max.div_rem(m).1.overflowing_add(&U256::ONE).0;
+    // r + two256 < 2m ≤ 2²⁵⁶ for m = p, so the sum does not wrap.
+    let (s, wrapped) = r.overflowing_add(&two256);
+    assert!(!wrapped);
+    s.div_rem(m).1
+}
+
+/// `(a + b) mod p` from the exact 257-bit sum.
+fn add_reference(a: &Fe, b: &Fe) -> Fe {
+    let (s, carry) = a.0.overflowing_add(&b.0);
+    Fe(reduce257(carry, &s, &P))
+}
+
+/// `(a − b) mod p` from the exact difference: a borrow means the true
+/// value is `−(2²⁵⁶ − s)`.
+fn sub_reference(a: &Fe, b: &Fe) -> Fe {
+    let (s, borrow) = a.0.overflowing_sub(&b.0);
+    if !borrow {
+        return Fe(s.div_rem(&P).1);
+    }
+    let magnitude = U256::ZERO.overflowing_sub(&s).0.div_rem(&P).1;
+    if magnitude.is_zero() {
+        Fe::ZERO
+    } else {
+        Fe(P.overflowing_sub(&magnitude).0)
+    }
+}
+
+/// Field operands around every place the add/sub kernels select: zero,
+/// `C = 2²⁵⁶ − p` and its neighbors, the middle of the range, the top of
+/// the field, and halves of the sums at the carry boundaries.
+fn edge_field_elements() -> Vec<Fe> {
+    let c = U256::from_u64(0x1_0000_03d1);
+    let p_minus = |k: u64| P.overflowing_sub(&U256::from_u64(k)).0;
+    let half_p = P.shr1(); // (p − 1) / 2
+    let values = [
+        U256::ZERO,
+        U256::ONE,
+        U256::from_u64(2),
+        c.overflowing_sub(&U256::ONE).0,
+        c,
+        c.overflowing_add(&U256::ONE).0,
+        c.overflowing_add(&U256::from_u64(2)).0,
+        pow2(255).overflowing_sub(&U256::ONE).0,
+        pow2(255),
+        pow2(255).overflowing_add(&U256::ONE).0,
+        P.overflowing_sub(&c).0,
+        half_p,
+        half_p.overflowing_add(&U256::ONE).0,
+        p_minus(2),
+        p_minus(1),
+    ];
+    values.iter().map(|v| Fe(*v)).collect()
+}
+
+/// Deterministic field elements: a sha256 chain, skipping values ≥ p.
+fn sweep_field_elements(seed: &[u8], count: usize) -> Vec<Fe> {
+    let mut out = Vec::with_capacity(count);
+    let mut state = sha256(seed);
+    while out.len() < count {
+        if let Some(v) = Fe::from_be_bytes(&state) {
+            out.push(v);
+        }
+        state = sha256(&state);
+    }
+    out
+}
+
+fn assert_field_kernels_match(a: &Fe, b: &Fe) {
+    assert_eq!(a.add(b), add_reference(a, b), "{a:?} + {b:?}");
+    assert_eq!(a.sub(b), sub_reference(a, b), "{a:?} - {b:?}");
+}
+
+/// The mask-selected `Fe::add`/`Fe::sub` (and `dbl`, `neg` on top of
+/// them) against sums and differences reduced by long division, over
+/// every pair of edge operands and a seeded sweep.
+#[test]
+fn field_add_sub_match_long_division_reference() {
+    let edges = edge_field_elements();
+    // The edge pairs reach every exact sum at which the kernel's carry and
+    // mask change: p − 1, p, p + 1 and 2²⁵⁶ − 1, 2²⁵⁶, 2²⁵⁶ + 1.
+    let max = U256 {
+        limbs: [u64::MAX; 4],
+    };
+    let targets = [
+        (false, P.overflowing_sub(&U256::ONE).0),
+        (false, P),
+        (false, P.overflowing_add(&U256::ONE).0),
+        (false, max),
+        (true, U256::ZERO),
+        (true, U256::ONE),
+    ];
+    for target in targets {
+        assert!(
+            edges.iter().any(|a| edges
+                .iter()
+                .any(|b| a.0.overflowing_add(&b.0) == (target.1, target.0))),
+            "no edge pair sums to {target:?}"
+        );
+    }
+    for a in &edges {
+        for b in &edges {
+            assert_field_kernels_match(a, b);
+        }
+        assert_eq!(a.dbl(), add_reference(a, a), "dbl {a:?}");
+        assert_eq!(a.neg(), sub_reference(&Fe::ZERO, a), "neg {a:?}");
+    }
+    let sweep = sweep_field_elements(b"field add/sub sweep", 10_001);
+    for pair in sweep.windows(2) {
+        assert_field_kernels_match(&pair[0], &pair[1]);
+        assert_field_kernels_match(&pair[1], &pair[0]);
+        assert_eq!(pair[0].dbl(), add_reference(&pair[0], &pair[0]));
+        assert_eq!(pair[0].neg(), sub_reference(&Fe::ZERO, &pair[0]));
+    }
+}
+
+/// `a·b mod m` by shift-and-add, for `a < m < 2²⁵⁵` (so a doubled residue
+/// never wraps).
+fn mul_mod_reference(a: &U256, b: &U256, m: &U256) -> U256 {
+    let add_mod = |x: U256, y: &U256| {
+        let s = x.overflowing_add(y).0;
+        if s >= *m {
+            s.overflowing_sub(m).0
+        } else {
+            s
+        }
+    };
+    let mut acc = U256::ZERO;
+    for i in (0..b.bits()).rev() {
+        acc = add_mod(acc, &acc);
+        if b.bit(i) {
+            acc = add_mod(acc, a);
+        }
+    }
+    acc
+}
+
+fn gcd(mut a: U256, mut b: U256) -> U256 {
+    while !b.is_zero() {
+        (a, b) = (b, a.div_rem(&b).1);
+    }
+    a
+}
+
+/// On composite moduli the inverse exists exactly when the gcd is 1: every
+/// operand of every odd modulus below 256, then seeded operands and the
+/// moduli's own factors on two large composites.
+#[test]
+fn inv_mod_refuses_exactly_the_non_units_of_composite_moduli() {
+    for m in (1u64..256).step_by(2) {
+        for a in 0..m {
+            let inv = U256::from_u64(a).inv_mod(&U256::from_u64(m));
+            let unit = a != 0 && gcd(U256::from_u64(a), U256::from_u64(m)) == U256::ONE;
+            match inv {
+                Some(inv) => {
+                    assert!(unit, "{a}⁻¹ mod {m} should not exist");
+                    assert!(inv.limbs[0] < m && inv.limbs[1..] == [0; 3]);
+                    assert_eq!(u128::from(a) * u128::from(inv.limbs[0]) % u128::from(m), 1);
+                }
+                None => assert!(!unit, "{a}⁻¹ mod {m} exists"),
+            }
+        }
+    }
+    // 3¹⁶⁰ (254 bits), and (2¹²⁷ − 1)·(2⁶¹ − 1), a product of two primes.
+    let pow3 = (0..160).fold(U256::ONE, |acc, _| {
+        let (t, _) = acc.overflowing_add(&acc);
+        t.overflowing_add(&acc).0
+    });
+    let (m127, m61) = (
+        pow2(127).overflowing_sub(&U256::ONE).0,
+        U256::from_u64((1 << 61) - 1),
+    );
+    let w = m127.widening_mul(&m61);
+    let mersenne = U256 {
+        limbs: [w[0], w[1], w[2], w[3]],
+    };
+    for (m, factors) in [(pow3, vec![U256::from_u64(3)]), (mersenne, vec![m127, m61])] {
+        let mut operands: Vec<U256> = sweep_scalars(b"composite moduli", 300)
+            .iter()
+            .map(|s| s.0.div_rem(&m).1)
+            .collect();
+        for f in &factors {
+            operands.push(*f);
+            operands.push(f.overflowing_add(f).0);
+            operands.push(mul_mod_reference(f, &operands[0], &m));
+        }
+        for a in operands {
+            let unit = !a.is_zero() && gcd(a, m) == U256::ONE;
+            match a.inv_mod(&m) {
+                Some(inv) => {
+                    assert!(unit, "{a:?}⁻¹ mod {m:?} should not exist");
+                    assert!(inv < m);
+                    assert_eq!(mul_mod_reference(&a, &inv, &m), U256::ONE, "{a:?}");
+                }
+                None => assert!(!unit, "{a:?}⁻¹ mod {m:?} exists"),
+            }
         }
     }
 }

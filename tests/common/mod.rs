@@ -3,7 +3,7 @@
 #![allow(dead_code)]
 
 use ebv_chain::transaction::spend_sighash;
-use ebv_chain::{build_block, coinbase_tx, Block};
+use ebv_chain::{build_block, coinbase_tx, Block, TxOut};
 use ebv_core::tidy::{EbvBlock, InputBody};
 use ebv_core::{
     BaselineConfig, BaselineNode, BitVectorSnapshot, DigestChecker, EbvNode, Intermediary,
@@ -85,12 +85,13 @@ pub fn relink(block: &mut EbvBlock, tx: usize) {
 
 /// A deterministically corrupted copy of `block`; `mode` selects which
 /// validation phase the corruption targets: EV (a nonexistent height, a
-/// forged `ELs`), value, SV (an emptied unlocking script), the stake
+/// forged `ELs`), value (an inflated output, outputs whose sum passes 2⁶⁴,
+/// a coinbase of `u64::MAX`), SV (an emptied unlocking script), the stake
 /// position, or the Merkle root.
 pub fn tamper(block: &EbvBlock, mode: usize) -> EbvBlock {
     let mut b = block.clone();
     let has_spend = b.transactions.len() > 1 && b.transactions[1].bodies[0].proof.is_some();
-    match if has_spend { mode % 6 } else { 5 } {
+    match if has_spend { mode % 8 } else { 5 } {
         0 => {
             // Proof claims a nonexistent height → BadHeight (EV).
             b.transactions[1].bodies[0].proof.as_mut().unwrap().height = 1_000_000;
@@ -118,6 +119,13 @@ pub fn tamper(block: &EbvBlock, mode: usize) -> EbvBlock {
             b.transactions[1].tidy.stake_position += 1;
             b.header.merkle_root = b.compute_merkle_root();
         }
+        6 => {
+            // Outputs summing past 2⁶⁴ → ValueImbalance; with no spend of
+            // two outputs, the Merkle tamper.
+            return overflow_outputs(block).unwrap_or_else(|| tamper(block, 5));
+        }
+        // A coinbase of u64::MAX → ExcessiveCoinbase.
+        7 => return max_coinbase(block),
         _ => {
             // Bogus Merkle root → MerkleMismatch.
             b.header.merkle_root = sha256d(b"bogus root");
@@ -170,6 +178,53 @@ pub fn inflate_output(block: &EbvBlock, tx: usize) -> EbvBlock {
 pub fn inflate_baseline_output(block: &ebv_chain::Block, tx: usize) -> ebv_chain::Block {
     let mut b = block.clone();
     b.transactions[tx].outputs[0].value = u64::MAX / 2;
+    b.header.merkle_root = b.compute_merkle_root();
+    b
+}
+
+/// Set the first two outputs to `u64::MAX` and 1. Value sums saturate and
+/// there is no MoneyRange rule, so an output sum past 2⁶⁴ must still read
+/// as more than the inputs. These tampers change output values only, never
+/// an output count: EBV derives stake positions from output counts.
+pub fn overflow(outputs: &mut [TxOut]) {
+    outputs[0].value = u64::MAX;
+    outputs[1].value = 1;
+}
+
+/// The first spending transaction with two outputs or more, if any.
+fn two_output_spend<'t>(mut outputs: impl Iterator<Item = &'t Vec<TxOut>>) -> Option<usize> {
+    outputs.position(|o| o.len() >= 2).map(|i| i + 1)
+}
+
+/// The first spending transaction with two outputs or more, its first two
+/// set to `u64::MAX` and 1 (→ ValueImbalance); `None` if there is none.
+pub fn overflow_outputs(block: &EbvBlock) -> Option<EbvBlock> {
+    let mut b = block.clone();
+    let tx = two_output_spend(b.transactions[1..].iter().map(|t| &t.tidy.outputs))?;
+    overflow(&mut b.transactions[tx].tidy.outputs);
+    b.header.merkle_root = b.compute_merkle_root();
+    Some(b)
+}
+
+pub fn overflow_baseline_outputs(block: &ebv_chain::Block) -> Option<ebv_chain::Block> {
+    let mut b = block.clone();
+    let tx = two_output_spend(b.transactions[1..].iter().map(|t| &t.outputs))?;
+    overflow(&mut b.transactions[tx].outputs);
+    b.header.merkle_root = b.compute_merkle_root();
+    Some(b)
+}
+
+/// A coinbase that claims `u64::MAX` (→ ExcessiveCoinbase).
+pub fn max_coinbase(block: &EbvBlock) -> EbvBlock {
+    let mut b = block.clone();
+    b.transactions[0].tidy.outputs[0].value = u64::MAX;
+    b.header.merkle_root = b.compute_merkle_root();
+    b
+}
+
+pub fn max_baseline_coinbase(block: &ebv_chain::Block) -> ebv_chain::Block {
+    let mut b = block.clone();
+    b.transactions[0].outputs[0].value = u64::MAX;
     b.header.merkle_root = b.compute_merkle_root();
     b
 }

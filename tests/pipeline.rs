@@ -3,14 +3,15 @@
 //! * every SV worker count is observationally identical — same
 //!   accept/reject decision and the same `EbvError` on every block, valid
 //!   or tampered (in EV, value, SV, stake and Merkle), over a ~1k-block
-//!   random chain;
+//!   random chain, with the value tampers (outputs summing past 2⁶⁴
+//!   included) rejected as value imbalances and excessive coinbases;
 //! * `disconnect_tip` restores the bit-vector set exactly (connect /
 //!   disconnect round trip).
 
 mod common;
 
 use common::{build_chains, tamper};
-use ebv_core::{BlockBitVector, EbvConfig, EbvNode};
+use ebv_core::{BlockBitVector, EbvConfig, EbvError, EbvNode};
 use ebv_workload::GeneratorParams;
 
 #[test]
@@ -28,12 +29,15 @@ fn sequential_and_parallel_pipelines_agree() {
         })
         .collect();
 
+    // Value imbalances and excessive coinbases that value tampers caused.
+    let mut value_rejections = [0; 2];
     for (h, block) in chain.iter().enumerate().skip(1) {
         // Every 7th block, feed all nodes a tampered copy first and
         // require the identical rejection (cycling through corruption
         // targets so every phase's error selection is exercised).
         if h % 7 == 0 {
-            let bad = tamper(block, h / 7);
+            let mode = h / 7;
+            let bad = tamper(block, mode);
             let errors: Vec<_> = nodes
                 .iter_mut()
                 .map(|n| n.process_block(&bad).expect_err("tampered block rejected"))
@@ -42,6 +46,15 @@ fn sequential_and_parallel_pipelines_agree() {
                 errors.iter().all(|e| e == &errors[0]),
                 "height {h}: {errors:?}"
             );
+            // `tamper`'s value modes: an inflated output (2) and outputs
+            // summing past 2⁶⁴ (6) are imbalances, a coinbase of u64::MAX
+            // (7) is excessive; without a spend to tamper, the Merkle root.
+            match (mode % 8, &errors[0]) {
+                (2 | 6, EbvError::ValueImbalance { .. }) => value_rejections[0] += 1,
+                (7, EbvError::ExcessiveCoinbase) => value_rejections[1] += 1,
+                (2 | 6 | 7, e) => assert_eq!(e, &EbvError::MerkleMismatch, "height {h}"),
+                _ => {}
+            }
         }
         // `Ok` carries wall-clock timings, so compare decisions + errors.
         for (i, node) in nodes.iter_mut().enumerate() {
@@ -49,6 +62,11 @@ fn sequential_and_parallel_pipelines_agree() {
             assert!(result.is_ok(), "height {h}, node {i}: {result:?}");
         }
     }
+
+    assert!(
+        value_rejections[0] >= 10 && value_rejections[1] >= 5,
+        "too few value rejections: {value_rejections:?}"
+    );
 
     // Identical decisions must leave identical state.
     let one = &nodes[0];

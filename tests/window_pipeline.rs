@@ -13,7 +13,10 @@
 //! so equal tips mean equal undo depths). Tampered windows put an SV
 //! failure before and after EV, value, stake, Merkle, UV and
 //! duplicate-spend failures, and SV failures in two blocks of one window,
-//! two of them in the lower block. A warm
+//! two of them in the lower block. Value sums saturate, so the value
+//! tampers include two outputs whose sum passes 2⁶⁴ and a coinbase of
+//! `u64::MAX`: both node types must reject them as `ValueImbalance` and
+//! `ExcessiveCoinbase`, and admission must refuse such a spend. A warm
 //! node, whose mempool admitted the transactions first, must leave the
 //! script cache's hit and miss totals where the per-block path leaves them.
 //!
@@ -27,14 +30,16 @@ mod common;
 
 use common::{
     build_chains, corrupt_checkpoint, fork_chain, fresh_utxos, inflate_baseline_output,
-    inflate_output, relink, strict_oracle, tamper, tamper_baseline_signature, tamper_signature,
+    inflate_output, max_baseline_coinbase, max_coinbase, overflow, overflow_baseline_outputs,
+    overflow_outputs, relink, strict_oracle, tamper, tamper_baseline_signature, tamper_signature,
 };
 use ebv_chain::Block;
 use ebv_core::tidy::EbvBlock;
 use ebv_core::validate::{InputState, Node};
 use ebv_core::{
     build_checkpoints, parallel_ibd, reorg_to, replay_ibd, BaselineConfig, BaselineError,
-    BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary, Mempool, ReorgError, ValidatingNode,
+    BaselineNode, EbvConfig, EbvError, EbvNode, Intermediary, Mempool, MempoolError, ReorgError,
+    ValidatingNode,
 };
 use ebv_primitives::hash::{sha256d, Hash256};
 use ebv_script::ScriptError;
@@ -65,6 +70,11 @@ enum Tamper {
     EvHeight,
     EvForged,
     Value,
+    /// Two outputs of one spend set to `u64::MAX` and 1: their sum passes
+    /// 2⁶⁴ and saturates.
+    ValueOverflow,
+    /// A coinbase output of `u64::MAX`.
+    CoinbaseMax,
     Stake,
     Merkle,
     Uv,
@@ -73,7 +83,33 @@ enum Tamper {
 
 use Tamper::*;
 
-const NOT_SV: [Tamper; 7] = [EvHeight, EvForged, Value, Stake, Merkle, Uv, Duplicate];
+const NOT_SV: [Tamper; 9] = [
+    EvHeight,
+    EvForged,
+    Value,
+    ValueOverflow,
+    CoinbaseMax,
+    Stake,
+    Merkle,
+    Uv,
+    Duplicate,
+];
+
+/// A value-phase rejection, as both node types report it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum ValueRejection {
+    Imbalance,
+    Coinbase,
+}
+
+/// The value-phase rejection `kind` must cause on either node type.
+fn value_rejection(kind: Tamper) -> Option<ValueRejection> {
+    match kind {
+        Value | ValueOverflow => Some(ValueRejection::Imbalance),
+        CoinbaseMax => Some(ValueRejection::Coinbase),
+        _ => None,
+    }
+}
 
 /// The tampers of attempt `round` at `len` blocks, as `(offset, tamper)`.
 fn plan(round: usize, len: usize) -> Vec<(usize, Tamper)> {
@@ -113,6 +149,8 @@ fn tamper_ebv(chain: &[EbvBlock], height: usize, kind: Tamper) -> Option<EbvBloc
             return Some(tamper_signature(&once, last, input));
         }
         Value => return Some(inflate_output(block, 1)),
+        ValueOverflow => return overflow_outputs(block),
+        CoinbaseMax => return Some(max_coinbase(block)),
         // `tamper`'s modes: a nonexistent height, a forged `ELs`, a lying
         // stake position, a bogus Merkle root.
         EvHeight => return Some(tamper(block, 0)),
@@ -156,6 +194,8 @@ fn tamper_baseline(chain: &[Block], height: usize, kind: Tamper) -> Option<Block
             return Some(tamper_baseline_signature(&once, last, input));
         }
         Value => return Some(inflate_baseline_output(block, 1)),
+        ValueOverflow => return overflow_baseline_outputs(block),
+        CoinbaseMax => return Some(max_baseline_coinbase(block)),
         EvHeight | EvForged => tx.inputs[0].prevout.txid = sha256d(b"no such transaction"),
         Stake => b.transactions[0].outputs[0].value = u64::MAX / 2,
         Merkle => {
@@ -206,21 +246,23 @@ struct Subject<'c, N: ValidatingNode> {
     /// The state a window must leave, beyond the tip.
     state: fn(&N) -> String,
     sv_failure: fn(&N::Error) -> SvFailure,
+    value_rejection: fn(&N::Error) -> Option<ValueRejection>,
     /// Point a block's `prev_block_hash` at the given hash.
     relink: fn(&mut N::Block, Hash256),
 }
 
 /// Walk the chain in windows of every size, two tampered attempts and
 /// then the honest rest per window, through a node per worker count and a
-/// per-block reference. Returns how many attempts were rejected for SV
-/// and for anything else.
-fn differential<N>(subject: &Subject<'_, N>, oracle_chain: &[EbvBlock]) -> [usize; 2]
+/// per-block reference. Returns how many attempts were rejected for SV,
+/// for anything else, and of those for a value imbalance and an excessive
+/// coinbase that a value tamper caused.
+fn differential<N>(subject: &Subject<'_, N>, oracle_chain: &[EbvBlock]) -> [usize; 4]
 where
     N: ValidatingNode,
     N::Block: Clone,
 {
     let chain = subject.chain;
-    let mut rejected = [0; 2];
+    let mut rejected = [0; 4];
     for window in WINDOWS {
         let mut reference = (subject.node)(Some(1));
         let mut nodes: Vec<N> = WORKERS.iter().map(|&w| (subject.node)(w)).collect();
@@ -233,12 +275,14 @@ where
                     break;
                 }
                 let mut blocks = chain[from..end].to_vec();
-                let mut first_bad = blocks.len();
+                let (mut first_bad, mut first_kind) = (blocks.len(), None);
                 if attempt < 2 {
                     for (offset, tamper) in plan(round, blocks.len()) {
                         if let Some(bad) = (subject.tamper)(chain, from + offset, tamper) {
                             blocks[offset] = bad;
-                            first_bad = first_bad.min(offset);
+                            if offset < first_bad {
+                                (first_bad, first_kind) = (offset, Some(tamper));
+                            }
                         }
                     }
                     round += 1;
@@ -252,6 +296,10 @@ where
                     if sv.is_some() {
                         let tampered = tamper_signature(&oracle_chain[from + connected], 1, 0);
                         assert_eq!(sv, strict_oracle(&tampered), "{at}");
+                    }
+                    if let Some(want) = first_kind.and_then(value_rejection) {
+                        assert_eq!((subject.value_rejection)(err), Some(want), "{at}: {err:?}");
+                        rejected[2 + want as usize] += 1;
                     }
                 }
                 let want = (connected, format!("{result:?}"));
@@ -286,6 +334,22 @@ fn baseline_sv_failure(e: &BaselineError) -> SvFailure {
     }
 }
 
+fn ebv_value_rejection(e: &EbvError) -> Option<ValueRejection> {
+    match e {
+        EbvError::ValueImbalance { .. } => Some(ValueRejection::Imbalance),
+        EbvError::ExcessiveCoinbase => Some(ValueRejection::Coinbase),
+        _ => None,
+    }
+}
+
+fn baseline_value_rejection(e: &BaselineError) -> Option<ValueRejection> {
+    match e {
+        BaselineError::ValueImbalance { .. } => Some(ValueRejection::Imbalance),
+        BaselineError::ExcessiveCoinbase => Some(ValueRejection::Coinbase),
+        _ => None,
+    }
+}
+
 fn ebv_subject(chain: &[EbvBlock]) -> Subject<'_, EbvNode> {
     Subject {
         chain,
@@ -301,6 +365,7 @@ fn ebv_subject(chain: &[EbvBlock]) -> Subject<'_, EbvNode> {
         tamper: tamper_ebv,
         state: |node: &EbvNode| format!("{:?}", node.state_digest()),
         sv_failure: ebv_sv_failure,
+        value_rejection: ebv_value_rejection,
         relink: |block, prev| block.header.prev_block_hash = prev,
     }
 }
@@ -322,6 +387,7 @@ fn baseline_subject(blocks: &[Block]) -> Subject<'_, BaselineNode> {
             format!("{} outputs, {} bytes", size.count, size.bytes)
         },
         sv_failure: baseline_sv_failure,
+        value_rejection: baseline_value_rejection,
         relink: |block, prev| block.header.prev_block_hash = prev,
     }
 }
@@ -329,20 +395,28 @@ fn baseline_subject(blocks: &[Block]) -> Subject<'_, BaselineNode> {
 #[test]
 fn ebv_windows_match_per_block_connects() {
     let (_, chain) = build_chains(params(160, 0x71d0));
-    let [sv, other] = differential(&ebv_subject(&chain), &chain);
+    let [sv, other, imbalance, coinbase] = differential(&ebv_subject(&chain), &chain);
     assert!(
         sv >= 20 && other >= 20,
         "too few rejections: {sv} SV, {other} other"
+    );
+    assert!(
+        imbalance >= 4 && coinbase >= 2,
+        "too few value rejections: {imbalance} imbalance, {coinbase} coinbase"
     );
 }
 
 #[test]
 fn baseline_windows_match_per_block_connects() {
     let (blocks, chain) = build_chains(params(160, 0xba5e));
-    let [sv, other] = differential(&baseline_subject(&blocks), &chain);
+    let [sv, other, imbalance, coinbase] = differential(&baseline_subject(&blocks), &chain);
     assert!(
         sv >= 20 && other >= 20,
         "too few rejections: {sv} SV, {other} other"
+    );
+    assert!(
+        imbalance >= 4 && coinbase >= 2,
+        "too few value rejections: {imbalance} imbalance, {coinbase} coinbase"
     );
 }
 
@@ -407,6 +481,33 @@ fn warm_windows_count_the_script_cache_as_per_block_connects() {
         hit_in_rejected > 40,
         "too few hits in rejected windows: {hit_in_rejected}"
     );
+}
+
+/// Admission reads value sums as the block path does: a spend whose two
+/// outputs sum past 2⁶⁴ saturates to more than its inputs and is refused
+/// with `ValueImbalance`.
+#[test]
+fn admission_refuses_outputs_that_sum_past_u64() {
+    let (_, chain) = build_chains(params(40, 0x0f10));
+    let mut node = EbvNode::new(&chain[0], EbvConfig::default());
+    let mut refused = 0;
+    for block in &chain[1..] {
+        for tx in &block.transactions[1..] {
+            // Only spends of outputs already on chain are admissible.
+            if tx.tidy.outputs.len() < 2 || Mempool::new().accept(&node, tx.clone()).is_err() {
+                continue;
+            }
+            let mut bad = tx.clone();
+            overflow(&mut bad.tidy.outputs);
+            assert_eq!(
+                Mempool::new().accept(&node, bad),
+                Err(MempoolError::ValueImbalance)
+            );
+            refused += 1;
+        }
+        node.connect_block(block).expect("an honest block connects");
+    }
+    assert!(refused >= 10, "too few two-output spends: {refused}");
 }
 
 /// The subject's chain with each `(height, tamper)` applied, and the blocks

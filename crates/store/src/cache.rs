@@ -4,33 +4,17 @@
 //! charged by key+value size, and inserting past the budget evicts the
 //! least-recently-used entries. Evicted dirty entries are returned to the
 //! caller so the store can flush them to disk — the flush traffic is
-//! exactly the DBO cost the paper's baseline suffers from.
+//! exactly the DBO cost the paper's baseline suffers from. Every resident
+//! entry is a live value: the store removes a deleted key's entry.
 
 use std::collections::{BTreeMap, HashMap};
 
-/// Cache entry state. A `Deleted` tombstone shadows any on-disk value until
-/// it is flushed.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CacheValue {
-    Present(Vec<u8>),
-    Deleted,
-}
-
-impl CacheValue {
-    fn charge(&self, key_len: usize) -> usize {
-        // Per-entry overhead approximates the bookkeeping of a real cache
-        // (hash bucket, order node); keeps budgets honest for tiny values.
-        const ENTRY_OVERHEAD: usize = 48;
-        let val_len = match self {
-            CacheValue::Present(v) => v.len(),
-            CacheValue::Deleted => 0,
-        };
-        ENTRY_OVERHEAD + key_len + val_len
-    }
-}
+/// Per-entry overhead approximating the bookkeeping of a real cache (hash
+/// bucket, order node); keeps budgets honest for tiny values.
+const ENTRY_OVERHEAD: usize = 48;
 
 struct Slot {
-    value: CacheValue,
+    value: Vec<u8>,
     dirty: bool,
     tick: u64,
     charge: usize,
@@ -48,7 +32,7 @@ pub struct LruCache {
 /// An entry evicted because of budget pressure.
 pub struct Evicted {
     pub key: Vec<u8>,
-    pub value: CacheValue,
+    pub value: Vec<u8>,
     /// Whether the entry had unflushed changes.
     pub dirty: bool,
 }
@@ -75,7 +59,7 @@ impl LruCache {
         self.budget
     }
 
-    /// Number of resident entries (including tombstones).
+    /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -95,7 +79,7 @@ impl LruCache {
     }
 
     /// Look up `key`, refreshing its recency.
-    pub fn get(&mut self, key: &[u8]) -> Option<CacheValue> {
+    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
         if !self.slots.contains_key(key) {
             return None;
         }
@@ -105,8 +89,8 @@ impl LruCache {
 
     /// Insert or replace `key`, returning any entries evicted to make room.
     /// `dirty` marks the entry as needing a disk flush on eviction.
-    pub fn put(&mut self, key: Vec<u8>, value: CacheValue, dirty: bool) -> Vec<Evicted> {
-        let charge = value.charge(key.len());
+    pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>, dirty: bool) -> Vec<Evicted> {
+        let charge = ENTRY_OVERHEAD + key.len() + value.len();
         let tick = self.next_tick;
         self.next_tick += 1;
         if let Some(old) = self.slots.remove(&key) {
@@ -129,7 +113,7 @@ impl LruCache {
     }
 
     /// Remove `key` from the cache without flushing (caller handles disk).
-    pub fn remove(&mut self, key: &[u8]) -> Option<(CacheValue, bool)> {
+    pub fn remove(&mut self, key: &[u8]) -> Option<(Vec<u8>, bool)> {
         let slot = self.slots.remove(key)?;
         self.order.remove(&slot.tick);
         self.used -= slot.charge;
@@ -154,7 +138,7 @@ impl LruCache {
 
     /// Drain every dirty entry (for a full flush), leaving entries resident
     /// but clean.
-    pub fn drain_dirty(&mut self) -> Vec<(Vec<u8>, CacheValue)> {
+    pub fn drain_dirty(&mut self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
         for (key, slot) in self.slots.iter_mut() {
             if slot.dirty {
@@ -163,15 +147,6 @@ impl LruCache {
             }
         }
         out
-    }
-
-    /// Remove everything, returning dirty entries for flushing.
-    pub fn clear(&mut self) -> Vec<(Vec<u8>, CacheValue)> {
-        let dirty = self.drain_dirty();
-        self.slots.clear();
-        self.order.clear();
-        self.used = 0;
-        dirty
     }
 }
 
@@ -183,8 +158,8 @@ mod tests {
         i.to_le_bytes().to_vec()
     }
 
-    fn v(len: usize) -> CacheValue {
-        CacheValue::Present(vec![0xab; len])
+    fn v(len: usize) -> Vec<u8> {
+        vec![0xab; len]
     }
 
     #[test]
@@ -233,13 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_are_resident() {
-        let mut c = LruCache::new(1000);
-        c.put(k(1), CacheValue::Deleted, true);
-        assert_eq!(c.get(&k(1)), Some(CacheValue::Deleted));
-    }
-
-    #[test]
     fn remove_returns_state() {
         let mut c = LruCache::new(1000);
         c.put(k(1), v(5), true);
@@ -255,7 +223,7 @@ mod tests {
         let mut c = LruCache::new(10_000);
         c.put(k(1), v(5), true);
         c.put(k(2), v(5), false);
-        c.put(k(3), CacheValue::Deleted, true);
+        c.put(k(3), v(5), true);
         let mut dirty = c.drain_dirty();
         dirty.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(dirty.len(), 2);

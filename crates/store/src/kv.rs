@@ -5,11 +5,18 @@
 //! found, the disk will be further accessed." Reads check the
 //! [`LruCache`]; misses go to the [`DiskLog`] and are promoted into the
 //! cache, evicting (and flushing) least-recently-used entries.
+//!
+//! The cache holds only live values. A delete removes the key's entry and
+//! appends a delete record only when the log holds a live value for the
+//! key: a key the log never held needs no record (Bitcoin Core's coins
+//! cache erases such a FRESH coin outright), and for one it did the record
+//! is due anyway, so it is written through and the entry's budget freed at
+//! once. Each key's value is thus its resident entry, or else the log.
 
-use crate::cache::{CacheValue, LruCache};
+use crate::cache::{Evicted, LruCache};
 use crate::disk::{DiskError, DiskLog, LatencyModel};
 use crate::stats::DboStats;
-use ebv_telemetry::{counter, span, trace_event};
+use ebv_telemetry::{counter, span};
 use std::path::{Path, PathBuf};
 
 /// Configuration for a [`KvStore`].
@@ -96,15 +103,10 @@ impl KvStore {
         stats.fetches += 1;
         counter!("store.fetches").inc();
         let result = match cache.get(key) {
-            Some(CacheValue::Present(v)) => {
+            Some(v) => {
                 stats.cache_hits += 1;
                 counter!("store.cache.hits").inc();
                 Some(v)
-            }
-            Some(CacheValue::Deleted) => {
-                stats.cache_hits += 1;
-                counter!("store.cache.hits").inc();
-                None
             }
             None => {
                 stats.cache_misses += 1;
@@ -113,7 +115,7 @@ impl KvStore {
                 counter!("store.disk.reads").inc();
                 let from_disk = disk.get(key)?;
                 if let Some(v) = &from_disk {
-                    let evicted = cache.put(key.to_vec(), CacheValue::Present(v.clone()), false);
+                    let evicted = cache.put(key.to_vec(), v.clone(), false);
                     flush_evicted(disk, &mut stats.disk_writes, evicted)?;
                 }
                 from_disk
@@ -131,12 +133,13 @@ impl KvStore {
         let _span = span!("store.put", &mut stats.time);
         stats.inserts += 1;
         counter!("store.inserts").inc();
-        let evicted = cache.put(key.to_vec(), CacheValue::Present(value), true);
+        let evicted = cache.put(key.to_vec(), value, true);
         flush_evicted(disk, &mut stats.disk_writes, evicted)?;
         Ok(())
     }
 
-    /// Delete a key (the `Delete` DBO), via a cached tombstone.
+    /// Delete a key (the `Delete` DBO): drop its cache entry, and write a
+    /// delete record through only if the log holds a value for it.
     pub fn delete(&mut self, key: &[u8]) -> Result<(), DiskError> {
         let KvStore {
             cache, disk, stats, ..
@@ -144,10 +147,12 @@ impl KvStore {
         let _span = span!("store.delete", &mut stats.time);
         stats.deletes += 1;
         counter!("store.deletes").inc();
-        // If the key only ever lived in the cache (never flushed), the
-        // tombstone is still needed in case an older value is on disk.
-        let evicted = cache.put(key.to_vec(), CacheValue::Deleted, true);
-        flush_evicted(disk, &mut stats.disk_writes, evicted)?;
+        cache.remove(key);
+        if disk.contains(key) {
+            stats.disk_writes += 1;
+            counter!("store.disk.writes").inc();
+            disk.delete(key)?;
+        }
         Ok(())
     }
 
@@ -160,10 +165,7 @@ impl KvStore {
         for (key, value) in cache.drain_dirty() {
             stats.disk_writes += 1;
             counter!("store.disk.writes").inc();
-            match value {
-                CacheValue::Present(v) => disk.put(&key, &v)?,
-                CacheValue::Deleted => disk.delete(&key)?,
-            }
+            disk.put(&key, &value)?;
         }
         Ok(())
     }
@@ -173,7 +175,7 @@ impl KvStore {
         self.stats
     }
 
-    /// Live keys on disk plus resident dirty inserts. Exact when flushed.
+    /// Live keys in the disk log: the store's key count once flushed.
     pub fn disk_len(&self) -> usize {
         self.disk.len()
     }
@@ -190,7 +192,7 @@ impl KvStore {
 fn flush_evicted(
     disk: &mut DiskLog,
     disk_writes: &mut u64,
-    evicted: Vec<crate::cache::Evicted>,
+    evicted: Vec<Evicted>,
 ) -> Result<(), DiskError> {
     let mut flushed = 0u64;
     for e in evicted {
@@ -199,15 +201,11 @@ fn flush_evicted(
         }
         *disk_writes += 1;
         flushed += 1;
-        match e.value {
-            CacheValue::Present(v) => disk.put(&e.key, &v)?,
-            CacheValue::Deleted => disk.delete(&e.key)?,
-        }
+        disk.put(&e.key, &e.value)?;
     }
     if flushed > 0 {
         counter!("store.disk.writes").add(flushed);
         counter!("store.cache.evictions").add(flushed);
-        trace_event!("store.cache_evicted", flushed = flushed);
     }
     Ok(())
 }
@@ -282,8 +280,8 @@ mod tests {
         for i in 0..50u32 {
             s.put(&i.to_le_bytes(), vec![0; 50]).unwrap();
         }
-        // Delete while the value lives on disk; tombstone may itself be
-        // evicted later — the delete must still win.
+        // Delete while the value lives on disk: the delete record written
+        // through must shadow it.
         s.delete(b"old").unwrap();
         for i in 50..100u32 {
             s.put(&i.to_le_bytes(), vec![0; 50]).unwrap();

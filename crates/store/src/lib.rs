@@ -7,8 +7,9 @@
 //!   latency model, standing in for LevelDB-on-HDD;
 //! * [`cache`] — a byte-budgeted LRU cache, standing in for Btcd's
 //!   memory-limited UTXO cache;
-//! * [`kv`] — the combined store: cache-first reads, write-back dirty
-//!   entries, flush at block boundaries; DBO statistics throughout;
+//! * [`kv`] — the combined store: cache-first reads, write-back puts,
+//!   deletes that leave the cache at once (writing a record only for a
+//!   key the log holds); DBO statistics throughout;
 //! * [`utxo`] — the baseline UTXO set (outpoint → amount/script/height),
 //!   with exact logical-size accounting for the growth experiments.
 //!

@@ -21,7 +21,7 @@ pub struct DboStats {
     pub deletes: u64,
     /// Disk-log reads (misses plus flush-induced reads).
     pub disk_reads: u64,
-    /// Disk-log writes (evictions and flushes).
+    /// Disk-log writes (evictions, flushes and write-through deletes).
     pub disk_writes: u64,
     /// Total wall-clock time spent inside DBO calls.
     pub time: Duration,

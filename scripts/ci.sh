@@ -158,10 +158,18 @@ cargo test -q --test batch_pipeline
 # The sync driver connects each batch as one window: blocks commit before
 # their SV settles on helper threads, and a window undoes every block from
 # its lowest SV failure on. Every window size and worker count on both
-# node types must return a per-block loop's result and leave its state. A
+# node types must return a per-block loop's result and leave its state; the
+# baseline runs each comparison on a roomy and on a starved store cache. A
 # hang here is a queue or join bug, so the suite runs under a cap.
 echo "==> cargo test --test window_pipeline (window vs per-block differential, 120s cap)"
 timeout 120 cargo test -q --test window_pipeline
+
+# The status database against a HashMap model: seeded put/get/delete/flush/
+# reopen/compact sequences at cache budgets from one entry up must read as
+# the model does, and a delete must write a record exactly when the log
+# holds the key. Run by name so a store regression is attributed directly.
+echo "==> cargo test -p ebv-store --test store_model (store vs HashMap model)"
+cargo test -q -p ebv-store --test store_model
 
 # Exercise fig16's worker comparison and sweep end to end. Small smoke
 # into target/ — the committed BENCH_fig16.json comes from the full-scale

@@ -114,6 +114,8 @@ fn compaction_preserves_contents_across_restart() {
         for i in 0..100u32 {
             kv.put(&i.to_le_bytes(), vec![0xee; 64]).expect("put");
         }
+        // On disk first, so that the deletes write records that shadow them.
+        kv.flush().expect("flush");
         for i in 0..80u32 {
             kv.delete(&i.to_le_bytes()).expect("delete");
         }

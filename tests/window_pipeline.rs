@@ -25,13 +25,18 @@
 //! and state; `parallel_ibd` its state, also past a corrupted checkpoint;
 //! `reorg_to` its result and state on a valid branch and on a branch with
 //! an SV failure mid-branch, whose old chain it must restore.
+//!
+//! The baseline runs every comparison twice: on a store whose cache holds
+//! the whole set, and on a starved one whose cache holds about eight coins,
+//! so that windows, replays and reorgs undo blocks whose coins were
+//! evicted, deleted straight to the log and re-inserted.
 
 mod common;
 
 use common::{
-    build_chains, corrupt_checkpoint, fork_chain, fresh_utxos, inflate_baseline_output,
-    inflate_output, max_baseline_coinbase, max_coinbase, overflow, overflow_baseline_outputs,
-    overflow_outputs, relink, strict_oracle, tamper, tamper_baseline_signature, tamper_signature,
+    build_chains, corrupt_checkpoint, fork_chain, inflate_baseline_output, inflate_output,
+    max_baseline_coinbase, max_coinbase, overflow, overflow_baseline_outputs, overflow_outputs,
+    relink, strict_oracle, tamper, tamper_baseline_signature, tamper_signature,
 };
 use ebv_chain::Block;
 use ebv_core::tidy::EbvBlock;
@@ -43,6 +48,7 @@ use ebv_core::{
 };
 use ebv_primitives::hash::{sha256d, Hash256};
 use ebv_script::ScriptError;
+use ebv_store::{KvStore, StoreConfig, UtxoSet};
 use ebv_workload::{GeneratorParams, Ramp};
 
 /// Window sizes under test; `usize::MAX` takes the whole chain at once.
@@ -370,15 +376,28 @@ fn ebv_subject(chain: &[EbvBlock]) -> Subject<'_, EbvNode> {
     }
 }
 
+/// A store cache that holds every chain's whole UTXO set.
+const ROOMY_CACHE: usize = 1 << 20;
+
+/// A store cache of 1 KiB, about eight coins: a third of an honest
+/// chain's fetches miss it.
+const STARVED_CACHE: usize = 1 << 10;
+
 fn baseline_subject(blocks: &[Block]) -> Subject<'_, BaselineNode> {
+    baseline_subject_with_cache(blocks, ROOMY_CACHE)
+}
+
+/// The baseline over a store whose cache holds `cache` bytes.
+fn baseline_subject_with_cache(blocks: &[Block], cache: usize) -> Subject<'_, BaselineNode> {
     Subject {
         chain: blocks,
-        node: Box::new(|workers| {
+        node: Box::new(move |workers| {
             let config = BaselineConfig {
                 workers,
                 ..BaselineConfig::default()
             };
-            BaselineNode::new(&blocks[0], fresh_utxos(), config).expect("genesis")
+            let store = KvStore::open(StoreConfig::with_budget(cache)).expect("temp store opens");
+            BaselineNode::new(&blocks[0], UtxoSet::new(store), config).expect("genesis")
         }),
         tamper: tamper_baseline,
         // A rolled-back window must leave the UTXO set's count and bytes.
@@ -410,6 +429,32 @@ fn ebv_windows_match_per_block_connects() {
 fn baseline_windows_match_per_block_connects() {
     let (blocks, chain) = build_chains(params(160, 0xba5e));
     let [sv, other, imbalance, coinbase] = differential(&baseline_subject(&blocks), &chain);
+    assert!(
+        sv >= 20 && other >= 20,
+        "too few rejections: {sv} SV, {other} other"
+    );
+    assert!(
+        imbalance >= 4 && coinbase >= 2,
+        "too few value rejections: {imbalance} imbalance, {coinbase} coinbase"
+    );
+}
+
+/// The cache misses of a baseline node that connects the subject's honest
+/// chain block by block. An honest block fetches only coins that exist,
+/// so each miss reads back a coin the cache evicted.
+fn honest_cache_misses(subject: &Subject<'_, BaselineNode>) -> u64 {
+    let mut node = (subject.node)(None);
+    let blocks = &subject.chain[1..];
+    assert_eq!(per_block(&mut node, blocks).0, blocks.len());
+    node.utxos().stats().cache_misses
+}
+
+#[test]
+fn starved_baseline_windows_match_per_block_connects() {
+    let (blocks, chain) = build_chains(params(160, 0xba5e));
+    let subject = baseline_subject_with_cache(&blocks, STARVED_CACHE);
+    assert!(honest_cache_misses(&subject) > 0, "the store never misses");
+    let [sv, other, imbalance, coinbase] = differential(&subject, &chain);
     assert!(
         sv >= 20 && other >= 20,
         "too few rejections: {sv} SV, {other} other"
@@ -579,27 +624,41 @@ fn replay_matches_per_block<S: InputState>(
     windowed.check_invariants().expect("invariants hold");
 }
 
-#[test]
-fn replay_ibd_matches_per_block_replay() {
-    let (blocks, chain) = build_chains(params(160, 0x1bd));
-    // An SV failure in a period's second window, which undoes the blocks
-    // it staged above it; a value failure that stops staging; an SV
-    // failure in the last, short period; both of the first two; none.
+/// The tampers each `replay_ibd` comparison runs under: an SV failure in a
+/// period's second window, which undoes the blocks it staged above it; a
+/// value failure that stops staging; an SV failure in the last, short
+/// period; both of the first two; none.
+fn replay_cases(chain: &[EbvBlock]) -> [Vec<(usize, Tamper)>; 5] {
     let (sv, value, late) = (
-        spending_height(&chain, 140),
-        spending_height(&chain, 100),
-        spending_height(&chain, 155),
+        spending_height(chain, 140),
+        spending_height(chain, 100),
+        spending_height(chain, 155),
     );
-    let cases = [
+    [
         vec![(sv, Sv)],
         vec![(value, Value)],
         vec![(late, Sv)],
         vec![(sv, Sv), (value, Value)],
         vec![],
-    ];
-    for tampers in &cases {
+    ]
+}
+
+#[test]
+fn replay_ibd_matches_per_block_replay() {
+    let (blocks, chain) = build_chains(params(160, 0x1bd));
+    for tampers in &replay_cases(&chain) {
         replay_matches_per_block(&ebv_subject(&chain), tampers);
         replay_matches_per_block(&baseline_subject(&blocks), tampers);
+    }
+}
+
+#[test]
+fn starved_baseline_replay_ibd_matches_per_block_replay() {
+    let (blocks, chain) = build_chains(params(160, 0x1bd));
+    let subject = baseline_subject_with_cache(&blocks, STARVED_CACHE);
+    assert!(honest_cache_misses(&subject) > 0, "the store never misses");
+    for tampers in &replay_cases(&chain) {
+        replay_matches_per_block(&subject, tampers);
     }
 }
 
@@ -688,31 +747,51 @@ fn reorg_matches_per_block<N: ValidatingNode>(
     got.map_err(|(height, _, restored)| (height, restored))
 }
 
-#[test]
-fn reorgs_match_per_block_reorgs() {
-    const FORK: usize = 30;
+/// The height the reorg comparisons fork at, 20 blocks below the tip.
+const FORK: usize = 30;
+
+/// The reorg comparisons' chains: the main chain in both formats and a
+/// side branch of 5 empty blocks above [`FORK`].
+fn reorg_chains() -> (Vec<Block>, Vec<EbvBlock>, Vec<Block>) {
     let (blocks, chain) = build_chains(params(FORK as u32 + 20, 0x4e0));
     let side = fork_chain(&blocks, FORK as u32, 5, 7_000_000);
-    let side_ebv = Intermediary::new(0).convert_chain(&side).expect("converts");
-    let (ebv, baseline) = (ebv_subject(&chain), baseline_subject(&blocks));
-    // An SV failure mid-branch: the window stages the blocks above it, then
-    // undoes them with the branch.
-    let bad = spending_height(&chain, FORK + 10);
+    (blocks, chain, side)
+}
+
+/// Reorg from `side` onto the subject's chain, whole and with an SV
+/// failure mid-branch at `bad`, where the window stages the blocks above
+/// it and then undoes them with the branch.
+fn reorgs_onto<N: ValidatingNode>(subject: &Subject<'_, N>, side: &[N::Block], bad: usize)
+where
+    N::Block: Clone,
+{
     for tampers in [vec![], vec![(bad, Sv)]] {
         let want = if tampers.is_empty() {
-            Ok(chain.len() as u32 - 1)
+            Ok(subject.chain.len() as u32 - 1)
         } else {
             Err((bad as u32, true))
         };
-        let branch = tampered(&ebv, &tampers);
+        let branch = tampered(subject, &tampers);
         assert_eq!(
-            reorg_matches_per_block(&ebv, FORK, &side_ebv[FORK + 1..], &branch[FORK + 1..]),
-            want
-        );
-        let branch = tampered(&baseline, &tampers);
-        assert_eq!(
-            reorg_matches_per_block(&baseline, FORK, &side[FORK + 1..], &branch[FORK + 1..]),
+            reorg_matches_per_block(subject, FORK, &side[FORK + 1..], &branch[FORK + 1..]),
             want
         );
     }
+}
+
+#[test]
+fn reorgs_match_per_block_reorgs() {
+    let (blocks, chain, side) = reorg_chains();
+    let side_ebv = Intermediary::new(0).convert_chain(&side).expect("converts");
+    let bad = spending_height(&chain, FORK + 10);
+    reorgs_onto(&ebv_subject(&chain), &side_ebv, bad);
+    reorgs_onto(&baseline_subject(&blocks), &side, bad);
+}
+
+#[test]
+fn starved_baseline_reorgs_match_per_block_reorgs() {
+    let (blocks, chain, side) = reorg_chains();
+    let subject = baseline_subject_with_cache(&blocks, STARVED_CACHE);
+    assert!(honest_cache_misses(&subject) > 0, "the store never misses");
+    reorgs_onto(&subject, &side, spending_height(&chain, FORK + 10));
 }

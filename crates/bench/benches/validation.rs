@@ -51,10 +51,7 @@ fn bench_block_validation(c: &mut Criterion) {
     c.bench_function("validate/ebv_tip_block_sequential", |b| {
         b.iter_batched(
             || {
-                let config = EbvConfig {
-                    workers: Some(1),
-                    ..EbvConfig::default()
-                };
+                let config = EbvConfig { workers: Some(1) };
                 let mut node = EbvNode::new(&scenario.ebv_blocks[0], config);
                 replay_ibd(&mut node, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
                 node

@@ -1,6 +1,6 @@
 //! Minimal CLI parsing shared by the figure binaries (no external deps).
 
-use ebv_core::{BaselineConfig, EbvConfig};
+use ebv_core::NodeConfig;
 
 /// Common knobs; each binary overrides the defaults that matter to it.
 #[derive(Clone, Debug)]
@@ -165,19 +165,11 @@ impl Default for CommonArgs {
 }
 
 impl CommonArgs {
-    /// The EBV validator configuration these flags select.
-    pub fn ebv_config(&self) -> EbvConfig {
-        EbvConfig {
+    /// The validator configuration these flags select, for either node
+    /// type.
+    pub fn node_config(&self) -> NodeConfig {
+        NodeConfig {
             workers: self.workers,
-            ..EbvConfig::default()
-        }
-    }
-
-    /// The baseline validator configuration these flags select.
-    pub fn baseline_config(&self) -> BaselineConfig {
-        BaselineConfig {
-            workers: self.workers,
-            ..BaselineConfig::default()
         }
     }
 

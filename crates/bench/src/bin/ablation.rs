@@ -130,10 +130,7 @@ fn main() {
     };
     for workers in counts {
         let label = workers.map_or("default".to_string(), |w| w.to_string());
-        let config = EbvConfig {
-            workers,
-            ..EbvConfig::default()
-        };
+        let config = EbvConfig { workers };
         let mut node = scenario.ebv_node_with(config);
         let periods = replay_ibd(&mut node, &scenario.ebv_blocks[1..], 1 << 20).expect("ibd");
         let total: f64 = periods.iter().map(|p| p.wall.as_secs_f64()).sum();

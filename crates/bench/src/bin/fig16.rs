@@ -22,7 +22,7 @@ fn main() {
         args.budget / 1024,
         args.latency_us,
         args.seed,
-        args.ebv_config()
+        args.node_config()
     );
 
     let scenario = Scenario::mainnet_like(&args);
@@ -34,13 +34,9 @@ fn main() {
     replay_ibd(&mut baseline, &scenario.blocks[1..split], 1 << 20).expect("warmup");
     // EBV node with the configured worker count, warmed identically; plus
     // a one-worker twin for the Fig. 16c comparison.
-    let with_workers = |workers| EbvConfig {
-        workers,
-        ..args.ebv_config()
-    };
-    let mut ebv = scenario.ebv_node_with(args.ebv_config());
+    let mut ebv = scenario.ebv_node_with(args.node_config());
     replay_ibd(&mut ebv, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
-    let mut ebv_one = scenario.ebv_node_with(with_workers(Some(1)));
+    let mut ebv_one = scenario.ebv_node_with(EbvConfig { workers: Some(1) });
     replay_ibd(&mut ebv_one, &scenario.ebv_blocks[1..split], 1 << 20).expect("warmup");
     // Snapshot the warmed state once; the Fig. 16d worker counts below
     // each boot from it instead of replaying the warmup chain again.
@@ -153,7 +149,7 @@ fn main() {
     }
     let replay_tail = |workers: Option<usize>| -> Vec<(Duration, Duration)> {
         let mut node =
-            EbvNode::from_snapshot(&snapshot, snap_headers.clone(), with_workers(workers))
+            EbvNode::from_snapshot(&snapshot, snap_headers.clone(), EbvConfig { workers })
                 .expect("snapshot boots");
         scenario.ebv_blocks[split..]
             .iter()

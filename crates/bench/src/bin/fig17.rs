@@ -50,7 +50,7 @@ fn main() {
             ts.tick(&format!("run{run}.baseline"));
         }
 
-        let mut ebv = scenario.ebv_node_with(run_args.ebv_config());
+        let mut ebv = scenario.ebv_node_with(run_args.node_config());
         inputs_total += scenario.ebv_blocks[1..]
             .iter()
             .map(|b| b.input_count())
@@ -82,7 +82,7 @@ fn main() {
                 &scenario.ebv_blocks[1..],
                 &checkpoints,
                 workers,
-                run_args.ebv_config(),
+                run_args.node_config(),
             )
             .expect("valid chain replays in parallel");
             assert_eq!(par.stitch_mismatch, None, "honest checkpoints must stitch");

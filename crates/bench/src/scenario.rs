@@ -43,7 +43,7 @@ impl Scenario {
             path: None,
         })
         .expect("temp store opens");
-        BaselineNode::new(&self.blocks[0], UtxoSet::new(store), args.baseline_config())
+        BaselineNode::new(&self.blocks[0], UtxoSet::new(store), args.node_config())
             .expect("genesis applies")
     }
 

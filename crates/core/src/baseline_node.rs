@@ -9,7 +9,7 @@
 //! Figs. 4 and 5 once the set outgrows the cache budget.
 
 use crate::metrics::Breakdown;
-use crate::validate::{InputState, Node, Probes, Rejection, Spend, TxFields};
+use crate::validate::{InputState, Node, NodeConfig, Probes, Rejection, Spend, TxFields};
 use ebv_chain::{Block, BlockHeader, BlockStructureError, OutPoint, TxIn};
 use ebv_script::ScriptError;
 use ebv_store::{UtxoEntry, UtxoError, UtxoSet};
@@ -70,25 +70,8 @@ impl std::fmt::Display for BaselineError {
 
 impl std::error::Error for BaselineError {}
 
-/// Tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineConfig {
-    /// Threads SV's batch chunks settle on, the validating thread
-    /// included; `None` uses every available core, 1 runs SV inline.
-    /// DBO stays serial, as in Btcd.
-    pub workers: Option<usize>,
-    /// Check header PoW.
-    pub check_pow: bool,
-}
-
-impl Default for BaselineConfig {
-    fn default() -> Self {
-        BaselineConfig {
-            workers: None,
-            check_pow: true,
-        }
-    }
-}
+/// The baseline node's tuning knobs: the one [`NodeConfig`].
+pub type BaselineConfig = NodeConfig;
 
 /// Undo data for one connected baseline block — the in-memory analogue of
 /// Bitcoin's undo (`rev*.dat`) files.
@@ -163,7 +146,6 @@ fn spending_inputs(block: &Block) -> impl Iterator<Item = (usize, usize, &TxIn)>
 impl InputState for UtxoSet {
     type Block = Block;
     type Error = BaselineError;
-    type Config = BaselineConfig;
     /// The entries the fetch found, in input order; the commit deletes
     /// them and keeps them as undo data.
     type Resolved = Vec<UtxoEntry>;
@@ -200,20 +182,12 @@ impl InputState for UtxoSet {
             .collect()
     }
 
-    fn workers(config: &BaselineConfig) -> Option<usize> {
-        config.workers
-    }
-
     fn is_not_on_tip(err: &BaselineError) -> bool {
         matches!(err, BaselineError::NotOnTip)
     }
 
-    fn check_structure(block: &Block, config: &BaselineConfig) -> Result<(), BaselineError> {
-        match block.check_structure() {
-            Err(BlockStructureError::InsufficientWork) if !config.check_pow => Ok(()),
-            Err(e) => Err(BaselineError::Structure(e)),
-            Ok(()) => Ok(()),
-        }
+    fn check_structure(block: &Block) -> Result<(), BaselineError> {
+        block.check_structure().map_err(BaselineError::Structure)
     }
 
     fn resolve<'b>(

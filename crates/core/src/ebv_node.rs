@@ -19,7 +19,7 @@
 use crate::bitvec::{BitVectorSet, BitVectorSetSize, UvError};
 use crate::metrics::Breakdown;
 use crate::tidy::{EbvBlock, EbvTransaction, InputProof, TxIntegrityError};
-use crate::validate::{InputState, Node, Probes, Rejection, Spend, TxFields};
+use crate::validate::{InputState, Node, NodeConfig, Probes, Rejection, Spend, TxFields};
 use ebv_chain::transaction::TxOut;
 use ebv_chain::BlockHeader;
 use ebv_primitives::hash::Hash256;
@@ -84,25 +84,8 @@ impl std::fmt::Display for EbvError {
 
 impl std::error::Error for EbvError {}
 
-/// Tuning knobs (ablations).
-#[derive(Clone, Copy, Debug)]
-pub struct EbvConfig {
-    /// Threads SV's batch chunks settle on, the validating thread
-    /// included; `None` uses every available core, 1 runs SV inline.
-    /// Every count returns identical verdicts.
-    pub workers: Option<usize>,
-    /// Check the header PoW (disabled in some microbenches).
-    pub check_pow: bool,
-}
-
-impl Default for EbvConfig {
-    fn default() -> Self {
-        EbvConfig {
-            workers: None,
-            check_pow: true,
-        }
-    }
-}
+/// The EBV node's tuning knobs: the one [`NodeConfig`].
+pub type EbvConfig = NodeConfig;
 
 impl From<Rejection> for EbvError {
     fn from(rejection: Rejection) -> EbvError {
@@ -165,7 +148,7 @@ pub enum SnapshotError {
     HeaderCount { expected: usize, got: usize },
     /// `headers[height]` does not link to its predecessor's hash.
     BrokenHeaderLink { height: u32 },
-    /// A header fails its own PoW claim (only with `check_pow`).
+    /// A header fails its own PoW claim.
     InsufficientWork { height: u32 },
     /// The snapshot's tip hash is not the hash of the last header.
     TipHashMismatch,
@@ -218,11 +201,10 @@ impl EbvNode {
     /// `headers` must be the full header chain `0..=snapshot.height()` —
     /// EV needs every historical Merkle root, so snapshot boot trades only
     /// the *replay*, not the (cheap, 80 bytes/block) header download. The
-    /// chain is verified here: linkage, PoW (under `check_pow`), and that
-    /// its tip hashes to the snapshot's claimed tip. The bit-vector set
-    /// itself is taken on trust — snapshot-parallel IBD discharges that
-    /// trust at the stitch, where a predecessor interval must reproduce
-    /// these exact bytes.
+    /// chain is verified here: linkage, PoW, and that its tip hashes to
+    /// the snapshot's claimed tip. The bit-vector set itself is taken on
+    /// trust — snapshot-parallel IBD discharges that trust at the stitch,
+    /// where a predecessor interval must reproduce these exact bytes.
     pub fn from_snapshot(
         snapshot: &crate::bitvec::BitVectorSnapshot,
         headers: Vec<BlockHeader>,
@@ -248,7 +230,7 @@ impl EbvNode {
                     ));
                 }
             }
-            if config.check_pow && !header.meets_target() {
+            if !header.meets_target() {
                 return Err(reject_snapshot(
                     snapshot.height(),
                     SnapshotError::InsufficientWork { height: h as u32 },
@@ -300,7 +282,6 @@ impl EbvNode {
 impl InputState for BitVectorSet {
     type Block = EbvBlock;
     type Error = EbvError;
-    type Config = EbvConfig;
     /// The coordinates UV probed unspent, which the commit spends.
     type Resolved = Vec<(u32, u32)>;
     type Undo = BlockUndo;
@@ -336,16 +317,12 @@ impl InputState for BitVectorSet {
             .collect()
     }
 
-    fn workers(config: &EbvConfig) -> Option<usize> {
-        config.workers
-    }
-
     fn is_not_on_tip(err: &EbvError) -> bool {
         matches!(err, EbvError::NotOnTip)
     }
 
-    fn check_structure(block: &EbvBlock, config: &EbvConfig) -> Result<(), EbvError> {
-        if config.check_pow && !block.header.meets_target() {
+    fn check_structure(block: &EbvBlock) -> Result<(), EbvError> {
+        if !block.header.meets_target() {
             return Err(EbvError::InsufficientWork);
         }
         if block.transactions.is_empty() || !block.transactions[0].is_coinbase() {
@@ -780,10 +757,7 @@ mod tests {
         let pk = sk.public_key();
         let genesis_cb = ebv_coinbase(0, p2pkh_lock(&pk.address_hash()));
         let genesis = pack_ebv_block(Hash256::ZERO, vec![genesis_cb], 0, 0);
-        let config = EbvConfig {
-            workers: Some(1),
-            ..EbvConfig::default()
-        };
+        let config = EbvConfig { workers: Some(1) };
         let mut seq_node = EbvNode::new(&genesis, config);
         seq_node
             .process_block(&block1)
@@ -798,10 +772,7 @@ mod tests {
         let pk = sk.public_key();
         let genesis_cb = ebv_coinbase(0, p2pkh_lock(&pk.address_hash()));
         let genesis = pack_ebv_block(Hash256::ZERO, vec![genesis_cb], 0, 0);
-        let config = EbvConfig {
-            workers: Some(2),
-            ..EbvConfig::default()
-        };
+        let config = EbvConfig { workers: Some(2) };
         let mut node = EbvNode::new(&genesis, config);
         node.process_block(&block1)
             .expect("worker override accepts the same block");

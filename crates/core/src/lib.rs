@@ -57,10 +57,11 @@ pub use pack::{ebv_coinbase, pack_ebv_block};
 pub use proofs::ProofArchive;
 pub use sighash::{sign_input, sv_chunk_batched, DigestChecker, PubkeyCache, SvJob, SV_BATCH_MAX};
 pub use sync::{
-    reorg_to, serve_adversary, serve_blocks, spawn_source, sync_managed, sync_multi, sync_single,
-    AdversarialServer, BlockSource, DefensePolicy, Fault, FaultSchedule, FaultyPeer,
-    InboundDecision, ManagedConfig, ManagedReport, PeerAddr, PeerFactory, PeerHandle, PeerManager,
-    PeerManagerConfig, PeerStats, ReorgError, SyncConfig, SyncError, SyncReport, TcpPeer,
-    TcpServer, Transport, ValidatingNode, WireAdversary, WireConfig, WireError,
+    reorg_to, serve_adversary, serve_blocks, sync_managed, sync_multi, BlockSource, DefensePolicy,
+    Fault, FaultSchedule, FaultyPeer, InboundDecision, ManagedConfig, ManagedReport, PeerAddr,
+    PeerFactory, PeerHandle, PeerManager, PeerManagerConfig, PeerStats, ReorgError, SyncConfig,
+    SyncError, SyncReport, TcpPeer, TcpServer, Transport, ValidatingNode, WireAdversary,
+    WireConfig, WireError,
 };
 pub use tidy::{EbvBlock, EbvTransaction, InputBody, InputProof, TidyTransaction};
+pub use validate::NodeConfig;

@@ -16,6 +16,11 @@
 //!   if the candidate branch is longer, reorg onto it via
 //!   [`reorg_to`](super::reorg::reorg_to).
 //!
+//! Every request goes through one method, `PeerCtl::fetch`: the tip batch,
+//! the fork walk and the branch extension alike. It scores a closed
+//! channel, a stall, a wire violation or an undecodable block as the same
+//! failure wherever the request was made.
+//!
 //! Sync completes when every live peer reports exhaustion at the current
 //! tip; it fails only when no usable peer remains — so it succeeds as
 //! long as one honest peer survives.
@@ -282,21 +287,97 @@ impl<T: Transport> PeerCtl<T> {
             reason = "batch_connected",
         );
     }
-}
 
-/// How fork resolution against one peer ended.
-enum ForkOutcome {
-    /// The node switched to the peer's branch.
-    Reorged { connected: u32, disconnected: u32 },
-    /// The fork was rejected or could not be resolved; penalize the peer
-    /// with `penalty` and remember `error` as the last failure.
-    Rejected { penalty: u32, reason: String },
-    /// The peer served an invalid branch — ban-worthy.
-    InvalidBranch { reason: String },
-    /// Node state is suspect (unwind failure); abort the sync.
-    Fatal(String),
-    /// Generic per-request failure during resolution.
-    RequestFailed { penalty: u32, reason: String },
+    /// Request `count` blocks from `start` and decode them: the driver's
+    /// one request site. A closed channel, a stall, a wire violation or a
+    /// block that does not decode is scored here and returned as the
+    /// failure the session records. An empty vector means the peer has
+    /// nothing at `start`, whether it said `Exhausted` or sent no blocks.
+    fn fetch<N: ValidatingNode>(
+        &mut self,
+        start: u32,
+        count: u32,
+        cfg: &SyncConfig,
+    ) -> Result<Vec<N::Block>, SyncError<N::Error>> {
+        let peer = self.handle.id();
+        let bytes = match self.handle.request(start, count, cfg.request_timeout) {
+            RequestOutcome::Blocks(bytes) => bytes,
+            RequestOutcome::Exhausted => return Ok(Vec::new()),
+            RequestOutcome::Closed => {
+                self.closed = true;
+                return Err(SyncError::SourceClosed {
+                    peer,
+                    height: start,
+                });
+            }
+            RequestOutcome::TimedOut => {
+                self.stats.stalls += 1;
+                peer_counter("sync.peer.timeouts", peer);
+                let attempts = self.penalize(STALL_PENALTY, "stall", cfg);
+                return Err(SyncError::Stalled {
+                    peer,
+                    height: start,
+                    attempts,
+                });
+            }
+            RequestOutcome::Wire(err) => {
+                self.stats.wire_errors += 1;
+                peer_counter("sync.peer.wire_errors", peer);
+                wire_class_counter(peer, err.slug());
+                // The wire error's slug is the score reason, so a ban
+                // trace names the byte-level violation that earned it.
+                let attempts = self.penalize(wire_penalty(&err), err.slug(), cfg);
+                return Err(SyncError::Wire {
+                    peer,
+                    height: start,
+                    attempts,
+                    err,
+                });
+            }
+        };
+        if !bytes.is_empty() {
+            self.stats.batches += 1;
+            self.exhausted_at = None;
+        }
+        let mut blocks = Vec::with_capacity(bytes.len());
+        for (k, b) in bytes.iter().enumerate() {
+            match N::decode_block(b) {
+                Ok(block) => blocks.push(block),
+                Err(err) => {
+                    self.stats.decode_failures += 1;
+                    let attempts = self.penalize(DECODE_PENALTY, "decode", cfg);
+                    return Err(SyncError::Decode {
+                        peer,
+                        // Report-only coordinate; saturate rather than wrap
+                        // if a near-MAX start plus the batch offset overflows.
+                        height: start.saturating_add(k as u32),
+                        attempts,
+                        err,
+                    });
+                }
+            }
+        }
+        Ok(blocks)
+    }
+
+    /// Score a fork this peer offered near `height` that the driver
+    /// refused.
+    fn reject_fork<E>(
+        &mut self,
+        penalty: u32,
+        height: u32,
+        reason: String,
+        cfg: &SyncConfig,
+    ) -> SyncError<E> {
+        self.stats.fork_rejects += 1;
+        let attempts = self.penalize(penalty, "fork_rejected", cfg);
+        SyncError::ForkRejected {
+            peer: self.handle.id(),
+            height,
+            attempts,
+            reason,
+        }
+    }
 }
 
 /// Synchronize `node` against `peers` until every live peer is exhausted
@@ -353,7 +434,7 @@ pub fn sync_multi<N: ValidatingNode, T: Transport>(
         }
         // `tip == u32::MAX` means the u32 height space is full: there is no
         // height left to request, so the chain is as synced as it can get.
-        // Without this guard `tip + 1` below would wrap to height 0.
+        // Without this guard `sync_round`'s `tip + 1` would wrap to height 0.
         if tip == u32::MAX || live.iter().all(|&i| ctls[i].exhausted_at == Some(tip)) {
             finish_all(&mut ctls);
             report.peers = ctls.iter().map(|c| c.stats).collect();
@@ -398,7 +479,6 @@ pub fn sync_multi<N: ValidatingNode, T: Transport>(
         };
 
         let peer_id = ctls[i].handle.id();
-        let start = tip + 1;
         // One span per request, keyed (peer, per-peer request number) so
         // ids are reproducible even though peer interleaving is
         // timing-dependent.
@@ -406,144 +486,64 @@ pub fn sync_multi<N: ValidatingNode, T: Transport>(
         let _req_span =
             ebv_telemetry::child_span!("sync.request", ((peer_id as u64) << 32) | ctls[i].requests);
         peer_counter("sync.peer.requests", peer_id);
-        match ctls[i]
-            .handle
-            .request(start, cfg.batch, cfg.request_timeout)
-        {
-            RequestOutcome::Closed => {
-                ctls[i].closed = true;
-                last_failure = Some(SyncError::SourceClosed {
-                    peer: peer_id,
-                    height: start,
-                });
+        match sync_round(node, &mut ctls[i], &mut store, floor, &mut report, cfg) {
+            Ok(()) => {}
+            // Node state is suspect after a failed unwind: abort.
+            Err(SyncError::Internal(msg)) => {
+                sync_failure_dump("internal", &ctls);
+                finish_all(&mut ctls);
+                return Err(SyncError::Internal(msg));
             }
-            RequestOutcome::TimedOut => {
-                ctls[i].stats.stalls += 1;
-                peer_counter("sync.peer.timeouts", peer_id);
-                let attempts = ctls[i].penalize(STALL_PENALTY, "stall", cfg);
-                last_failure = Some(SyncError::Stalled {
-                    peer: peer_id,
-                    height: start,
-                    attempts,
-                });
-            }
-            RequestOutcome::Wire(err) => {
-                ctls[i].stats.wire_errors += 1;
-                peer_counter("sync.peer.wire_errors", peer_id);
-                wire_class_counter(peer_id, err.slug());
-                // The wire error's slug is the score reason, so a ban
-                // trace names the byte-level violation that earned it.
-                let attempts = ctls[i].penalize(wire_penalty(&err), err.slug(), cfg);
-                last_failure = Some(SyncError::Wire {
-                    peer: peer_id,
-                    height: start,
-                    attempts,
-                    err,
-                });
-            }
-            RequestOutcome::Exhausted => {
-                ctls[i].exhausted_at = Some(tip);
-                ctls[i].failures = 0;
-            }
-            RequestOutcome::Blocks(batch_bytes) => {
-                ctls[i].stats.batches += 1;
-                ctls[i].exhausted_at = None;
-                let mut blocks: Vec<N::Block> = Vec::with_capacity(batch_bytes.len());
-                let mut decode_err = None;
-                for (k, bytes) in batch_bytes.iter().enumerate() {
-                    match N::decode_block(bytes) {
-                        Ok(b) => blocks.push(b),
-                        Err(e) => {
-                            decode_err = Some((k, e));
-                            break;
-                        }
-                    }
-                }
-                if let Some((k, err)) = decode_err {
-                    ctls[i].stats.decode_failures += 1;
-                    let attempts = ctls[i].penalize(DECODE_PENALTY, "decode", cfg);
-                    last_failure = Some(SyncError::Decode {
-                        peer: peer_id,
-                        // Report-only coordinate; saturate rather than wrap
-                        // if a near-MAX start plus the batch offset overflows.
-                        height: start.saturating_add(k as u32),
-                        attempts,
-                        err,
-                    });
-                } else if blocks.is_empty() {
-                    ctls[i].exhausted_at = Some(tip);
-                } else if N::block_prev_hash(&blocks[0]) != node.tip_hash() {
-                    match resolve_fork(node, &mut ctls[i], &mut store, floor, blocks, cfg) {
-                        ForkOutcome::Reorged {
-                            connected,
-                            disconnected,
-                        } => {
-                            report.reorgs += 1;
-                            report.blocks_connected += connected;
-                            report.blocks_disconnected += disconnected;
-                            ctls[i].stats.reorgs += 1;
-                            ctls[i].stats.blocks_accepted += connected;
-                            ctls[i].reward();
-                        }
-                        ForkOutcome::Rejected { penalty, reason } => {
-                            ctls[i].stats.fork_rejects += 1;
-                            let attempts = ctls[i].penalize(penalty, "fork_rejected", cfg);
-                            last_failure = Some(SyncError::ForkRejected {
-                                peer: peer_id,
-                                height: start,
-                                attempts,
-                                reason,
-                            });
-                        }
-                        ForkOutcome::InvalidBranch { reason } => {
-                            ctls[i].stats.validation_failures += 1;
-                            let attempts = ctls[i].penalize(cfg.ban_score, "invalid_branch", cfg);
-                            last_failure = Some(SyncError::ForkRejected {
-                                peer: peer_id,
-                                height: start,
-                                attempts,
-                                reason,
-                            });
-                        }
-                        ForkOutcome::RequestFailed { penalty, reason } => {
-                            let attempts = ctls[i].penalize(penalty, "fork_request_failed", cfg);
-                            last_failure = Some(SyncError::ForkRejected {
-                                peer: peer_id,
-                                height: start,
-                                attempts,
-                                reason,
-                            });
-                        }
-                        ForkOutcome::Fatal(msg) => {
-                            sync_failure_dump("internal", &ctls);
-                            finish_all(&mut ctls);
-                            return Err(SyncError::Internal(msg));
-                        }
-                    }
-                } else {
-                    // The batch is one validation window: it settles, and
-                    // keeps exactly the blocks a block-by-block connect
-                    // would, before the driver sees the result.
-                    let (connected, result) = node.connect_blocks(&blocks);
-                    store.extend(blocks.into_iter().take(connected));
-                    report.blocks_connected += connected as u32;
-                    ctls[i].stats.blocks_accepted += connected as u32;
-                    if let Err(err) = result {
-                        ctls[i].stats.validation_failures += 1;
-                        let attempts = ctls[i].penalize(VALIDATION_PENALTY, "validation", cfg);
-                        last_failure = Some(SyncError::Validation {
-                            peer: peer_id,
-                            height: node.tip_height() + 1,
-                            attempts,
-                            err,
-                        });
-                    } else {
-                        ctls[i].reward();
-                    }
-                }
-            }
+            Err(err) => last_failure = Some(err),
         }
     }
+}
+
+/// One round against `ctl`: request the batch above the tip, then connect
+/// it, or resolve the fork it offers. Every failure comes back scored.
+fn sync_round<N: ValidatingNode, T: Transport>(
+    node: &mut N,
+    ctl: &mut PeerCtl<T>,
+    store: &mut Vec<N::Block>,
+    floor: u32,
+    report: &mut SyncReport,
+    cfg: &SyncConfig,
+) -> Result<(), SyncError<N::Error>> {
+    let tip = node.tip_height();
+    let blocks = ctl.fetch::<N>(tip + 1, cfg.batch, cfg)?;
+    if blocks.is_empty() {
+        ctl.exhausted_at = Some(tip);
+        ctl.failures = 0;
+        return Ok(());
+    }
+    if N::block_prev_hash(&blocks[0]) != node.tip_hash() {
+        let (connected, disconnected) = resolve_fork(node, ctl, store, floor, blocks, cfg)?;
+        report.reorgs += 1;
+        report.blocks_connected += connected;
+        report.blocks_disconnected += disconnected;
+        ctl.stats.reorgs += 1;
+        ctl.stats.blocks_accepted += connected;
+    } else {
+        // The batch is one validation window: it settles, and keeps
+        // exactly the blocks a block-by-block connect would, before the
+        // driver sees the result.
+        let (connected, result) = node.connect_blocks(&blocks);
+        store.extend(blocks.into_iter().take(connected));
+        report.blocks_connected += connected as u32;
+        ctl.stats.blocks_accepted += connected as u32;
+        if let Err(err) = result {
+            ctl.stats.validation_failures += 1;
+            let attempts = ctl.penalize(VALIDATION_PENALTY, "validation", cfg);
+            return Err(SyncError::Validation {
+                peer: ctl.handle.id(),
+                height: node.tip_height() + 1,
+                attempts,
+                err,
+            });
+        }
+    }
+    ctl.reward();
+    Ok(())
 }
 
 /// Bump the per-peer labeled counter `name{peer=N}`. The label makes the
@@ -643,7 +643,9 @@ fn trim_store<B>(store: &mut Vec<B>, floor: &mut u32, depth: u32) {
 
 /// A batch from `ctl` did not attach to the tip: walk its chain back to
 /// the common ancestor, fetch its candidate branch to exhaustion, and
-/// reorg if the branch is strictly longer.
+/// reorg if the branch is strictly longer. Returns the blocks connected
+/// and disconnected; a refused fork comes back scored, as does any failed
+/// request, and a failed unwind as [`SyncError::Internal`].
 fn resolve_fork<N: ValidatingNode, T: Transport>(
     node: &mut N,
     ctl: &mut PeerCtl<T>,
@@ -651,8 +653,10 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
     floor: u32,
     batch: Vec<N::Block>,
     cfg: &SyncConfig,
-) -> ForkOutcome {
+) -> Result<(u32, u32), SyncError<N::Error>> {
     let tip = node.tip_height();
+    // The batch's height: where a refused fork is reported.
+    let offered = tip + 1;
     // Phase 1: walk down from the tip until the peer's block hash matches
     // ours — the fork point. Blocks collected on the way are the lower
     // part of the candidate branch.
@@ -660,93 +664,39 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
     let mut h = tip;
     let fork = loop {
         if tip - h >= cfg.max_reorg_depth {
-            return ForkOutcome::Rejected {
-                penalty: FORK_PENALTY,
-                reason: format!(
-                    "no common ancestor within {} blocks of the tip",
-                    cfg.max_reorg_depth
-                ),
-            };
+            let reason = format!(
+                "no common ancestor within {} blocks of the tip",
+                cfg.max_reorg_depth
+            );
+            return Err(ctl.reject_fork(FORK_PENALTY, offered, reason, cfg));
         }
         if h < floor {
-            return ForkOutcome::Rejected {
-                penalty: FORK_PENALTY,
-                reason: format!("fork point below the reorg floor (height {floor})"),
-            };
+            let reason = format!("fork point below the reorg floor (height {floor})");
+            return Err(ctl.reject_fork(FORK_PENALTY, offered, reason, cfg));
         }
-        match ctl.handle.request(h, 1, cfg.request_timeout) {
-            RequestOutcome::Blocks(bytes) => {
-                let Some(first) = bytes.first() else {
-                    return ForkOutcome::RequestFailed {
-                        penalty: STALL_PENALTY,
-                        reason: format!("empty response for single block at height {h}"),
-                    };
-                };
-                let block = match N::decode_block(first) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        return ForkOutcome::RequestFailed {
-                            penalty: DECODE_PENALTY,
-                            reason: format!(
-                                "block at height {h} failed to decode during fork walk: {e:?}"
-                            ),
-                        }
-                    }
-                };
-                if node.header_hash_at(h) == Some(N::block_hash(&block)) {
-                    break h;
-                }
-                below.push(block);
-                if h == 0 {
-                    return ForkOutcome::Rejected {
-                        penalty: DECODE_PENALTY,
-                        reason: "peer shares no common ancestor (different genesis)".to_string(),
-                    };
-                }
-                h -= 1;
-            }
-            RequestOutcome::Exhausted => {
-                return ForkOutcome::Rejected {
-                    penalty: FORK_PENALTY,
-                    reason: format!("peer claims exhaustion at height {h} during fork walk"),
-                }
-            }
-            RequestOutcome::TimedOut => {
-                ctl.stats.stalls += 1;
-                return ForkOutcome::RequestFailed {
-                    penalty: STALL_PENALTY,
-                    reason: format!("timeout fetching height {h} during fork walk"),
-                };
-            }
-            RequestOutcome::Closed => {
-                ctl.closed = true;
-                return ForkOutcome::RequestFailed {
-                    penalty: 0,
-                    reason: "peer channel closed during fork walk".to_string(),
-                };
-            }
-            RequestOutcome::Wire(err) => {
-                ctl.stats.wire_errors += 1;
-                wire_class_counter(ctl.handle.id(), err.slug());
-                return ForkOutcome::RequestFailed {
-                    penalty: wire_penalty(&err),
-                    reason: format!("wire violation fetching height {h} during fork walk: {err}"),
-                };
-            }
+        let Some(block) = ctl.fetch::<N>(h, 1, cfg)?.into_iter().next() else {
+            let reason = format!("peer claims exhaustion at height {h} during fork walk");
+            return Err(ctl.reject_fork(FORK_PENALTY, offered, reason, cfg));
+        };
+        if node.header_hash_at(h) == Some(N::block_hash(&block)) {
+            break h;
         }
+        below.push(block);
+        if h == 0 {
+            let reason = "peer shares no common ancestor (different genesis)".to_string();
+            return Err(ctl.reject_fork(DECODE_PENALTY, offered, reason, cfg));
+        }
+        h -= 1;
     };
 
     // Phase 2: assemble the candidate branch — walked blocks (ascending)
-    // plus the original batch — then extend it to the peer's tip.
+    // plus the original batch — then extend it to the peer's tip. After
+    // 256 requests the advertisement is adversarially long; judge what we
+    // have.
     below.reverse();
     let mut branch = below; // heights fork+1 ..= tip
     branch.extend(batch); // heights tip+1 ..
-    let mut fetch_rounds = 0u32;
-    loop {
-        fetch_rounds += 1;
-        if fetch_rounds > 256 {
-            break; // adversarially long advertisement; judge what we have
-        }
+    for _ in 0..256 {
         // A peer can keep feeding branch blocks until `fork + 1 + len`
         // leaves the u32 height space; checked math turns that into a
         // scored rejection instead of a wrapping request for height ~0.
@@ -754,53 +704,14 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
             .checked_add(1)
             .and_then(|h| h.checked_add(branch.len() as u32))
         else {
-            return ForkOutcome::RequestFailed {
-                penalty: FORK_PENALTY,
-                reason: "candidate branch overflows the u32 height space".to_string(),
-            };
+            let reason = "candidate branch overflows the u32 height space".to_string();
+            return Err(ctl.reject_fork(FORK_PENALTY, offered, reason, cfg));
         };
-        match ctl.handle.request(next, cfg.batch, cfg.request_timeout) {
-            RequestOutcome::Exhausted => break,
-            RequestOutcome::Blocks(bytes) => {
-                for b in &bytes {
-                    match N::decode_block(b) {
-                        Ok(block) => branch.push(block),
-                        Err(e) => {
-                            return ForkOutcome::RequestFailed {
-                                penalty: DECODE_PENALTY,
-                                reason: format!(
-                                "candidate branch block failed to decode near height {next}: {e:?}"
-                            ),
-                            }
-                        }
-                    }
-                }
-            }
-            RequestOutcome::TimedOut => {
-                ctl.stats.stalls += 1;
-                return ForkOutcome::RequestFailed {
-                    penalty: STALL_PENALTY,
-                    reason: format!("timeout extending candidate branch at height {next}"),
-                };
-            }
-            RequestOutcome::Closed => {
-                ctl.closed = true;
-                return ForkOutcome::RequestFailed {
-                    penalty: 0,
-                    reason: "peer channel closed while extending candidate branch".to_string(),
-                };
-            }
-            RequestOutcome::Wire(err) => {
-                ctl.stats.wire_errors += 1;
-                wire_class_counter(ctl.handle.id(), err.slug());
-                return ForkOutcome::RequestFailed {
-                    penalty: wire_penalty(&err),
-                    reason: format!(
-                        "wire violation extending candidate branch at height {next}: {err}"
-                    ),
-                };
-            }
+        let more = ctl.fetch::<N>(next, cfg.batch, cfg)?;
+        if more.is_empty() {
+            break;
         }
+        branch.extend(more);
     }
 
     // Phase 3: longest-chain rule, then the actual reorg.
@@ -814,7 +725,7 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
         depth = disconnected,
         candidate_len = connected,
     );
-    match reorg_to(node, fork, &branch, &store[old_from..]) {
+    let (penalty, reason) = match reorg_to(node, fork, &branch, &store[old_from..]) {
         Ok(_) => {
             store.truncate(old_from);
             store.extend(branch);
@@ -843,28 +754,25 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
                     )],
                 );
             }
-            ForkOutcome::Reorged {
-                connected,
-                disconnected,
-            }
+            return Ok((connected, disconnected));
         }
         Err(ReorgError::NotBetter {
             current_len,
             candidate_len,
-        }) => ForkOutcome::Rejected {
-            penalty: FORK_PENALTY,
-            reason: format!(
+        }) => (
+            FORK_PENALTY,
+            format!(
                 "stale or equivocating tip: candidate branch {candidate_len} blocks vs current {current_len}"
             ),
-        },
-        Err(ReorgError::BranchDetached { offset }) => ForkOutcome::Rejected {
-            penalty: DECODE_PENALTY,
-            reason: format!("candidate branch link broken at offset {offset}"),
-        },
-        Err(ReorgError::ForkAboveTip { fork, tip }) => ForkOutcome::Rejected {
-            penalty: FORK_PENALTY,
-            reason: format!("fork point {fork} above tip {tip}"),
-        },
+        ),
+        Err(ReorgError::BranchDetached { offset }) => (
+            DECODE_PENALTY,
+            format!("candidate branch link broken at offset {offset}"),
+        ),
+        Err(ReorgError::ForkAboveTip { fork, tip }) => (
+            FORK_PENALTY,
+            format!("fork point {fork} above tip {tip}"),
+        ),
         Err(ReorgError::InvalidBranch {
             height,
             err,
@@ -876,12 +784,19 @@ fn resolve_fork<N: ValidatingNode, T: Transport>(
                 // peers will re-serve the missing blocks.
                 store.truncate(old_from);
             }
-            ForkOutcome::InvalidBranch {
+            // An invalid branch is ban-worthy.
+            ctl.stats.validation_failures += 1;
+            let attempts = ctl.penalize(cfg.ban_score, "invalid_branch", cfg);
+            return Err(SyncError::ForkRejected {
+                peer: ctl.handle.id(),
+                height: offered,
+                attempts,
                 reason: format!(
                     "candidate branch invalid at height {height}: {err:?} (old chain restored: {restored})"
                 ),
-            }
+            });
         }
-        Err(ReorgError::Unwind(msg)) => ForkOutcome::Fatal(msg),
-    }
+        Err(ReorgError::Unwind(msg)) => return Err(SyncError::Internal(msg)),
+    };
+    Err(ctl.reject_fork(penalty, offered, reason, cfg))
 }

@@ -5,15 +5,16 @@
 //!
 //! The module splits into:
 //!
-//! * [`peer`] — the wire protocol ([`Request`]/[`Response`] with echoed
-//!   request ids), the [`BlockSource`] trait, and the threaded
-//!   [`PeerHandle`] plumbing;
+//! * [`peer`] — the [`BlockSource`] and [`Transport`] traits, and the
+//!   threaded [`PeerHandle`], which carries the codec's [`WireMessage`]s
+//!   over channels;
 //! * [`node`] — the [`ValidatingNode`] abstraction `EbvNode` and
 //!   `BaselineNode` both implement, so every driver here has exactly one
 //!   implementation instead of per-node copy-paste twins;
 //! * [`driver`] — the multi-peer [`sync_multi`] driver: timeouts, scoring,
 //!   capped exponential backoff with deterministic jitter, bans, failover,
-//!   and fork resolution;
+//!   and fork resolution, with one request site that scores every failed
+//!   request alike;
 //! * [`reorg`] — the invariant-checked unwind/rewind engine ([`reorg_to`]);
 //! * [`fault`] — the deterministic fault-injection harness
 //!   ([`FaultyPeer`], [`FaultSchedule`]) that makes every failure mode a
@@ -21,17 +22,15 @@
 //! * [`wire`] — the byte-level frame codec (length-prefixed, checksummed,
 //!   versioned; untrusted lengths never drive allocation);
 //! * [`tcp_peer`] — the localhost-TCP [`Transport`]: framed streams with
-//!   per-read deadlines, handshake, reconnect, and the [`serve_blocks`]
-//!   server for any [`BlockSource`];
-//! * [`netfault`] — byte-level adversary servers (slow-loris, oversized
-//!   frames, mid-frame disconnects, garbage, truncation, churn).
+//!   per-read deadlines, handshake, reconnect, and the one serving loop
+//!   ([`serve_blocks`]) for any [`BlockSource`];
+//! * [`netfault`] — byte-level adversaries (slow-loris, oversized frames,
+//!   mid-frame disconnects, garbage, truncation, churn), each a transform
+//!   of that loop's reply frames ([`serve_adversary`]).
 //!
 //! The driver is generic over [`Transport`], so the same scoring, ban,
 //! backoff, and fork machinery runs over in-process channels
 //! ([`PeerHandle`]) and real TCP ([`TcpPeer`]) unchanged.
-//!
-//! The single-peer [`sync_single`] entry point is a thin wrapper over the
-//! same driver.
 #![deny(clippy::unwrap_used)]
 
 pub mod driver;
@@ -48,11 +47,9 @@ pub mod wire;
 pub use driver::{sync_multi, PeerStats, SyncConfig, SyncReport, SYNC_BATCH};
 pub use fault::{Fault, FaultSchedule, FaultyPeer};
 pub use managed::{sync_managed, ManagedConfig, ManagedReport, PeerFactory};
-pub use netfault::{serve_adversary, AdversarialServer, WireAdversary};
+pub use netfault::{serve_adversary, WireAdversary};
 pub use node::ValidatingNode;
-pub use peer::{
-    spawn_source, BlockSource, PeerHandle, Request, RequestOutcome, Response, Transport,
-};
+pub use peer::{BlockSource, PeerHandle, RequestOutcome, Transport};
 pub use peer_manager::{
     ConnectedPeer, DefensePolicy, InboundDecision, PeerAddr, PeerManager, PeerManagerConfig,
 };
@@ -60,7 +57,6 @@ pub use reorg::{reorg_to, ReorgError};
 pub use tcp_peer::{serve_blocks, TcpPeer, TcpServer, WireConfig};
 pub use wire::{WireError, WireMessage, DEFAULT_MAX_FRAME, MAX_BLOCKS_PER_FRAME};
 
-use crate::validate::{InputState, Node};
 use ebv_primitives::encode::DecodeError;
 
 /// Why a sync run gave up. `E` is the destination node's validation error
@@ -207,15 +203,6 @@ impl<E: std::fmt::Debug> std::fmt::Display for SyncError<E> {
 
 impl<E: std::fmt::Debug> std::error::Error for SyncError<E> {}
 
-/// Sync a node of either type from a single peer with default settings.
-/// Returns the number of blocks connected.
-pub fn sync_single<S: InputState>(
-    node: &mut Node<S>,
-    peer: PeerHandle,
-) -> Result<u32, SyncError<S::Error>> {
-    sync_multi(node, vec![peer], &SyncConfig::default()).map(|r| r.blocks_connected)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -247,10 +234,10 @@ mod tests {
         let (_, ebv_blocks) = chains();
         let genesis = ebv_blocks[0].clone();
         let tip = ebv_blocks.len() as u32 - 1;
-        let peer = spawn_source(ebv_blocks);
+        let peers = vec![PeerHandle::spawn(0, ebv_blocks)];
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        let synced = sync_single(&mut node, peer).expect("sync completes");
-        assert_eq!(synced, tip);
+        let synced = sync_multi(&mut node, peers, &SyncConfig::default()).expect("sync completes");
+        assert_eq!(synced.blocks_connected, tip);
         assert_eq!(node.tip_height(), tip);
     }
 
@@ -259,10 +246,10 @@ mod tests {
         let (blocks, _) = chains();
         let genesis = blocks[0].clone();
         let tip = blocks.len() as u32 - 1;
-        let peer = spawn_source(blocks);
+        let peers = vec![PeerHandle::spawn(0, blocks)];
         let mut node = new_baseline(&genesis);
-        let synced = sync_single(&mut node, peer).expect("sync completes");
-        assert_eq!(synced, tip);
+        let synced = sync_multi(&mut node, peers, &SyncConfig::default()).expect("sync completes");
+        assert_eq!(synced.blocks_connected, tip);
         assert_eq!(node.tip_height(), tip);
     }
 
@@ -278,9 +265,9 @@ mod tests {
     fn corrupt_single_source_gets_banned() {
         let (_, ebv_blocks) = chains();
         let genesis = ebv_blocks[0].clone();
-        let peer = spawn_source(Garbage);
+        let peers = vec![PeerHandle::spawn(0, Garbage)];
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        match sync_single(&mut node, peer) {
+        match sync_multi(&mut node, peers, &SyncConfig::default()) {
             Err(SyncError::AllPeersFailed {
                 banned: 1, last, ..
             }) => {
@@ -299,9 +286,9 @@ mod tests {
         let genesis = ebv_blocks[0].clone();
         // Corrupt block 3's merkle root: decodes fine, fails validation.
         ebv_blocks[3].header.merkle_root = ebv_primitives::hash::sha256d(b"evil");
-        let peer = spawn_source(ebv_blocks);
+        let peers = vec![PeerHandle::spawn(0, ebv_blocks)];
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        match sync_single(&mut node, peer) {
+        match sync_multi(&mut node, peers, &SyncConfig::default()) {
             Err(SyncError::AllPeersFailed { last, .. }) => {
                 assert!(
                     matches!(
@@ -334,9 +321,10 @@ mod tests {
             .expect("conversion");
         let genesis = ebv_blocks[0].clone();
         let tip = ebv_blocks.len() as u32 - 1;
-        let peer = spawn_source(ebv_blocks);
+        let peers = vec![PeerHandle::spawn(0, ebv_blocks)];
         let mut node = EbvNode::new(&genesis, EbvConfig::default());
-        assert_eq!(sync_single(&mut node, peer).expect("sync"), tip);
+        let report = sync_multi(&mut node, peers, &SyncConfig::default()).expect("sync");
+        assert_eq!(report.blocks_connected, tip);
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! Byte-level adversary servers for the TCP transport.
+//! Byte-level adversaries for the TCP transport.
 //!
 //! Where [`super::fault::FaultyPeer`] corrupts *content* (blocks, heights,
-//! tips), these servers attack the *wire itself*: trickled bytes, absurd
-//! length claims, mid-frame disconnects, raw garbage, truncated headers,
-//! bad checksums, and pure connection churn. Each maps to exactly one
-//! [`WireError`](super::wire::WireError) class on the client, and thus to
-//! one reason slug in the ban trace — the fault matrix asserts that
+//! tips), these adversaries attack the *wire itself*: trickled bytes,
+//! absurd length claims, mid-frame disconnects, raw garbage, truncated
+//! headers, bad checksums, and pure connection churn. Each maps to exactly
+//! one [`WireError`](super::wire::WireError) class on the client, and thus
+//! to one reason slug in the ban trace — the fault matrix asserts that
 //! mapping end to end.
 //!
-//! Every adversary except [`WireAdversary::Churn`] completes an honest
-//! handshake first (real attackers do — the handshake is cheap), then
-//! misbehaves on the first data exchange. Clock use is deadline/pacing
-//! only.
+//! An adversary is a transform of the honest server's reply frames:
+//! [`serve_adversary`] runs the one serving loop of
+//! [`serve_blocks`](super::tcp_peer::serve_blocks) and hands it each
+//! frame to send. Every adversary except [`WireAdversary::Churn`]
+//! therefore completes the honest handshake first (real attackers do —
+//! the handshake is cheap), then misbehaves on the first data exchange;
+//! `Churn` drops each connection before the handshake.
 
 use super::peer::BlockSource;
-use super::tcp_peer::{bind_localhost, fit_frame, next_conn, FramedStream, Recv, WireConfig};
-use super::wire::{encode_frame, WireMessage, FRAME_HEADER_LEN};
+use super::tcp_peer::{serve, TcpServer, WireConfig};
+use super::wire::FRAME_HEADER_LEN;
 use ebv_primitives::hash::Hash256;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::thread;
+use std::time::Duration;
 
 /// One class of byte-level misbehavior.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,139 +98,52 @@ impl WireAdversary {
     }
 }
 
-/// Handle for an adversarial listener; dropping it stops the thread.
-pub struct AdversarialServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl AdversarialServer {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for AdversarialServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Spawn a server that plays `adversary` against every connection.
-/// `source` supplies the honest bytes the adversary corrupts (so its
-/// frames are plausible, not trivially absurd).
+/// Serve `source` over localhost TCP, playing `adversary` against every
+/// connection. `source` supplies the honest replies the adversary
+/// corrupts (so its frames are plausible, not trivially absurd).
 pub fn serve_adversary<S: BlockSource + 'static>(
     source: S,
     network: Hash256,
     adversary: WireAdversary,
     cfg: WireConfig,
-) -> std::io::Result<AdversarialServer> {
-    let (listener, addr, stop) = bind_localhost()?;
-    let stop2 = Arc::clone(&stop);
-    let thread = thread::Builder::new()
-        .name(format!("wire-adv-{}", adversary.label()))
-        .spawn(move || {
-            let mut source = source;
-            while let Some(stream) = next_conn(&listener, &stop2) {
-                adversarial_conn(stream, &mut source, network, adversary, &cfg, &stop2);
-            }
-        })?;
-    Ok(AdversarialServer {
-        addr,
-        stop,
-        thread: Some(thread),
-    })
+) -> std::io::Result<TcpServer> {
+    serve(source, network, cfg, Some(adversary))
 }
 
-fn adversarial_conn<S: BlockSource>(
-    stream: TcpStream,
-    source: &mut S,
-    network: Hash256,
-    adversary: WireAdversary,
-    cfg: &WireConfig,
-    stop: &AtomicBool,
-) {
-    if adversary == WireAdversary::Churn {
-        // Drop on the floor; the client pays a dial + handshake each time.
-        return;
-    }
-    let mut fs = FramedStream::new(stream, *cfg);
-    match fs.recv(Instant::now() + cfg.handshake_timeout) {
-        Ok(Recv::Msg(WireMessage::Hello { .. })) => {}
-        _ => return,
-    }
-    if fs
-        .send(&WireMessage::Hello {
-            network,
-            start_height: 0,
-        })
-        .is_err()
-    {
-        return;
-    }
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let (id, start_height, count) = match fs.recv_request(Instant::now() + cfg.idle_step) {
-            Ok(Recv::Idle) => continue,
-            Ok(Recv::Msg(WireMessage::GetBlocks {
-                id,
-                start_height,
-                count,
-            })) => (id, start_height, count),
-            _ => return,
-        };
-        // The honest reply this request deserved, as raw frame bytes.
-        let blocks = fit_frame(source.serve(start_height, count), cfg.max_frame);
-        let reply = if blocks.is_empty() {
-            WireMessage::Exhausted { id }
-        } else {
-            WireMessage::Blocks { id, blocks }
-        };
-        let frame = encode_frame(&reply);
-        let keep_conn = match adversary {
-            WireAdversary::SlowLoris { interval } => drip(fs.stream_mut(), &frame, interval, stop),
+impl WireAdversary {
+    /// Send `frame`, the honest reply to a request, the way this
+    /// adversary does. Returns whether the connection stays open.
+    pub(crate) fn send(
+        self,
+        stream: &mut TcpStream,
+        mut frame: Vec<u8>,
+        stop: &AtomicBool,
+    ) -> bool {
+        match self {
+            WireAdversary::SlowLoris { interval } => drip(stream, &frame, interval, stop),
             WireAdversary::OversizedFrame => {
-                let mut f = frame;
-                f.truncate(FRAME_HEADER_LEN);
-                f[8..12].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
-                write_raw(fs.stream_mut(), &f)
+                frame.truncate(FRAME_HEADER_LEN);
+                frame[8..12].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+                write_raw(stream, &frame)
             }
             WireAdversary::MidFrameDisconnect => {
                 let payload_len = frame.len() - FRAME_HEADER_LEN;
-                let cut = FRAME_HEADER_LEN + payload_len / 2;
-                let _ = write_raw(fs.stream_mut(), &frame[..cut]);
+                let _ = write_raw(stream, &frame[..FRAME_HEADER_LEN + payload_len / 2]);
                 false
             }
-            WireAdversary::GarbageAfterHandshake => write_raw(fs.stream_mut(), &[0xA5; 64]),
+            WireAdversary::GarbageAfterHandshake => write_raw(stream, &[0xA5; 64]),
             WireAdversary::FrameTruncation => {
-                let _ = write_raw(fs.stream_mut(), &frame[..7]);
+                let _ = write_raw(stream, &frame[..7]);
                 false
             }
             WireAdversary::BadChecksum => {
-                let mut f = frame;
-                for b in &mut f[12..16] {
+                for b in &mut frame[12..16] {
                     *b ^= 0xFF;
                 }
-                write_raw(fs.stream_mut(), &f)
+                write_raw(stream, &frame)
             }
-            WireAdversary::Churn => unreachable!("handled before the handshake"),
-        };
-        if !keep_conn {
-            return;
+            // Never handshakes, so it never has a request to answer.
+            WireAdversary::Churn => false,
         }
     }
 }

@@ -1,10 +1,13 @@
-//! The wire protocol and peer plumbing.
+//! Peer plumbing: the serving side's [`BlockSource`], the driver's
+//! [`Transport`], and the in-process [`PeerHandle`].
 //!
-//! A [`BlockSource`] serves inventories and blocks (the Bitcoin
-//! `getheaders`/`getdata` pattern, reduced to its essentials); the driver
-//! talks to each peer over a pair of channels wrapped in a [`PeerHandle`].
-//! Source and destination run on separate threads, so measured sync time
-//! includes real hand-off, as in the paper's two-machine setup.
+//! A [`BlockSource`] serves blocks (the Bitcoin `getheaders`/`getdata`
+//! pattern, reduced to its essentials); the driver talks to each peer
+//! through a [`Transport`]. The in-process [`PeerHandle`] carries the
+//! codec's [`WireMessage`]s over a pair of channels to a serving thread,
+//! which answers with `reply_to`, as the TCP server does. Source and
+//! destination run on separate threads, so measured sync time includes
+//! real hand-off, as in the paper's two-machine setup.
 //!
 //! Every request carries an id that the source echoes back. The driver
 //! discards responses whose id does not match its outstanding request —
@@ -12,37 +15,12 @@
 //! gave up on it, is prevented from being mistaken for the answer to a
 //! newer request.
 
-use super::wire::WireError;
+use super::wire::{WireError, WireMessage, DEFAULT_MAX_FRAME, MAX_BLOCKS_PER_FRAME};
 use ebv_chain::Block;
-use ebv_primitives::encode::Encodable;
+use ebv_primitives::encode::{varint_len, Encodable};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Messages from the destination to a source peer.
-#[derive(Debug)]
-pub enum Request {
-    /// Ask for up to `count` blocks starting at `start_height`.
-    GetBlocks {
-        /// Echoed back in the response; stale replies are dropped by id.
-        id: u64,
-        start_height: u32,
-        count: u32,
-    },
-    /// Sync finished (or the peer was abandoned); the source may exit.
-    Done,
-}
-
-/// Messages from a source peer to the destination. Blocks travel
-/// serialized, as they would on a wire; the destination pays the decode
-/// cost.
-#[derive(Debug)]
-pub enum Response {
-    /// Serialized blocks, in height order.
-    Blocks { id: u64, blocks: Vec<Vec<u8>> },
-    /// The source has nothing at or above the requested height.
-    Exhausted { id: u64 },
-}
 
 /// A source that can serve a contiguous range of blocks.
 ///
@@ -74,15 +52,34 @@ impl BlockSource for Vec<Block> {
     }
 }
 
-/// The driver's endpoint for one serving peer: the request/response
-/// channel pair plus the peer id used in scoring and error reports.
-pub struct PeerHandle {
-    /// Peer id (unique per driver run; appears in errors and stats).
-    pub id: usize,
-    req: Sender<Request>,
-    resp: Receiver<Response>,
-    /// Next request id to stamp.
-    next_id: u64,
+/// A serving peer's answer to `GetBlocks { id, start_height, count }`: at
+/// most [`MAX_BLOCKS_PER_FRAME`] of `source`'s blocks, cut to the longest
+/// prefix whose payload fits `max_frame`, or `Exhausted` if none remain.
+/// (With default caps and our block sizes the cut keeps the whole batch;
+/// it exists so an honest server never emits a frame its peer must
+/// reject.)
+pub(crate) fn reply_to<S: BlockSource + ?Sized>(
+    source: &mut S,
+    id: u64,
+    start_height: u32,
+    count: u32,
+    max_frame: u32,
+) -> WireMessage {
+    let mut blocks = source.serve(start_height, count.min(MAX_BLOCKS_PER_FRAME as u32));
+    let mut size = 8 + varint_len(blocks.len() as u64);
+    let keep = blocks
+        .iter()
+        .take_while(|b| {
+            size += varint_len(b.len() as u64) + b.len();
+            size <= max_frame as usize
+        })
+        .count();
+    blocks.truncate(keep);
+    if blocks.is_empty() {
+        WireMessage::Exhausted { id }
+    } else {
+        WireMessage::Blocks { id, blocks }
+    }
 }
 
 /// Outcome of one request round-trip against a peer.
@@ -102,6 +99,25 @@ pub enum RequestOutcome {
     Wire(WireError),
 }
 
+impl RequestOutcome {
+    /// What `msg` answers to request `id`; `None` for a stale reply to a
+    /// request the driver already gave up on.
+    pub(crate) fn of_reply(msg: WireMessage, id: u64) -> Option<RequestOutcome> {
+        match msg {
+            WireMessage::Blocks { id: rid, blocks } => {
+                (rid == id).then_some(RequestOutcome::Blocks(blocks))
+            }
+            WireMessage::Exhausted { id: rid } => (rid == id).then_some(RequestOutcome::Exhausted),
+            // The server is leaving; not a violation.
+            WireMessage::Bye => Some(RequestOutcome::Closed),
+            other => Some(RequestOutcome::Wire(WireError::UnexpectedMessage {
+                expected: "blocks or exhausted",
+                got: other.name(),
+            })),
+        }
+    }
+}
+
 /// One peer the sync driver can talk to, whatever carries the bytes.
 ///
 /// [`PeerHandle`] implements it over in-process channels;
@@ -118,32 +134,35 @@ pub trait Transport {
     fn finish(&mut self);
 }
 
+/// The driver's endpoint for one in-process serving peer: the channel
+/// pair to its thread plus the peer id used in scoring and error reports.
+/// Dropping it ends and joins the thread.
+pub struct PeerHandle {
+    /// Peer id (unique per driver run; appears in errors and stats).
+    pub id: usize,
+    req: Sender<WireMessage>,
+    resp: Receiver<WireMessage>,
+    /// Next request id to stamp.
+    next_id: u64,
+    thread: Option<JoinHandle<()>>,
+}
+
 impl PeerHandle {
     /// Spawn a serving thread for `source` and return the driver-side
-    /// handle. The thread exits on [`Request::Done`] or when the request
-    /// channel closes (the handle is dropped).
+    /// handle. The thread exits on `Bye`.
     pub fn spawn<S: BlockSource + 'static>(id: usize, mut source: S) -> PeerHandle {
-        let (req_tx, req_rx) = channel::<Request>();
-        let (resp_tx, resp_rx) = channel::<Response>();
-        thread::spawn(move || {
-            while let Ok(req) = req_rx.recv() {
-                match req {
-                    Request::GetBlocks {
-                        id,
-                        start_height,
-                        count,
-                    } => {
-                        let blocks = source.serve(start_height, count);
-                        let msg = if blocks.is_empty() {
-                            Response::Exhausted { id }
-                        } else {
-                            Response::Blocks { id, blocks }
-                        };
-                        if resp_tx.send(msg).is_err() {
-                            return;
-                        }
-                    }
-                    Request::Done => return,
+        let (req_tx, req_rx) = channel::<WireMessage>();
+        let (resp_tx, resp_rx) = channel::<WireMessage>();
+        let thread = thread::spawn(move || {
+            while let Ok(WireMessage::GetBlocks {
+                id,
+                start_height,
+                count,
+            }) = req_rx.recv()
+            {
+                let reply = reply_to(&mut source, id, start_height, count, DEFAULT_MAX_FRAME);
+                if resp_tx.send(reply).is_err() {
+                    return;
                 }
             }
         });
@@ -152,53 +171,18 @@ impl PeerHandle {
             req: req_tx,
             resp: resp_rx,
             next_id: 0,
+            thread: Some(thread),
         }
     }
+}
 
-    /// Issue one `GetBlocks` and wait up to `timeout` for the matching
-    /// response, draining any stale replies from earlier timed-out
-    /// requests along the way.
-    pub fn request(&mut self, start_height: u32, count: u32, timeout: Duration) -> RequestOutcome {
-        let id = self.next_id;
-        self.next_id += 1;
-        if self
-            .req
-            .send(Request::GetBlocks {
-                id,
-                start_height,
-                count,
-            })
-            .is_err()
-        {
-            return RequestOutcome::Closed;
+impl Drop for PeerHandle {
+    fn drop(&mut self) {
+        self.finish();
+        if let Some(thread) = self.thread.take() {
+            // A source that panicked has nothing left to serve.
+            let _ = thread.join();
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return RequestOutcome::TimedOut;
-            };
-            match self.resp.recv_timeout(remaining) {
-                Ok(Response::Blocks { id: rid, blocks }) if rid == id => {
-                    return RequestOutcome::Blocks(blocks)
-                }
-                Ok(Response::Exhausted { id: rid }) if rid == id => {
-                    return RequestOutcome::Exhausted
-                }
-                // Stale reply to a request we already gave up on: drop it.
-                Ok(_) => continue,
-                Err(RecvTimeoutError::Timeout) => return RequestOutcome::TimedOut,
-                Err(RecvTimeoutError::Disconnected) => return RequestOutcome::Closed,
-            }
-        }
-    }
-
-    /// Politely tell the serving thread to exit.
-    pub fn finish(&self) {
-        let _ = self.req.send(Request::Done);
     }
 }
 
@@ -207,17 +191,42 @@ impl Transport for PeerHandle {
         self.id
     }
 
+    /// Issue one `GetBlocks` and wait up to `timeout` for the matching
+    /// response, draining any stale replies from earlier timed-out
+    /// requests along the way.
     fn request(&mut self, start_height: u32, count: u32, timeout: Duration) -> RequestOutcome {
-        PeerHandle::request(self, start_height, count, timeout)
+        let id = self.next_id;
+        self.next_id += 1;
+        let sent = self.req.send(WireMessage::GetBlocks {
+            id,
+            start_height,
+            count,
+        });
+        if sent.is_err() {
+            return RequestOutcome::Closed;
+        }
+        let deadline = Instant::now() + timeout;
+        loop {
+            let Some(remaining) = deadline
+                .checked_duration_since(Instant::now())
+                .filter(|d| !d.is_zero())
+            else {
+                return RequestOutcome::TimedOut;
+            };
+            match self.resp.recv_timeout(remaining) {
+                Ok(msg) => {
+                    if let Some(outcome) = RequestOutcome::of_reply(msg, id) {
+                        return outcome;
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => return RequestOutcome::TimedOut,
+                Err(RecvTimeoutError::Disconnected) => return RequestOutcome::Closed,
+            }
+        }
     }
 
+    /// Politely tell the serving thread to exit.
     fn finish(&mut self) {
-        PeerHandle::finish(self);
+        let _ = self.req.send(WireMessage::Bye);
     }
-}
-
-/// Spawn a serving thread for `source` with peer id 0 — the single-peer
-/// convenience used with [`sync_single`](super::sync_single).
-pub fn spawn_source<S: BlockSource + 'static>(source: S) -> PeerHandle {
-    PeerHandle::spawn(0, source)
 }

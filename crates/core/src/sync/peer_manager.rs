@@ -27,9 +27,9 @@
 //!   victim is drawn from the most-populated netgroup, so connection churn
 //!   from few netgroups evicts the attacker's own connections first.
 //!
-//! Every defense sits behind a [`DefensePolicy`] flag so the netsim
-//! eclipse campaign can measure the attack's success probability with the
-//! defenses off and on (`crates/netsim/src/eclipse.rs`).
+//! The defenses stand or fall together behind one [`DefensePolicy`] so the
+//! netsim eclipse campaign can measure the attack's success probability
+//! with them off and on (`crates/netsim/src/eclipse.rs`).
 //!
 //! The manager is fully deterministic: every hash and every selection draw
 //! comes from splitmix64 over the config seed, and time is a logical
@@ -94,43 +94,24 @@ impl PeerAddr {
     }
 }
 
-/// Which eclipse defenses are active. The netsim campaign measures the
-/// attack with [`DefensePolicy::hardened`] against
-/// [`DefensePolicy::naive`]; individual flags exist so ablations can
-/// attribute the win.
+/// Whether the eclipse defenses are on: netgroup bucketing of the tables,
+/// one outbound slot per netgroup, inbound eviction protection and anchor
+/// reconnects. The netsim campaign measures the attack with
+/// [`DefensePolicy::hardened`] against [`DefensePolicy::naive`].
 #[derive(Clone, Copy, Debug)]
 pub struct DefensePolicy {
-    /// Bucket table positions by netgroup (and gossip source) instead of
-    /// by address, bounding how much table an attacker's netgroups reach.
-    pub netgroup_bucketing: bool,
-    /// At most one outbound connection per netgroup.
-    pub outbound_diversity: bool,
-    /// Protect long-lived and recently-useful inbound peers from
-    /// eviction; evict from the most-populated netgroup.
-    pub eviction_protection: bool,
-    /// Reconnect to persisted anchor peers after a restart.
-    pub anchors: bool,
+    hardened: bool,
 }
 
 impl DefensePolicy {
     /// All defenses on — the production posture.
     pub fn hardened() -> DefensePolicy {
-        DefensePolicy {
-            netgroup_bucketing: true,
-            outbound_diversity: true,
-            eviction_protection: true,
-            anchors: true,
-        }
+        DefensePolicy { hardened: true }
     }
 
     /// All defenses off — the strawman a successful eclipse needs.
     pub fn naive() -> DefensePolicy {
-        DefensePolicy {
-            netgroup_bucketing: false,
-            outbound_diversity: false,
-            eviction_protection: false,
-            anchors: false,
-        }
+        DefensePolicy { hardened: false }
     }
 }
 
@@ -262,7 +243,7 @@ impl PeerManager {
     /// [`PeerManager::encode_anchors`]). Anchors are also inserted as
     /// known-good `tried` addresses. No-op when the anchor defense is off.
     pub fn with_anchors(mut self, anchors: &[PeerAddr], tick: u64) -> PeerManager {
-        if !self.cfg.defenses.anchors {
+        if !self.cfg.defenses.hardened {
             return self;
         }
         for &addr in anchors.iter().take(self.cfg.anchor_count) {
@@ -286,7 +267,7 @@ impl PeerManager {
     /// netgroup as well — a single source can only reach a bounded set of
     /// buckets per target group.
     fn new_bucket(&self, addr: PeerAddr, source_group: u16) -> usize {
-        let h = if self.cfg.defenses.netgroup_bucketing {
+        let h = if self.cfg.defenses.hardened {
             splitmix64(
                 self.cfg
                     .seed
@@ -300,7 +281,7 @@ impl PeerManager {
     }
 
     fn tried_bucket(&self, addr: PeerAddr) -> usize {
-        let h = if self.cfg.defenses.netgroup_bucketing {
+        let h = if self.cfg.defenses.hardened {
             splitmix64(self.cfg.seed ^ 0x7a1e_d000 ^ u64::from(addr.netgroup()))
         } else {
             splitmix64(self.cfg.seed ^ 0x7a1e_d000 ^ addr.key())
@@ -465,7 +446,7 @@ impl PeerManager {
     /// Whether connecting out to `addr` would violate the outbound
     /// netgroup-diversity limit.
     fn diversity_blocked(&self, addr: PeerAddr) -> bool {
-        self.cfg.defenses.outbound_diversity
+        self.cfg.defenses.hardened
             && self
                 .outbound
                 .iter()
@@ -540,7 +521,7 @@ impl PeerManager {
             self.refresh_slot_gauges();
             return InboundDecision::Accepted;
         }
-        let victim = if self.cfg.defenses.eviction_protection {
+        let victim = if self.cfg.defenses.hardened {
             self.eviction_candidate()
         } else {
             // Naive policy: the longest-connected peer goes — churn from a

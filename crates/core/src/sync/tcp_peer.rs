@@ -17,17 +17,19 @@
 //!   thread per peer, sequential connections, honest framing over any
 //!   [`BlockSource`] (wrap the source in
 //!   [`FaultyPeer`](super::fault::FaultyPeer) for content-level faults
-//!   over a real wire).
+//!   over a real wire). The same loop serves the byte-level adversaries
+//!   of [`super::netfault`], which only change how a reply frame is
+//!   sent.
 //!
 //! Clock use here is for *deadlines* (scheduling), not measurement;
 //! latency histograms go through `telemetry::Stopwatch`.
 
-use super::peer::{BlockSource, RequestOutcome, Transport};
+use super::netfault::WireAdversary;
+use super::peer::{reply_to, BlockSource, RequestOutcome, Transport};
 use super::wire::{
     encode_frame, FrameHeader, PayloadBuf, WireError, WireMessage, DEFAULT_MAX_FRAME,
-    FRAME_HEADER_LEN, MAX_BLOCKS_PER_FRAME,
+    FRAME_HEADER_LEN,
 };
-use ebv_primitives::encode::varint_len;
 use ebv_primitives::hash::Hash256;
 use ebv_telemetry::{counter, histogram, Stopwatch};
 use std::io::{ErrorKind, Read, Write};
@@ -88,7 +90,7 @@ fn frame_error(slug: &str) {
 }
 
 /// What one deadline-bounded receive produced.
-pub(crate) enum Recv {
+enum Recv {
     /// A complete, checksum-verified, decoded message.
     Msg(WireMessage),
     /// The deadline passed with *zero* bytes received — quiet, not slow.
@@ -96,24 +98,19 @@ pub(crate) enum Recv {
 }
 
 /// A `TcpStream` speaking the frame protocol.
-pub(crate) struct FramedStream {
+struct FramedStream {
     stream: TcpStream,
     cfg: WireConfig,
 }
 
 impl FramedStream {
-    pub(crate) fn new(stream: TcpStream, cfg: WireConfig) -> FramedStream {
+    fn new(stream: TcpStream, cfg: WireConfig) -> FramedStream {
         let _ = stream.set_nodelay(true);
         FramedStream { stream, cfg }
     }
 
-    /// Raw access for byte-level (adversarial) writes.
-    pub(crate) fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
     /// Send one message as a frame, bounded by the write budget.
-    pub(crate) fn send(&mut self, msg: &WireMessage) -> Result<(), WireError> {
+    fn send(&mut self, msg: &WireMessage) -> Result<(), WireError> {
         let frame = encode_frame(msg);
         self.stream
             .set_write_timeout(Some(self.cfg.io_timeout))
@@ -137,7 +134,7 @@ impl FramedStream {
     ///   [`WireError::SlowRead`] (the slow-loris signature);
     /// * EOF/reset while bytes are owed → [`WireError::TruncatedFrame`];
     /// * every header/checksum/payload violation → its [`WireError`].
-    pub(crate) fn recv(&mut self, deadline: Instant) -> Result<Recv, WireError> {
+    fn recv(&mut self, deadline: Instant) -> Result<Recv, WireError> {
         self.recv_frame(deadline, None)
     }
 
@@ -145,7 +142,7 @@ impl FramedStream {
     /// request's first byte, then give the rest of its frame `io_timeout`
     /// from that byte. A request that starts late in an idle window is no
     /// slow read; one that trickles past `io_timeout` still is.
-    pub(crate) fn recv_request(&mut self, idle_deadline: Instant) -> Result<Recv, WireError> {
+    fn recv_request(&mut self, idle_deadline: Instant) -> Result<Recv, WireError> {
         self.recv_frame(idle_deadline, Some(self.cfg.io_timeout))
     }
 
@@ -160,7 +157,7 @@ impl FramedStream {
         let mut filled = 0usize;
         let mut clock: Option<Stopwatch> = None;
         while filled < FRAME_HEADER_LEN {
-            match self.read_step(&mut hdr[filled..], deadline, filled > 0)? {
+            match read_step(&mut self.stream, &mut hdr[filled..], deadline, filled > 0)? {
                 ReadStep::Bytes(n) => {
                     if clock.is_none() {
                         clock = Some(Stopwatch::start());
@@ -180,7 +177,7 @@ impl FramedStream {
         while !payload.is_complete() {
             let window = payload.window();
             let window_len = window.len();
-            match read_step_inner(&mut self.stream, window, deadline, true)? {
+            match read_step(&mut self.stream, window, deadline, true)? {
                 ReadStep::Bytes(n) => payload.advance(window_len, n),
                 ReadStep::DeadlineQuiet => unreachable!("mid-frame deadline is SlowRead"),
             }
@@ -198,17 +195,8 @@ impl FramedStream {
         Ok(Recv::Msg(msg))
     }
 
-    fn read_step(
-        &mut self,
-        buf: &mut [u8],
-        deadline: Instant,
-        mid_frame: bool,
-    ) -> Result<ReadStep, WireError> {
-        read_step_inner(&mut self.stream, buf, deadline, mid_frame)
-    }
-
     /// Best-effort polite close.
-    pub(crate) fn bye(&mut self) {
+    fn bye(&mut self) {
         let _ = self.send(&WireMessage::Bye);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
@@ -222,7 +210,7 @@ enum ReadStep {
 
 /// One deadline-bounded read. `mid_frame` decides whether a deadline is
 /// quiet-idle or a slow-read violation.
-fn read_step_inner(
+fn read_step(
     stream: &mut TcpStream,
     buf: &mut [u8],
     deadline: Instant,
@@ -360,32 +348,16 @@ impl TcpPeer {
 }
 
 /// Wait for the reply to request `id`, dropping stale replies by id.
-fn await_reply(
-    conn: &mut FramedStream,
-    id: u64,
-    deadline: Instant,
-) -> Result<RequestOutcome, WireError> {
+fn await_reply(conn: &mut FramedStream, id: u64, deadline: Instant) -> RequestOutcome {
     loop {
-        match conn.recv(deadline)? {
-            Recv::Idle => return Ok(RequestOutcome::TimedOut),
-            Recv::Msg(WireMessage::Blocks { id: rid, blocks }) if rid == id => {
-                return Ok(RequestOutcome::Blocks(blocks))
+        match conn.recv(deadline) {
+            Ok(Recv::Idle) => return RequestOutcome::TimedOut,
+            Ok(Recv::Msg(msg)) => {
+                if let Some(outcome) = RequestOutcome::of_reply(msg, id) {
+                    return outcome;
+                }
             }
-            Recv::Msg(WireMessage::Exhausted { id: rid }) if rid == id => {
-                return Ok(RequestOutcome::Exhausted)
-            }
-            // A reply to a request we already gave up on: drop it.
-            Recv::Msg(WireMessage::Blocks { .. }) | Recv::Msg(WireMessage::Exhausted { .. }) => {
-                continue
-            }
-            // The server is leaving; not a violation.
-            Recv::Msg(WireMessage::Bye) => return Ok(RequestOutcome::Closed),
-            Recv::Msg(other) => {
-                return Err(WireError::UnexpectedMessage {
-                    expected: "blocks or exhausted",
-                    got: other.name(),
-                })
-            }
+            Err(e) => return RequestOutcome::Wire(e),
         }
     }
 }
@@ -419,14 +391,13 @@ impl Transport for TcpPeer {
             return RequestOutcome::Wire(e);
         }
         match await_reply(conn, id, deadline) {
-            Ok(RequestOutcome::Closed) => {
+            RequestOutcome::Closed => {
                 counter!("net.conn.closed").inc();
                 self.conn = None;
                 self.closed = true;
                 RequestOutcome::Closed
             }
-            Ok(outcome) => outcome,
-            Err(e) => {
+            RequestOutcome::Wire(e) => {
                 // The connection is desynchronized (or dead) after any
                 // wire violation; drop it and let the next request
                 // re-dial. The driver's scoring decides when to stop
@@ -436,6 +407,7 @@ impl Transport for TcpPeer {
                 self.conn = None;
                 RequestOutcome::Wire(e)
             }
+            outcome => outcome,
         }
     }
 
@@ -488,16 +460,30 @@ pub fn serve_blocks<S: BlockSource + 'static>(
     network: Hash256,
     cfg: WireConfig,
 ) -> std::io::Result<TcpServer> {
+    serve(source, network, cfg, None)
+}
+
+/// The one serving loop: [`serve_blocks`] without an adversary,
+/// [`serve_adversary`](super::netfault::serve_adversary) with one, which
+/// sends each honest reply frame its own way.
+pub(crate) fn serve<S: BlockSource + 'static>(
+    source: S,
+    network: Hash256,
+    cfg: WireConfig,
+    adversary: Option<WireAdversary>,
+) -> std::io::Result<TcpServer> {
     let (listener, addr, stop) = bind_localhost()?;
     let stop2 = Arc::clone(&stop);
-    let thread = thread::Builder::new()
-        .name(format!("wire-serve-{}", addr.port()))
-        .spawn(move || {
-            let mut source = source;
-            while let Some(stream) = next_conn(&listener, &stop2) {
-                serve_conn(stream, &mut source, network, &cfg, &stop2);
-            }
-        })?;
+    let name = match adversary {
+        Some(adversary) => format!("wire-adv-{}", adversary.label()),
+        None => format!("wire-serve-{}", addr.port()),
+    };
+    let thread = thread::Builder::new().name(name).spawn(move || {
+        let mut source = source;
+        while let Some(stream) = next_conn(&listener, &stop2) {
+            serve_conn(stream, &mut source, network, &cfg, adversary, &stop2);
+        }
+    })?;
     Ok(TcpServer {
         addr,
         stop,
@@ -506,7 +492,7 @@ pub fn serve_blocks<S: BlockSource + 'static>(
 }
 
 /// Bind an ephemeral localhost listener in non-blocking accept mode.
-pub(crate) fn bind_localhost() -> std::io::Result<(TcpListener, SocketAddr, Arc<AtomicBool>)> {
+fn bind_localhost() -> std::io::Result<(TcpListener, SocketAddr, Arc<AtomicBool>)> {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -515,8 +501,8 @@ pub(crate) fn bind_localhost() -> std::io::Result<(TcpListener, SocketAddr, Arc<
 
 /// Poll `accept` until a connection arrives or `stop` is set. The
 /// accepted stream is switched back to blocking mode (per-read deadlines
-/// come from `read_step_inner`'s socket timeouts).
-pub(crate) fn next_conn(listener: &TcpListener, stop: &AtomicBool) -> Option<TcpStream> {
+/// come from `read_step`'s socket timeouts).
+fn next_conn(listener: &TcpListener, stop: &AtomicBool) -> Option<TcpStream> {
     loop {
         if stop.load(Ordering::Relaxed) {
             return None;
@@ -543,8 +529,13 @@ fn serve_conn<S: BlockSource>(
     source: &mut S,
     network: Hash256,
     cfg: &WireConfig,
+    adversary: Option<WireAdversary>,
     stop: &AtomicBool,
 ) {
+    if adversary == Some(WireAdversary::Churn) {
+        // Drop on the floor; the client pays a dial + handshake each time.
+        return;
+    }
     let mut fs = FramedStream::new(stream, *cfg);
     // Handshake: exactly one Hello, right network, in time.
     match fs.recv(Instant::now() + cfg.handshake_timeout) {
@@ -574,42 +565,18 @@ fn serve_conn<S: BlockSource>(
                 start_height,
                 count,
             })) => {
-                let count = count.min(MAX_BLOCKS_PER_FRAME as u32);
-                let blocks = source.serve(start_height, count);
-                let blocks = fit_frame(blocks, cfg.max_frame);
-                let reply = if blocks.is_empty() {
-                    WireMessage::Exhausted { id }
-                } else {
-                    WireMessage::Blocks { id, blocks }
+                let reply = reply_to(source, id, start_height, count, cfg.max_frame);
+                let kept = match adversary {
+                    None => fs.send(&reply).is_ok(),
+                    Some(adversary) => adversary.send(&mut fs.stream, encode_frame(&reply), stop),
                 };
-                if fs.send(&reply).is_err() {
+                if !kept {
                     return;
                 }
             }
-            Ok(Recv::Msg(WireMessage::Bye)) => return,
-            // Anything else — protocol violation or a dead socket — ends
-            // the connection; the client may reconnect.
+            // A `Bye`, any other message, a protocol violation or a dead
+            // socket ends the connection; the client may reconnect.
             Ok(Recv::Msg(_)) | Err(_) => return,
         }
     }
-}
-
-/// Keep the longest prefix of `blocks` whose `Blocks` payload fits the
-/// frame cap. (With default caps and our block sizes this is the whole
-/// batch; the guard exists so an honest server can never emit a frame its
-/// peer must reject.)
-pub(crate) fn fit_frame(blocks: Vec<Vec<u8>>, max_frame: u32) -> Vec<Vec<u8>> {
-    let mut size = 8 + varint_len(blocks.len() as u64);
-    let mut keep = 0usize;
-    for b in &blocks {
-        let add = varint_len(b.len() as u64) + b.len();
-        if size + add > max_frame as usize {
-            break;
-        }
-        size += add;
-        keep += 1;
-    }
-    let mut blocks = blocks;
-    blocks.truncate(keep);
-    blocks
 }

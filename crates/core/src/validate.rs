@@ -122,8 +122,6 @@ pub trait InputState: Sized {
     type Block: Decodable;
     /// Rejection reasons; the shared phases' [`Rejection`]s convert in.
     type Error: From<Rejection> + std::fmt::Debug;
-    /// Tuning knobs.
-    type Config: Copy;
     /// What `resolve` found that `commit` applies.
     type Resolved: Default;
     /// Everything needed to disconnect a connected block again.
@@ -135,13 +133,11 @@ pub trait InputState: Sized {
     fn header(block: &Self::Block) -> &BlockHeader;
     /// Every transaction's digest fields, coinbase first.
     fn tx_fields(block: &Self::Block) -> Vec<TxFields<'_>>;
-    /// SV's worker-thread override; `None` uses every available core.
-    fn workers(config: &Self::Config) -> Option<usize>;
     /// Whether `err` is the shared tip check's rejection.
     fn is_not_on_tip(err: &Self::Error) -> bool;
 
     /// Context-free checks, after the tip check.
-    fn check_structure(block: &Self::Block, config: &Self::Config) -> Result<(), Self::Error>;
+    fn check_structure(block: &Self::Block) -> Result<(), Self::Error>;
     /// Resolve every non-coinbase input of `block` (at the height after
     /// `headers`) into a [`Spend`], in `(tx, input)` order, recording
     /// what the commit will need in `resolved`. Times itself into
@@ -171,12 +167,22 @@ pub trait InputState: Sized {
     fn check_invariants(&self, tip: u32) -> Result<(), String>;
 }
 
+/// Tuning knobs of either node type.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NodeConfig {
+    /// Threads SV's batch chunks settle on, the validating thread
+    /// included; `None` uses every available core, 1 runs SV inline.
+    /// Every count returns identical verdicts. The baseline's DBO stays
+    /// serial, as in Btcd.
+    pub workers: Option<usize>,
+}
+
 /// A validating node: the header chain, the undo stack and one input
 /// state, driven through the shared pipeline.
 pub struct Node<S: InputState> {
     headers: Vec<BlockHeader>,
     state: S,
-    config: S::Config,
+    config: NodeConfig,
     /// Undo records, one per connected block above `base_height`.
     undo_stack: Vec<S::Undo>,
     /// Height this node booted at: 0 for a genesis boot, the checkpoint
@@ -199,7 +205,7 @@ impl<S: InputState> Node<S> {
     pub(crate) fn boot(
         headers: Vec<BlockHeader>,
         state: S,
-        config: S::Config,
+        config: NodeConfig,
         base_height: u32,
     ) -> Node<S> {
         Node {
@@ -305,12 +311,11 @@ impl<S: InputState> Node<S> {
         } = self;
         let probes = *probes;
         probes.window_blocks.record(blocks.len() as u64);
-        let workers = worker_count(S::workers(config));
+        let workers = worker_count(config.workers);
         let mut window = Window {
             first: headers.len(),
             headers,
             state,
-            config,
             undo_stack,
             script_cache: script_cache.get_mut().expect("script cache lock"),
             probes,
@@ -412,7 +417,6 @@ impl<S: InputState> Node<S> {
 struct Window<'n, S: InputState> {
     headers: &'n mut Vec<BlockHeader>,
     state: &'n mut S,
-    config: &'n S::Config,
     undo_stack: &'n mut Vec<S::Undo>,
     script_cache: &'n mut ScriptCache,
     probes: Probes,
@@ -455,7 +459,7 @@ impl<S: InputState> Window<'_, S> {
         if S::header(block).prev_block_hash != tip {
             return Err(Rejection::NotOnTip.into());
         }
-        S::check_structure(block, self.config)?;
+        S::check_structure(block)?;
         drop(structure);
 
         // ---- resolve: EV + UV, or the DBO fetch -------------------------

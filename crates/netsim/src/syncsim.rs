@@ -18,9 +18,9 @@
 use crate::validation::ValidationModel;
 use ebv_chain::{Block, BlockHeader};
 use ebv_core::sync::{
-    serve_adversary, serve_blocks, sync_multi, AdversarialServer, Fault, FaultSchedule, FaultyPeer,
-    PeerHandle, SyncConfig, SyncError, SyncReport, TcpPeer, TcpServer, ValidatingNode,
-    WireAdversary, WireConfig,
+    serve_adversary, serve_blocks, sync_multi, Fault, FaultSchedule, FaultyPeer, PeerHandle,
+    SyncConfig, SyncError, SyncReport, TcpPeer, TcpServer, ValidatingNode, WireAdversary,
+    WireConfig,
 };
 use ebv_primitives::encode::{Decodable, DecodeError};
 use ebv_primitives::hash::Hash256;
@@ -192,7 +192,7 @@ pub fn sync_under_wire_faults(
     let network = chain[0].header.hash();
     let wire = WireConfig::fast_test();
     let mut node = ModelNode::new(&chain[0], model, seed ^ 0x5eed);
-    let mut adv_servers: Vec<AdversarialServer> = Vec::with_capacity(adversaries.len());
+    let mut adv_servers: Vec<TcpServer> = Vec::with_capacity(adversaries.len());
     let mut servers: Vec<TcpServer> = Vec::with_capacity(honest);
     let mut peers = Vec::with_capacity(adversaries.len() + honest);
     for (p, adv) in adversaries.iter().enumerate() {

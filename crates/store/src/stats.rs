@@ -19,7 +19,8 @@ pub struct DboStats {
     pub inserts: u64,
     /// `Delete` operations (spent outputs).
     pub deletes: u64,
-    /// Disk-log reads (misses plus flush-induced reads).
+    /// Disk-log reads: one per cache miss (a flush or a write-through
+    /// delete reads nothing).
     pub disk_reads: u64,
     /// Disk-log writes (evictions, flushes and write-through deletes).
     pub disk_writes: u64,

@@ -194,7 +194,8 @@ cargo test -q -p ebv-telemetry --test postmortem_schema
 # Bare Instant::now() is reserved for crates/telemetry (span!/Stopwatch)
 # and crates/bench; scheduling/simulation call sites are allowlisted in
 # scripts/instant_allowlist.txt. Everything else must go through the
-# telemetry crate so measurement stays centralized.
+# telemetry crate so measurement stays centralized, and every allowlisted
+# file must still need its entry.
 echo "==> bare Instant::now() guard"
 violations=$(grep -rln 'Instant::now()' --include='*.rs' crates src tests shims \
     | grep -v '^crates/telemetry/' \
@@ -204,6 +205,17 @@ if [ -n "$violations" ]; then
     echo "error: bare Instant::now() outside the telemetry crate (use span!/Stopwatch" >&2
     echo "or add the file to scripts/instant_allowlist.txt with a justification):" >&2
     echo "$violations" >&2
+    exit 1
+fi
+# An allowlisted file that no longer calls bare Instant::now() is a stale
+# entry: drop it, so the list names exactly the files that need it.
+stale=$(grep -v -e '^#' -e '^$' scripts/instant_allowlist.txt | while read -r f; do
+    grep -q 'Instant::now()' "$f" 2>/dev/null || echo "$f"
+done)
+if [ -n "$stale" ]; then
+    echo "error: scripts/instant_allowlist.txt lists files that no longer call bare" >&2
+    echo "Instant::now(); remove them:" >&2
+    echo "$stale" >&2
     exit 1
 fi
 

@@ -36,10 +36,7 @@ fn ebv_nodes(genesis: &EbvBlock) -> Vec<EbvNode> {
     WORKERS
         .iter()
         .map(|&workers| {
-            let config = EbvConfig {
-                workers,
-                ..EbvConfig::default()
-            };
+            let config = EbvConfig { workers };
             EbvNode::new(genesis, config)
         })
         .collect()
@@ -49,10 +46,7 @@ fn baseline_nodes(genesis: &ebv_chain::Block) -> Vec<BaselineNode> {
     WORKERS
         .iter()
         .map(|&workers| {
-            let config = BaselineConfig {
-                workers,
-                ..BaselineConfig::default()
-            };
+            let config = BaselineConfig { workers };
             BaselineNode::new(genesis, fresh_utxos(), config).expect("genesis")
         })
         .collect()

@@ -10,6 +10,9 @@
 //! hashes differ by construction; height + unspent-set equality is the
 //! cross-format invariant, own-format tip hash the per-node one.)
 //!
+//! A request that fails during a fork walk is scored, counted and recorded
+//! as the same failure on the batch path.
+//!
 //! Also here: the forced 3-block reorg mid-IBD, the reorg restore path,
 //! reorgs at the deepest accepted fork once the driver has trimmed its
 //! store of connected blocks, and the disconnect-to-genesis round trip
@@ -21,8 +24,8 @@ mod common;
 use common::{chain_pair, fork_chain, fresh_baseline};
 use ebv::core::sync::node::ValidatingNode;
 use ebv::core::{
-    reorg_to, sync_multi, EbvBlock, EbvConfig, EbvNode, Fault, FaultSchedule, FaultyPeer,
-    Intermediary, PeerHandle, ReorgError, SyncConfig,
+    reorg_to, sync_multi, EbvBlock, EbvConfig, EbvError, EbvNode, Fault, FaultSchedule, FaultyPeer,
+    Intermediary, PeerHandle, PeerStats, ReorgError, SyncConfig, SyncError,
 };
 use std::time::Duration;
 
@@ -250,6 +253,88 @@ fn banned_peer_trace_explains_the_ban() {
     assert!(
         bundle.contains("\"peer\":") && bundle.contains("\"banned\":true"),
         "bundle must embed the banned peer's stats"
+    );
+}
+
+/// Sync `chain` from a peer whose batch request is served from the wrong
+/// height, which forces a fork walk, and whose walk request then meets
+/// `walk_fault`; an honest peer `id + 1` rides along when `honest` is set.
+/// The ban score is one stall, so the faulty peer is banned on its first
+/// failure and the walk request is the only one it fails.
+fn sync_through_failed_walk(
+    chain: &[EbvBlock],
+    walk_fault: Fault,
+    id: usize,
+    honest: bool,
+) -> Result<ebv::core::SyncReport, SyncError<EbvError>> {
+    let cfg = SyncConfig {
+        ban_score: 12,
+        ..SyncConfig::fast_test()
+    };
+    let schedule = FaultSchedule::cycle(vec![Fault::WrongHeight { offset: 3 }, walk_fault]);
+    let faulty = FaultyPeer::new(chain.to_vec(), schedule).with_stall(Duration::from_millis(120));
+    let mut peers = vec![PeerHandle::spawn(id, faulty)];
+    if honest {
+        peers.push(PeerHandle::spawn(id + 1, chain.to_vec()));
+    }
+    let mut node = EbvNode::new(&chain[0], EbvConfig::default());
+    sync_multi(&mut node, peers, &cfg)
+}
+
+/// A fork walk's failed request must be scored, counted and recorded as
+/// the same failure on the batch path: a score change under `slug`, one
+/// failure in the stat `counted` reads, and a session against the peer
+/// alone that ends on a failure `recorded` accepts.
+fn assert_walk_failure_is_a_batch_failure(
+    walk_fault: Fault,
+    slug: &str,
+    id: usize,
+    counted: fn(&PeerStats) -> u32,
+    recorded: fn(&SyncError<EbvError>) -> bool,
+) {
+    ebv::telemetry::set_enabled(true);
+    let (_, chain) = chain_pair(12, 1300 + id as u64);
+    let report = sync_through_failed_walk(&chain, walk_fault, id, true)
+        .expect("the honest peer finishes the sync");
+    let scored = ebv::telemetry::trace_snapshot().iter().any(|l| {
+        l.contains("\"event\":\"sync.peer_score\"")
+            && l.contains(&format!("\"peer\":{id},"))
+            && l.contains(&format!("\"reason\":\"{slug}\""))
+    });
+    assert!(
+        scored,
+        "{walk_fault:?} in the walk must be scored as {slug:?}"
+    );
+    assert_eq!(counted(&report.peers[0]), 1, "{walk_fault:?} counted once");
+    assert!(report.peers[0].banned);
+    match sync_through_failed_walk(&chain, walk_fault, id + 10, false) {
+        Err(SyncError::AllPeersFailed { last, .. }) => assert!(
+            last.as_deref().is_some_and(recorded),
+            "{walk_fault:?} in the walk recorded as {last:?}"
+        ),
+        other => panic!("expected AllPeersFailed, got {other:?}"),
+    }
+}
+
+#[test]
+fn fork_walk_stall_is_scored_as_a_stall() {
+    assert_walk_failure_is_a_batch_failure(
+        Fault::Stall,
+        "stall",
+        9500,
+        |stats| stats.stalls,
+        |err| matches!(err, SyncError::Stalled { height: 0, .. }),
+    );
+}
+
+#[test]
+fn fork_walk_decode_failure_is_scored_as_a_decode_failure() {
+    assert_walk_failure_is_a_batch_failure(
+        Fault::Truncate,
+        "decode",
+        9520,
+        |stats| stats.decode_failures,
+        |err| matches!(err, SyncError::Decode { height: 0, .. }),
     );
 }
 

@@ -21,10 +21,7 @@ fn sequential_and_parallel_pipelines_agree() {
     let mut nodes: Vec<EbvNode> = [Some(1), Some(2), Some(3), None]
         .into_iter()
         .map(|workers| {
-            let config = EbvConfig {
-                workers,
-                ..EbvConfig::default()
-            };
+            let config = EbvConfig { workers };
             EbvNode::new(&chain[0], config)
         })
         .collect();

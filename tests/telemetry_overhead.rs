@@ -22,10 +22,7 @@ fn validate_run(chain: &[EbvBlock]) -> Duration {
     // ids and feeds the flight-recorder rings — the full causal-tracing
     // cost is inside the guarded window. Inert when disabled.
     let _root = ebv::telemetry::SpanGuard::enter_root("overhead.run", 0xd1ff);
-    let config = EbvConfig {
-        workers: Some(1),
-        ..EbvConfig::default()
-    };
+    let config = EbvConfig { workers: Some(1) };
     let mut node = EbvNode::new(&chain[0], config);
     for block in &chain[1..] {
         node.process_block(block).expect("chain is valid");

@@ -29,7 +29,9 @@
 //! The baseline runs every comparison twice: on a store whose cache holds
 //! the whole set, and on a starved one whose cache holds about eight coins,
 //! so that windows, replays and reorgs undo blocks whose coins were
-//! evicted, deleted straight to the log and re-inserted.
+//! evicted, deleted straight to the log and re-inserted. The per-block
+//! reference always runs on the roomy store, so a store fault that only
+//! shows under eviction cannot hide in both arms.
 
 mod common;
 
@@ -247,7 +249,11 @@ type SvFailure = Option<(usize, usize, ScriptError)>;
 /// One node type's view of the differential.
 struct Subject<'c, N: ValidatingNode> {
     chain: &'c [N::Block],
+    /// A node under test, at the given SV worker count.
     node: Box<dyn Fn(Option<usize>) -> N + 'c>,
+    /// A per-block reference node. The baseline's is on a roomy store
+    /// whatever the node under test's, so the two share no store fault.
+    reference: Box<dyn Fn(Option<usize>) -> N + 'c>,
     tamper: TamperFn<N::Block>,
     /// The state a window must leave, beyond the tip.
     state: fn(&N) -> String,
@@ -270,7 +276,7 @@ where
     let chain = subject.chain;
     let mut rejected = [0; 4];
     for window in WINDOWS {
-        let mut reference = (subject.node)(Some(1));
+        let mut reference = (subject.reference)(Some(1));
         let mut nodes: Vec<N> = WORKERS.iter().map(|&w| (subject.node)(w)).collect();
         let (mut start, mut round) = (1, 0);
         while start < chain.len() {
@@ -359,15 +365,8 @@ fn baseline_value_rejection(e: &BaselineError) -> Option<ValueRejection> {
 fn ebv_subject(chain: &[EbvBlock]) -> Subject<'_, EbvNode> {
     Subject {
         chain,
-        node: Box::new(|workers| {
-            EbvNode::new(
-                &chain[0],
-                EbvConfig {
-                    workers,
-                    ..EbvConfig::default()
-                },
-            )
-        }),
+        node: Box::new(|workers| EbvNode::new(&chain[0], EbvConfig { workers })),
+        reference: Box::new(|workers| EbvNode::new(&chain[0], EbvConfig { workers })),
         tamper: tamper_ebv,
         state: |node: &EbvNode| format!("{:?}", node.state_digest()),
         sv_failure: ebv_sv_failure,
@@ -387,18 +386,19 @@ fn baseline_subject(blocks: &[Block]) -> Subject<'_, BaselineNode> {
     baseline_subject_with_cache(blocks, ROOMY_CACHE)
 }
 
-/// The baseline over a store whose cache holds `cache` bytes.
+/// A baseline node over a store whose cache holds `cache` bytes.
+fn baseline_node(blocks: &[Block], cache: usize, workers: Option<usize>) -> BaselineNode {
+    let store = KvStore::open(StoreConfig::with_budget(cache)).expect("temp store opens");
+    BaselineNode::new(&blocks[0], UtxoSet::new(store), BaselineConfig { workers }).expect("genesis")
+}
+
+/// The baseline over a store whose cache holds `cache` bytes, against a
+/// reference on [`ROOMY_CACHE`].
 fn baseline_subject_with_cache(blocks: &[Block], cache: usize) -> Subject<'_, BaselineNode> {
     Subject {
         chain: blocks,
-        node: Box::new(move |workers| {
-            let config = BaselineConfig {
-                workers,
-                ..BaselineConfig::default()
-            };
-            let store = KvStore::open(StoreConfig::with_budget(cache)).expect("temp store opens");
-            BaselineNode::new(&blocks[0], UtxoSet::new(store), config).expect("genesis")
-        }),
+        node: Box::new(move |workers| baseline_node(blocks, cache, workers)),
+        reference: Box::new(move |workers| baseline_node(blocks, ROOMY_CACHE, workers)),
         tamper: tamper_baseline,
         // A rolled-back window must leave the UTXO set's count and bytes.
         state: |node: &BaselineNode| {
@@ -477,10 +477,7 @@ fn warm_windows_count_the_script_cache_as_per_block_connects() {
     let since = |before: (u64, u64)| (hits.get() - before.0, misses.get() - before.1);
     let (mut hit_in_rejected, mut round) = (0, 0);
     for workers in WORKERS {
-        let config = EbvConfig {
-            workers,
-            ..EbvConfig::default()
-        };
+        let config = EbvConfig { workers };
         let mut windowed = EbvNode::new(&chain[0], config);
         let mut reference = EbvNode::new(&chain[0], config);
         for start in (1..chain.len()).step_by(8) {
@@ -596,7 +593,7 @@ fn replay_matches_per_block<S: InputState>(
     S::Block: Clone,
 {
     let chain = tampered(subject, tampers);
-    let mut reference = (subject.node)(None);
+    let mut reference = (subject.reference)(None);
     let mut want = (Vec::new(), None);
     for period in chain[1..].chunks(PERIOD) {
         let start = reference.tip_height() + 1;
@@ -708,7 +705,7 @@ fn reorg_matches_per_block<N: ValidatingNode>(
     old: &[N::Block],
     branch: &[N::Block],
 ) -> Result<u32, (u32, bool)> {
-    let [mut windowed, mut reference] = [(subject.node)(None), (subject.node)(None)];
+    let [mut windowed, mut reference] = [(subject.node)(None), (subject.reference)(None)];
     for node in [&mut windowed, &mut reference] {
         assert_eq!(per_block(node, &subject.chain[1..=fork]).0, fork);
         assert_eq!(per_block(node, old).0, old.len());
